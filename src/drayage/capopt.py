@@ -5,6 +5,10 @@ Evaluator modes:
   "expected"   weighted average of per-scenario LP values (wait-and-see)
   "saa-dp"     value of the sample-average Bellman recursion
 
+The LP-valued modes have an exact optimum: optimize_capacity_exact solves
+the capacity choice and every scenario's operations as one extensive-form
+LP. It is the SAA path (optimize_capacity_saa, ``--mode saa``).
+
 The quasi-Newton path runs scipy's L-BFGS-B on central-difference gradients
 of the LP-relaxed objective. The landscape is piecewise linear and concave,
 so kink points can stall a single descent; the optimizer therefore restarts
@@ -22,11 +26,12 @@ from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy import sparse
+from scipy.optimize import linprog, minimize
 
 from .dp import solve_expected
 from .model import CapacityPlan, Instance, Scenario
-from .mslp import InfeasibleLP, build_mslp, solve_mslp
+from .mslp import InfeasibleLP, MultistageLP, build_mslp, solve_mslp
 from .scenario import SampleSet
 
 PENALTY = 1.0e7
@@ -68,33 +73,59 @@ def total_flow(scenario: Scenario) -> float:
 _W: Dict = {}
 
 
-def _worker_init(instance, weighted_scenarios, initial, extra):
+def _zero_templates(instance, weighted_scenarios, initial, extra=None):
+    """One zero-plan multistage LP per weighted scenario, with its weight.
+
+    Capacity enters only through the cap rows' right-hand sides, so each
+    evaluation fills them in (with_caps_array) instead of rebuilding.
+    """
     zero = _zero_plan(instance)
-    _W["templates"] = [
+    return [
         (build_mslp(instance, sc, zero, initial=initial, extra_move_cost=extra), w)
         for sc, w in weighted_scenarios
     ]
+
+
+def _worker_init(instance, weighted_scenarios, initial, extra):
+    _W["templates"] = _zero_templates(instance, weighted_scenarios, initial, extra)
     _W["source_ids"] = [s.id for s in instance.sources]
 
 
-def _worker_slice(args) -> Tuple[float, bool]:
-    caps, lo, hi = args
-    total, infeasible = 0.0, False
-    for tpl, w in _W["templates"][lo:hi]:
+def _slice_terms(templates, source_ids, caps) -> Optional[List[float]]:
+    """Weighted per-scenario values, or None when a scenario is infeasible."""
+    terms = []
+    for tpl, w in templates:
         try:
-            total += w * (-solve_mslp(tpl.with_caps_array(caps, _W["source_ids"])).cost)
+            terms.append(w * (-solve_mslp(tpl.with_caps_array(caps, source_ids)).cost))
         except InfeasibleLP:
-            infeasible = True
-            break
-    return total, infeasible
+            return None
+    return terms
+
+
+def _sum_in_order(terms: Sequence[float]) -> float:
+    # One left-to-right sum over all scenarios, however they were split
+    # across workers, so the value does not depend on the worker count.
+    total = 0.0
+    for v in terms:
+        total += v
+    return total
+
+
+def _points(templates, source_ids, caps_batch) -> List[Optional[float]]:
+    out = []
+    for caps in caps_batch:
+        terms = _slice_terms(templates, source_ids, caps)
+        out.append(None if terms is None else _sum_in_order(terms))
+    return out
+
+
+def _worker_slice(args) -> Optional[List[float]]:
+    caps, lo, hi = args
+    return _slice_terms(_W["templates"][lo:hi], _W["source_ids"], caps)
 
 
 def _worker_points(caps_batch) -> List[Optional[float]]:
-    out = []
-    for caps in caps_batch:
-        total, infeasible = _worker_slice((caps, 0, len(_W["templates"])))
-        out.append(None if infeasible else total)
-    return out
+    return _points(_W["templates"], _W["source_ids"], caps_batch)
 
 
 class _LPEvaluator:
@@ -112,16 +143,23 @@ class _LPEvaluator:
         self.weighted = list(weighted_scenarios)
         self.initial = initial
         self.extra = extra
+        self.source_ids = [s.id for s in instance.sources]
         import os
 
         self.threads = max(1, threads if threads else (os.cpu_count() or 1))
         self._pool = None
         self._templates = None
 
-    def _ensure_local(self):
+    def templates(self) -> List[Tuple[MultistageLP, float]]:
+        """This evaluator's weighted zero-plan LPs, built once on first use.
+
+        The serial path solves these; pool workers build their own.
+        """
         if self._templates is None:
-            _worker_init(self.instance, self.weighted, self.initial, self.extra)
-            self._templates = _W["templates"]
+            self._templates = _zero_templates(
+                self.instance, self.weighted, self.initial, self.extra
+            )
+        return self._templates
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -142,12 +180,11 @@ class _LPEvaluator:
                 _worker_slice,
                 [(caps, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])],
             )
-            if any(infeasible for _, infeasible in parts):
+            if any(terms is None for terms in parts):
                 return None
-            return float(sum(v for v, _ in parts))
-        self._ensure_local()
-        total, infeasible = _worker_slice((caps, 0, n))
-        return None if infeasible else float(total)
+            return _sum_in_order([v for terms in parts for v in terms])
+        terms = _slice_terms(self.templates(), self.source_ids, caps)
+        return None if terms is None else _sum_in_order(terms)
 
     def value_batch(self, caps_list: Sequence[np.ndarray]) -> List[Optional[float]]:
         """Evaluate many capacity arrays; parallel across points."""
@@ -161,8 +198,7 @@ class _LPEvaluator:
             for part in pool.map(_worker_points, batches):
                 out.extend(part)
             return out
-        self._ensure_local()
-        return _worker_points(caps_list)
+        return _points(self.templates(), self.source_ids, caps_list)
 
     def close(self):
         if self._pool is not None:
@@ -357,7 +393,10 @@ class OptimizationResult:
     total_cost: float
     iterations: int
     gradient_evaluations: int
+    function_evaluations: int
     trace: List[Tuple[int, float, float]]  # (iter, objective, grad norm)
+    lp_objective: Optional[float] = None  # exact path: extensive-form LP cost
+    dropped_scenarios: int = 0  # inoperable draws left out of the objective
 
     def trace_to_csv(self, path: str) -> None:
         with open(path, "w") as f:
@@ -371,6 +410,41 @@ def _penalized(obj: CapacityObjective, res_rates: np.ndarray, caps: np.ndarray) 
     if value is None:
         return -PENALTY + PENALTY_SLOPE * float(np.sum(caps))
     return value - float(np.sum(res_rates * caps))
+
+
+def _ascend(f, grad, x0: np.ndarray, bounds, config: OptConfig):
+    """One L-BFGS-B ascent of f from x0; returns the scipy result and a
+    per-iteration trace of (iter, objective, inf-norm of the gradient)."""
+    trace: List[Tuple[int, float, float]] = []
+    last = {"f": None, "g": np.zeros(x0.size)}
+
+    def fun(x):
+        v = f(x)
+        last["f"] = v
+        return -v
+
+    def jac(x):
+        g = grad(x)
+        last["g"] = g
+        return -g
+
+    def cb(xk):
+        trace.append((len(trace), last["f"], float(np.linalg.norm(last["g"], np.inf))))
+
+    res = minimize(
+        fun,
+        x0,
+        jac=jac,
+        method="L-BFGS-B",
+        bounds=bounds,
+        callback=cb,
+        options={
+            "maxiter": config.max_iter,
+            "ftol": 1e-12,
+            "gtol": config.tolerance,
+        },
+    )
+    return res, trace
 
 
 def optimize_capacity(
@@ -450,37 +524,7 @@ def optimize_capacity(
     best_trace: List[Tuple[int, float, float]] = []
     iterations = 0
     for x0 in starts:
-        trace: List[Tuple[int, float, float]] = []
-        last = {"f": None, "g": np.zeros(lower.size)}
-
-        def fun(x):
-            v = f(x)
-            last["f"] = v
-            return -v
-
-        def jac(x):
-            g = grad(x)
-            last["g"] = g
-            return -g
-
-        def cb(xk):
-            trace.append(
-                (len(trace), last["f"], float(np.linalg.norm(last["g"], np.inf)))
-            )
-
-        res = minimize(
-            fun,
-            x0,
-            jac=jac,
-            method="L-BFGS-B",
-            bounds=bounds,
-            callback=cb,
-            options={
-                "maxiter": config.max_iter,
-                "ftol": 1e-12,
-                "gtol": config.tolerance,
-            },
-        )
+        res, trace = _ascend(f, grad, x0, bounds, config)
         iterations += int(res.nit)
         fx = -float(res.fun)
         if fx > best_f:
@@ -528,6 +572,7 @@ def optimize_capacity(
         total_cost=float(-best_f),
         iterations=iterations,
         gradient_evaluations=njev,
+        function_evaluations=nfev,
         trace=best_trace,
     )
 
@@ -644,10 +689,17 @@ def optimize_capacity_quadratic(
         }
         return quadratic_parameterization(beta, tau, box_by_source)
 
+    nfev = 0
+    njev = 0
+
     def value(beta_flat: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
         return _penalized(obj, res_rates, _plan_to_caps(inst, plan_of(beta_flat)))
 
     def grad(beta_flat: np.ndarray) -> np.ndarray:
+        nonlocal njev
+        njev += 1
         h = config.fd_step
         g = np.zeros(beta_flat.size)
         for k in range(beta_flat.size):
@@ -665,31 +717,106 @@ def optimize_capacity_quadratic(
         starts.append(rng.uniform(-xmax, xmax, size=3 * len(sids)))
 
     best_beta, best_f = starts[0], -np.inf
+    best_trace: List[Tuple[int, float, float]] = []
     iterations = 0
     for x0 in starts:
-        res = minimize(
-            lambda x: -value(x),
-            x0,
-            jac=lambda x: -grad(x),
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxiter": config.max_iter,
-                "ftol": 1e-12,
-                "gtol": config.tolerance,
-            },
-        )
+        res, trace = _ascend(value, grad, x0, bounds, config)
         iterations += int(res.nit)
         if -res.fun > best_f:
             best_f, best_beta = -float(res.fun), np.asarray(res.x)
+            best_trace = trace
     plan = plan_of(best_beta)
     return OptimizationResult(
         best_plan=plan,
         best_objective=float(best_f),
         total_cost=float(-best_f),
         iterations=iterations,
-        gradient_evaluations=iterations,
-        trace=[(0, float(best_f), 0.0)],
+        gradient_evaluations=njev,
+        function_evaluations=nfev,
+        trace=best_trace,
+    )
+
+
+def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
+    """Exact optimum of an LP-valued objective as one extensive-form LP.
+
+    First-stage capacities x in [0, box_upper] are priced at the reservation
+    rates. Every weighted scenario adds one multistage-LP block whose cost is
+    scaled by its weight and whose cap rows read moves - x <= 0: the
+    deterministic equivalent of the two-stage stochastic LP (Van Slyke &
+    Wets 1969; for SAA, Kleywegt, Shapiro & Homem-de-Mello 2002).
+
+    Where a rate is >= 0 the returned capacity is the largest per-block
+    usage. That still admits every block's solution, so it stays optimal,
+    and it pins the plan where the LP is indifferent, such as a zero-rate
+    spot source. total_cost re-evaluates the plan with objective(), as the
+    searches report theirs, so it differs from lp_objective, the LP's
+    optimal cost, only by round-off. Raises InfeasibleLP when no plan in
+    the box operates every scenario.
+    """
+    if obj.mode not in ("scenario", "expected") or not obj.weighted_scenarios:
+        raise ValueError("the exact LP needs an LP-valued objective with scenarios")
+    inst = obj.instance
+    tau = inst.horizon
+    keys = [(sid, t) for sid in obj.source_ids for t in range(1, tau + 1)]
+    nx = len(keys)
+    blocks = obj._lp_evaluator().templates()
+    # the row layout depends on the instance only, so it is the same in every block
+    rows = [blocks[0][0].cap_rows[key] for key in keys]
+    couple = sparse.csr_matrix(
+        (-np.ones(nx), (rows, np.arange(nx))), shape=(blocks[0][0].A_ub.shape[0], nx)
+    )
+    A_ub = sparse.hstack(
+        [
+            sparse.vstack([couple] * len(blocks)),
+            sparse.block_diag([lp.A_ub for lp, _ in blocks]),
+        ],
+        format="csr",
+    )
+    n_eq = sum(lp.A_eq.shape[0] for lp, _ in blocks)
+    A_eq = sparse.hstack(
+        [
+            sparse.csr_matrix((n_eq, nx)),
+            sparse.block_diag([lp.A_eq for lp, _ in blocks]),
+        ],
+        format="csr",
+    )
+    rates = obj.rates_array().ravel()
+    box = np.asarray(obj.box_upper, dtype=float).ravel()
+    upper = np.concatenate([box] + [lp.upper for lp, _ in blocks])
+    res = linprog(
+        np.concatenate([rates] + [w * lp.c for lp, w in blocks]),
+        A_ub=A_ub,
+        b_ub=np.concatenate([lp.b_ub for lp, _ in blocks]),
+        A_eq=A_eq,
+        b_eq=np.concatenate([lp.b_eq for lp, _ in blocks]),
+        bounds=np.column_stack([np.zeros_like(upper), upper]),
+        method="highs",
+    )
+    if res.status == 2:
+        raise InfeasibleLP("no capacity plan in the box operates every scenario")
+    if res.status != 0:
+        raise RuntimeError(f"extensive-form LP failed: {res.message}")
+
+    usage = np.zeros(nx)
+    offset = nx
+    for lp, _ in blocks:
+        n = lp.c.size
+        usage = np.maximum(usage, lp.A_ub[rows] @ res.x[offset : offset + n])
+        offset += n
+    caps = np.where(rates >= 0.0, np.clip(usage, 0.0, box), res.x[:nx])
+    plan = _caps_to_plan(inst, caps.reshape(len(obj.source_ids), tau))
+    best = objective(plan, obj)
+    return OptimizationResult(
+        best_plan=plan,
+        best_objective=best,
+        total_cost=-best,
+        iterations=int(res.nit),
+        gradient_evaluations=0,
+        function_evaluations=1,
+        trace=[(0, best, 0.0)],
+        lp_objective=float(res.fun),
+        dropped_scenarios=obj.dropped_scenarios,
     )
 
 
@@ -697,19 +824,22 @@ def optimize_capacity_saa(
     instance: Instance,
     n_scenarios: int,
     seed: int,
-    start: Optional[CapacityPlan] = None,
     config: OptConfig = OptConfig(),
 ) -> OptimizationResult:
-    """Capacity search against N seeded scenarios (expected-LP evaluator)."""
+    """Exact SAA capacity plan over N seeded scenarios.
+
+    Draws no plan can operate are dropped (sample_objective); the rest are
+    solved as one extensive-form LP (optimize_capacity_exact). Of config
+    only threads is read, for the re-evaluation of the plan; the search
+    settings do not apply.
+    """
     from .scenario import sample_scenarios
 
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
     scenarios = sample_scenarios(instance, n_scenarios, seed)
     obj = sample_objective(instance, scenarios, threads=config.threads)
-    if start is None:
-        start = _caps_to_plan(instance, np.asarray(obj.box_upper) / 2.0)
     try:
-        return optimize_capacity(obj, start, config)
+        return optimize_capacity_exact(obj)
     finally:
         obj.close()

@@ -113,23 +113,25 @@ def cmd_solve_policy(args) -> int:
         plan = _load_plan(args.plan, instance)
     else:
         plan = model.generate_default_plan(args.seed, instance)
-    out = _outdir(args.out)
-
     if args.scenario:
         sc = _load_scenario(args.scenario, args.scenario_index, instance)
-        table, policy = dp.solve_scenario(instance, sc, plan)
-        traj = dp.rollout(instance, policy, sc, plan, instance.initial_state)
-        traj.to_csv(os.path.join(out, "trajectory.csv"))
-        mode = "scenario"
     elif args.sample_mode:
         sample = scen.build_sample_set(
             instance, args.samples, args.seed, mode=args.sample_mode
         )
+    else:
+        raise UsageError("need --scenario FILE or --sample-mode {enumerate,iid}")
+    out = _outdir(args.out)
+
+    if args.scenario:
+        table, policy = dp.solve_scenario(instance, sc, plan)
+        traj = dp.rollout(instance, policy, sc, plan, instance.initial_state)
+        traj.to_csv(os.path.join(out, "trajectory.csv"))
+        mode = "scenario"
+    else:
         table, policy = dp.solve_expected(instance, sample, plan)
         traj = None
         mode = f"sample:{args.sample_mode}"
-    else:
-        raise UsageError("need --scenario FILE or --sample-mode {enumerate,iid}")
 
     table.to_csv(os.path.join(out, "value.csv"))
     policy.to_csv(os.path.join(out, "policy.csv"))
@@ -178,7 +180,6 @@ def _opt_config(args) -> capopt.OptConfig:
 
 def cmd_optimize_capacity(args) -> int:
     instance = _load_instance(args.instance)
-    out = _outdir(args.out)
     config = _opt_config(args)
 
     if args.mode == "scenario":
@@ -196,18 +197,26 @@ def cmd_optimize_capacity(args) -> int:
         start = _load_plan(args.start, instance)
     else:
         start = model.generate_default_plan(args.seed, instance)
+    out = _outdir(args.out)
     try:
         start_objective = capopt.objective(start, obj)
     except mslp.InfeasibleLP:
         start_objective = None
 
+    # raw capacities are solved exactly; the quadratic search is certified
+    # against the exact LP optimum of the same objective
     try:
-        if args.parameterization == "quadratic":
-            result = capopt.optimize_capacity_quadratic(obj, config)
+        if args.parameterization == "direct":
+            result = exact = capopt.optimize_capacity_exact(obj)
         else:
-            result = capopt.optimize_capacity(obj, start, config)
+            result = capopt.optimize_capacity_quadratic(obj, config)
+            try:
+                exact = capopt.optimize_capacity_exact(obj)
+            except mslp.InfeasibleLP:
+                exact = None
     finally:
         obj.close()
+    exact_cost = None if exact is None else exact.lp_objective
 
     model.save_plan(result.best_plan, os.path.join(out, "best_plan.json"))
     result.trace_to_csv(os.path.join(out, "trace.csv"))
@@ -220,6 +229,9 @@ def cmd_optimize_capacity(args) -> int:
         "best_total_cost": result.total_cost,
         "iterations": result.iterations,
         "gradient_evaluations": result.gradient_evaluations,
+        "function_evaluations": result.function_evaluations,
+        "exact_total_cost": exact_cost,
+        "optimality_gap": None if exact is None else result.total_cost - exact_cost,
     }
     if start_objective is not None and start_objective != 0:
         summary["improvement_pct"] = (
@@ -233,6 +245,8 @@ def cmd_optimize_capacity(args) -> int:
     else:
         print(f"start total cost: {-start_objective:.4f}")
     print(f"best total cost:  {result.total_cost:.4f}")
+    if exact is not None:
+        print(f"exact LP optimum: {exact_cost:.4f} (gap {summary['optimality_gap']:.4g})")
     if start_objective is not None and start_objective != 0:
         print(f"improvement: {summary['improvement_pct']:.1f}%")
     print(f"outputs in {out}")
@@ -365,18 +379,24 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default="policy_out")
     s.set_defaults(func=cmd_solve_policy)
 
-    o = sub.add_parser("optimize-capacity", help="quasi-Newton capacity search")
+    o = sub.add_parser(
+        "optimize-capacity",
+        help="capacity plan: exact LP, or quasi-Newton search (quadratic)",
+    )
     o.add_argument("--instance", required=True)
     o.add_argument("--mode", choices=["scenario", "saa"], default="scenario")
     o.add_argument("--scenario", help="scenarios.json path (scenario mode)")
     o.add_argument("--scenario-index", type=int, default=0)
     o.add_argument("--samples", type=int, default=1000, help="scenario count (saa)")
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--start", help="starting plan JSON")
-    o.add_argument("--fd-step", type=float, default=1e-3)
-    o.add_argument("--tolerance", type=float, default=1e-4)
-    o.add_argument("--max-iter", type=int, default=60)
-    o.add_argument("--restarts", type=int, default=8)
+    o.add_argument(
+        "--start", help="plan JSON the result is compared with (default: seeded plan)"
+    )
+    q = o.add_argument_group("quadratic search")
+    q.add_argument("--fd-step", type=float, default=1e-3)
+    q.add_argument("--tolerance", type=float, default=1e-4)
+    q.add_argument("--max-iter", type=int, default=60)
+    q.add_argument("--restarts", type=int, default=8)
     o.add_argument(
         "--parameterization", choices=["direct", "quadratic"], default="direct"
     )

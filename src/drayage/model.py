@@ -371,7 +371,10 @@ def generate_instance(seed: int, shape: Dict) -> Instance:
         lo = round(_truncated_normal(rng, cost_mean * 0.6, cost_sd, cost_min), 1)
         hi = round(lo + abs(rng.normal(cost_mean, cost_sd)), 1)
         p_lo = round(float(rng.uniform(0.2, 0.8)), 2)
-        spot_dists[sid] = {lo: p_lo, hi: round(1.0 - p_lo, 2)}
+        # hi can round onto lo; the draws above are kept either way
+        spot_dists[sid] = (
+            {lo: 1.0} if hi == lo else {lo: p_lo, hi: round(1.0 - p_lo, 2)}
+        )
         sources.append(Source(sid, SPOT, lanes, None, tuple([0.0] * horizon)))
 
     def _levels_dist(rng: np.random.Generator) -> Dict[int, float]:

@@ -6,6 +6,12 @@ exit stock is split into nonnegative parts splus - sminus. Used as the
 differentiable surrogate for capacity search and as a relaxation cross-check
 on the DP.
 
+The relaxation bounds the DP only along unclamped trajectories. The DP
+transition (alloc.transition) clamps stocks into their bounds, dropping entry
+overflow and backorders beyond the bound free of charge, while the LP keeps
+the bounds as hard constraints. Where the DP's optimal path clamps, the LP
+can be infeasible or its cost can exceed the DP cost.
+
 Costs are minimized here; callers that want the value convention negate.
 """
 

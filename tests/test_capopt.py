@@ -12,6 +12,7 @@ from drayage.capopt import (
     objective,
     operable_scenario,
     optimize_capacity,
+    optimize_capacity_exact,
     optimize_capacity_quadratic,
     optimize_capacity_saa,
     quadratic_parameterization,
@@ -20,6 +21,7 @@ from drayage.capopt import (
     scenario_objective,
     total_flow,
 )
+from drayage.evaluation import _exact_optimum
 from drayage.model import CapacityPlan, ExogenousRealization, Scenario
 from drayage.mslp import InfeasibleLP
 from drayage.scenario import SampleSet, sample_scenarios
@@ -304,6 +306,9 @@ def test_saa_rejects_zero_scenarios(capacity_instance):
 
 def test_quadratic_search_smoke(capacity_instance, demo_scenario):
     obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    calls = []
+    value_of_caps = obj.value_of_caps
+    obj.value_of_caps = lambda caps: calls.append(1) or value_of_caps(caps)
     try:
         res = optimize_capacity_quadratic(obj, SMALL)
         assert np.isfinite(res.best_objective)
@@ -312,6 +317,12 @@ def test_quadratic_search_smoke(capacity_instance, demo_scenario):
             assert all(0.0 <= c <= amax for c in caps)
     finally:
         obj.close()
+    # real counts: every objective evaluation, 6 per gradient (3 coefficients
+    # per source, central differences), one trace row per iteration
+    assert res.function_evaluations == len(calls)
+    assert 0 < 6 * 2 * res.gradient_evaluations <= len(calls)
+    assert 1 <= len(res.trace) <= res.iterations
+    assert [row[0] for row in res.trace] == list(range(len(res.trace)))
 
 
 def test_sample_objective_weights_uniform(capacity_instance):
@@ -359,3 +370,130 @@ def test_sample_objective_drops_inoperable_draws(capacity_instance, demo_scenari
 
     with pytest.raises(InfeasibleLP):
         sample_objective(capacity_instance, [dry, dry], threads=1)
+
+
+def test_lp_value_independent_of_worker_count(capacity_instance):
+    scens = sample_scenarios(capacity_instance, 60, 0)
+    one = sample_objective(capacity_instance, scens, threads=1)
+    two = sample_objective(capacity_instance, scens, threads=2)
+    rng = np.random.default_rng(3)
+    try:
+        values = []
+        for _ in range(8):
+            caps = rng.uniform(3.0, 10.0, size=(2, 4))
+            values.append(one.value_of_caps(caps))
+            assert two.value_of_caps(caps) == values[-1]
+        assert sum(v is not None for v in values) >= 4
+    finally:
+        one.close()
+        two.close()
+
+
+def test_serial_objectives_keep_their_own_scenarios(capacity_instance):
+    # Two serial objectives used in turn each evaluate their own scenario.
+    a_sc, b_sc = sample_scenarios(capacity_instance, 2, 3)
+    a = scenario_objective(capacity_instance, a_sc, threads=1)
+    b = scenario_objective(capacity_instance, b_sc, threads=1)
+    caps = np.asarray(a.box_upper) / 2.0
+    try:
+        first = a.value_of_caps(caps)
+        assert b.value_of_caps(caps) != first
+        assert a.value_of_caps(caps) == first
+    finally:
+        a.close()
+        b.close()
+
+
+# ---------------------------------------------------------------------------
+# Exact extensive-form LP
+
+
+def test_exact_matches_folded_optimum_on_one_scenario(capacity_instance, demo_scenario):
+    # _exact_optimum folds the reservation rates into the move costs instead
+    # of pricing separate capacity columns; both must give the same optimum.
+    for sc in [demo_scenario] + sample_scenarios(capacity_instance, 4, 9):
+        if not operable_scenario(capacity_instance, sc):
+            continue
+        obj = scenario_objective(capacity_instance, sc, threads=1)
+        try:
+            res = optimize_capacity_exact(obj)
+        finally:
+            obj.close()
+        _, folded = _exact_optimum(capacity_instance, sc, None)
+        assert -res.lp_objective == pytest.approx(folded, abs=1e-7)
+        assert res.best_objective == pytest.approx(folded, abs=1e-7)
+        assert res.total_cost == -res.best_objective
+        assert res.gradient_evaluations == 0 and res.function_evaluations == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 20])
+def test_exact_saa_never_worse_than_search(capacity_instance, n):
+    config = OptConfig(restarts=0, max_iter=6, seed=0, threads=1)
+    exact = optimize_capacity_saa(capacity_instance, n, seed=0, config=config)
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, n, 0),
+                           threads=1)
+    try:
+        # the search's start for SAA: half the box in every coordinate
+        half = obj.box_upper / 2.0
+        start = CapacityPlan({sid: tuple(half[k]) for k, sid in enumerate(obj.source_ids)})
+        searched = optimize_capacity(obj, start, config)
+        assert objective(exact.best_plan, obj) == exact.best_objective
+    finally:
+        obj.close()
+    assert exact.total_cost <= searched.total_cost + 1e-9
+    assert exact.total_cost == pytest.approx(exact.lp_objective, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [3, 4, 20])
+def test_exact_plan_in_box_and_lowered_to_usage(capacity_instance, n):
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, n, 0),
+                           threads=1)
+    try:
+        res = optimize_capacity_exact(obj)
+        caps = np.array([res.best_plan.capacity[sid] for sid in obj.source_ids])
+        assert np.all(caps >= 0.0) and np.all(caps <= obj.box_upper)
+        # No capacity with a rate >= 0 is slack: giving up one unit of it
+        # (all of it, if less) makes some scenario infeasible or costlier.
+        # Unlowered, the zero-rate spot source sits at the box bound.
+        rates = obj.rates_array()
+        for k, t in zip(*np.nonzero((rates >= 0.0) & (caps > 0.0))):
+            lower = caps.copy()
+            lower[k, t] -= min(1.0, caps[k, t])
+            try:
+                worse = objective(CapacityPlan(
+                    {sid: tuple(lower[i]) for i, sid in enumerate(obj.source_ids)}
+                ), obj)
+            except InfeasibleLP:
+                continue
+            assert worse < res.best_objective - 1e-9, (k, t)
+    finally:
+        obj.close()
+
+
+def test_exact_reports_dropped_scenarios(capacity_instance, demo_scenario):
+    mixed = sample_objective(
+        capacity_instance, [demo_scenario, _dry_scenario(capacity_instance)], threads=1
+    )
+    alone = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    try:
+        res = optimize_capacity_exact(mixed)
+        ref = optimize_capacity_exact(alone)
+    finally:
+        mixed.close()
+        alone.close()
+    assert res.dropped_scenarios == 1
+    assert ref.dropped_scenarios == 0
+    assert res.best_plan.capacity == ref.best_plan.capacity
+    assert res.total_cost == pytest.approx(439.2, abs=1e-9)
+
+
+def test_exact_saa_is_deterministic(capacity_instance):
+    a = optimize_capacity_saa(capacity_instance, 20, seed=0)
+    b = optimize_capacity_saa(capacity_instance, 20, seed=0)
+    assert a == b
+    assert a.best_plan.capacity == {1: (0.0, 6.0, 4.0, 0.0), 2: (6.0, 2.0, 4.0, 8.0)}
+
+
+def test_exact_rejects_dp_objective(capacity_instance):
+    with pytest.raises(ValueError):
+        optimize_capacity_exact(CapacityObjective(capacity_instance, mode="saa-dp"))

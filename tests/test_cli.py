@@ -125,10 +125,10 @@ def test_solve_policy_iid_deterministic(example_dir):
 
 
 def test_solve_policy_needs_a_mode(example_dir, monkeypatch):
-    # The default --out directory is made before the error is found.
     monkeypatch.chdir(example_dir)
     rc = run_cli("solve-policy", "--instance", str(example_dir / "inst.json"))
     assert rc == 2
+    assert not (example_dir / "policy_out").exists()
 
 
 def test_solve_policy_missing_instance(tmp_path):
@@ -156,7 +156,6 @@ def test_solve_policy_wrong_plan_shape(example_dir, tmp_path):
 
 
 def test_scenario_index_out_of_range(example_dir, monkeypatch):
-    # The default --out directory is made before the error is found.
     monkeypatch.chdir(example_dir)
     rc = run_cli(
         "solve-policy", "--instance", str(example_dir / "inst.json"),
@@ -164,6 +163,7 @@ def test_scenario_index_out_of_range(example_dir, monkeypatch):
         "--scenario-index", "3",
     )
     assert rc == 2
+    assert not (example_dir / "policy_out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +184,34 @@ def test_optimize_capacity_scenario_mode(example_dir):
     assert summary["start_total_cost"] == pytest.approx(557.22, abs=1e-9)
     assert summary["best_total_cost"] <= summary["start_total_cost"] + 1e-9
     assert summary["improvement_pct"] >= -1e-9
+    # raw capacities are solved as one exact LP (optimum 439.2)
+    assert summary["best_total_cost"] == pytest.approx(439.2, abs=1e-6)
+    assert summary["optimality_gap"] == pytest.approx(0.0, abs=1e-7)
+    assert summary["gradient_evaluations"] == 0
+    assert summary["function_evaluations"] == 1
     plan = model.load_plan(str(out / "best_plan.json"))
     assert set(plan.capacity) == {1, 2}
     assert (out / "trace.csv").exists()
+
+
+def test_optimize_capacity_quadratic_is_certified(example_dir):
+    out = example_dir / "quad"
+    rc = run_cli(
+        "optimize-capacity", "--instance", str(example_dir / "inst.json"),
+        "--scenario", str(example_dir / "scenario.json"),
+        "--parameterization", "quadratic",
+        "--restarts", "0", "--max-iter", "4", "--threads", "1",
+        "--out", str(out),
+    )
+    assert rc == 0
+    summary = json.load(open(out / "summary.json"))
+    # the search is certified against the exact LP optimum of the same objective
+    assert summary["exact_total_cost"] == pytest.approx(439.2, abs=1e-6)
+    assert summary["optimality_gap"] == pytest.approx(
+        summary["best_total_cost"] - summary["exact_total_cost"], abs=1e-12
+    )
+    assert summary["optimality_gap"] >= -1e-7
+    assert summary["function_evaluations"] > summary["gradient_evaluations"] > 0
 
 
 def test_optimize_capacity_saa_mode(example_dir):
@@ -201,13 +226,20 @@ def test_optimize_capacity_saa_mode(example_dir):
     summary = json.load(open(out / "summary.json"))
     assert summary["mode"] == "saa"
     assert (out / "best_plan.json").exists()
+    # saa mode is the exact extensive-form LP: no gradients, no gap
+    assert summary["gradient_evaluations"] == 0
+    assert summary["function_evaluations"] == 1
+    assert summary["optimality_gap"] == pytest.approx(0.0, abs=1e-7)
+    assert summary["best_total_cost"] == pytest.approx(
+        summary["exact_total_cost"], abs=1e-7
+    )
 
 
 def test_optimize_capacity_scenario_mode_needs_file(example_dir, monkeypatch):
-    # The default --out directory is made before the error is found.
     monkeypatch.chdir(example_dir)
     rc = run_cli("optimize-capacity", "--instance", str(example_dir / "inst.json"))
     assert rc == 2
+    assert not (example_dir / "capacity_out").exists()
 
 
 # ---------------------------------------------------------------------------

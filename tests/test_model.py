@@ -132,6 +132,20 @@ def test_generated_instances_validate(seed):
         assert all(v >= 0 for v in dist)
 
 
+def test_generated_spot_rates_validate_when_rates_round_together():
+    # At cost_sd=1 the high spot rate often rounds onto the low one; the
+    # distribution must then be one point of weight 1, not a lone p_lo.
+    shape = dict(SHAPE, capacity_levels=10, cost_mean=1.0, cost_sd=1.0, cost_min=0.0)
+    collapsed = 0
+    for seed in range(300):
+        inst = generate_instance(seed, shape)
+        assert validate_instance(inst) == [], seed
+        collapsed += any(
+            len(d) == 1 for d in inst.uncertainty.spot_rate_dist.values()
+        )
+    assert collapsed >= 7
+
+
 def test_default_plan_within_action_bound(capacity_instance):
     plan = generate_default_plan(9, capacity_instance)
     amax = capacity_instance.bounds.action_max
