@@ -106,7 +106,12 @@ def solve_allocation(problem: AllocationProblem):
     """Cost-minimal feasible allocation, or INFEASIBLE.
 
     Single-lane problems use a closed-form greedy fill; general problems go
-    through the bounded-variable simplex.
+    through the bounded-variable simplex. The simplex sees entry availability
+    and exit space clipped to the total volume: no lane can carry more, so
+    the feasible set is the same, and among cost-tied allocations the one
+    returned then depends only on the clipped problem. The DP's stage tables
+    rely on this to share one solve between all states with equal clipped
+    bounds.
     """
     A = float(problem.total_volume)
     keys = sorted(problem.lane_costs.keys())
@@ -150,16 +155,30 @@ def solve_allocation(problem: AllocationProblem):
         row = np.array([1.0 if lane[0] == i else 0.0 for (_, lane) in keys])
         if row.any():
             rows.append(row)
-            rhs.append(avail)
+            rhs.append(min(avail, A))
     for j, space in sorted(problem.exit_space.items()):
         row = np.array([1.0 if lane[1] == j else 0.0 for (_, lane) in keys])
         if row.any():
             rows.append(row)
-            rhs.append(space)
+            rhs.append(min(space, A))
     res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, A_ub=np.array(rows), b_ub=np.array(rhs))
     if res.status != "optimal":
         return INFEASIBLE
     return Allocation({k: float(x) for k, x in zip(keys, res.x)}, float(res.objective))
+
+
+def lane_costs(
+    instance: Instance, realization: ExogenousRealization, period: int = 1
+) -> Dict[Tuple[int, Lane], float]:
+    """$/TEU per (source id, lane) in one period (1-based)."""
+    out: Dict[Tuple[int, Lane], float] = {}
+    for s in instance.sources:
+        for lane in s.lanes:
+            if s.kind == SPOT:
+                out[(s.id, lane)] = realization.spot_rates[s.id][lane]
+            else:
+                out[(s.id, lane)] = s.execution_cost[lane][period - 1]
+    return out
 
 
 def build_problem(
@@ -171,13 +190,6 @@ def build_problem(
     period: int = 1,
 ) -> AllocationProblem:
     """Assemble the allocation problem for one period (1-based)."""
-    lane_costs: Dict[Tuple[int, Lane], float] = {}
-    for s in instance.sources:
-        for lane in s.lanes:
-            if s.kind == SPOT:
-                lane_costs[(s.id, lane)] = realization.spot_rates[s.id][lane]
-            else:
-                lane_costs[(s.id, lane)] = s.execution_cost[lane][period - 1]
     avail = {
         i: state.entry_stock[i] + realization.inflow[i] for i in instance.network.entries
     }
@@ -187,7 +199,7 @@ def build_problem(
     }
     return AllocationProblem(
         total_volume=action,
-        lane_costs=lane_costs,
+        lane_costs=lane_costs(instance, realization, period),
         source_caps={k: float(v) for k, v in caps.items()},
         entry_available=avail,
         exit_space=space,
@@ -209,6 +221,18 @@ def immediate_cost(
     return holding_cost(state, instance.costs) + alloc.cost
 
 
+def lane_flows(
+    lane_totals: Dict[Lane, float]
+) -> Tuple[Dict[int, float], Dict[int, float]]:
+    """Moves out of each entry and into each exit (locations without a move are absent)."""
+    out_by_entry: Dict[int, float] = {}
+    in_by_exit: Dict[int, float] = {}
+    for (i, j), m in lane_totals.items():
+        out_by_entry[i] = out_by_entry.get(i, 0.0) + m
+        in_by_exit[j] = in_by_exit.get(j, 0.0) + m
+    return out_by_entry, in_by_exit
+
+
 def transition(
     state: SystemState,
     lane_totals: Dict[Lane, float],
@@ -216,11 +240,7 @@ def transition(
     bounds: Bounds,
 ) -> SystemState:
     """Apply moves and flows, clamping each stock into its bounds."""
-    out_by_entry: Dict[int, float] = {}
-    in_by_exit: Dict[int, float] = {}
-    for (i, j), m in lane_totals.items():
-        out_by_entry[i] = out_by_entry.get(i, 0.0) + m
-        in_by_exit[j] = in_by_exit.get(j, 0.0) + m
+    out_by_entry, in_by_exit = lane_flows(lane_totals)
     entry = {}
     for i, s in state.entry_stock.items():
         raw = s - out_by_entry.get(i, 0.0) + realization.inflow[i]

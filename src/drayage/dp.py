@@ -1,17 +1,25 @@
 """Backward-induction dynamic programming over the integer state grid.
 
 Values follow the sign convention V = negative cumulative cost (bigger is
-better); solvers therefore maximize. Three entry points share one sweep:
+better); solvers therefore maximize. Three entry points share one kernel:
 
   solve_scenario   one fixed realization per period (perfect information)
   solve_expected   weighted realizations per period (exact expectation when
                    the SampleSet enumerates the support, SAA otherwise)
-  evaluate_policy  same sweep with the action forced by a fixed policy
+  evaluate_policy  the same tables read at a fixed policy's actions
 
-Single-entry single-exit instances take a vectorized path: per period the
-transport cost depends only on (action, realization), so the Bellman update
-is a handful of numpy gathers over the (entry, exit) grid. Everything else
-falls back to a per-state loop with memoized allocation solves.
+The kernel builds, for each period t and distinct realization z, a stage
+table over (action a, state s): cost[a, s], the transport cost of moving a
+units at s (inf when no allocation exists), and next[a, s], the index of the
+state reached. Each table is consumed as soon as it is built. The sweeps take
+a weighted sum over z and a maximum over the actions allocatable under every
+z; evaluate_policy gathers at the policy's actions. Single-entry single-exit
+instances fill the table in closed form (the cost depends only on the action
+and z, the successor is clip arithmetic). Networks fill it from allocation
+solves memoized per period on (a, min(avail, a), min(space, a), spot rates):
+no lane carries more than a, so larger bounds never bind, solve_allocation
+solves exactly that clipped problem, and all states sharing it share one
+solve. rollout, which follows one possibly off-sample path, solves directly.
 """
 
 from dataclasses import dataclass
@@ -21,8 +29,11 @@ import numpy as np
 
 from .alloc import (
     INFEASIBLE,
+    AllocationProblem,
     build_problem,
     holding_cost,
+    lane_costs,
+    lane_flows,
     plan_caps_at,
     solve_allocation,
     split_volume,
@@ -261,7 +272,7 @@ def feasible_actions(
 
 
 # ---------------------------------------------------------------------------
-# The backward sweep
+# Stage tables
 
 PeriodData = List[Tuple[ExogenousRealization, float]]  # (realization, weight)
 
@@ -317,143 +328,196 @@ def _lane_cost_table(
     return out
 
 
-def _sweep_fast(
-    instance: Instance, per_period: List[PeriodData], plan: CapacityPlan, gamma: float
-) -> Tuple[ValueTable, PolicyTable]:
-    """Vectorized Bellman sweep for one entry, one exit, one lane."""
-    i, j = _single_lane_ids(instance)
-    b = instance.bounds
-    ne, ns = b.entry_max[i] + 1, b.exit_backorder_max[j] + b.exit_max[j] + 1
-    amax = b.action_max
-    indexer = StateIndexer.for_instance(instance)
-    tau = instance.horizon
+class _StageTables:
+    """The Bellman kernel (see the module docstring) for one instance and plan.
 
-    e_grid = np.arange(ne)
-    s_grid = np.arange(ns) - b.exit_backorder_max[j]
-    hold = (
-        instance.costs.entry_holding[i] * e_grid[:, None]
-        + instance.costs.exit_holding[j] * np.maximum(s_grid, 0)[None, :]
-        + instance.costs.exit_backorder[j] * np.maximum(-s_grid, 0)[None, :]
-    ).astype(float)
-    space = b.exit_max[j] - s_grid  # pre-outflow exit space, z-independent
+    ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation) and
+    ``next[a, s]``; network allocations are memoized across calls.
+    """
 
-    values = np.empty((tau + 1, ne * ns))
-    values[tau] = _terminal_row(instance, indexer)
-    actions = np.zeros((tau, ne * ns), dtype=int)
+    def __init__(self, instance: Instance, plan: CapacityPlan):
+        self.instance = instance
+        self.plan = plan
+        self.indexer = idx = StateIndexer.for_instance(instance)
+        self.n_actions = instance.bounds.action_max + 1
+        self.lane = _single_lane_ids(instance)
+        digits = np.array(np.unravel_index(np.arange(idx.n_states), idx.shape)).T
+        ne = len(idx.entry_ids)
+        self.entry = digits[:, :ne]
+        self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
+        self._memo: Dict[Tuple, Tuple[float, ...]] = {}
 
-    for t in range(tau, 0, -1):
-        caps = plan_caps_at(plan, t)
-        data = _collapse(per_period[t - 1], instance)
-        vnext = values[t].reshape(ne, ns)
-        acc = np.zeros((amax + 1, ne, ns))
-        cap_total = np.inf
-        q_min = np.inf
-        for z, w in data:
-            cost = _lane_cost_table(instance, z, caps, t)
-            cap_total = min(cap_total, float(np.sum(np.isfinite(cost)) - 1))
-            q_min = min(q_min, z.inflow[i])
-            d = z.outflow[j]
-            for a in range(amax + 1):
-                e_next = np.clip(e_grid - a + z.inflow[i], 0, ne - 1)
-                s_next = np.clip(
-                    s_grid + a - d, -b.exit_backorder_max[j], b.exit_max[j]
-                ) + b.exit_backorder_max[j]
-                c = cost[a] if np.isfinite(cost[a]) else 0.0
-                acc[a] += w * (-c + gamma * vnext[np.ix_(e_next, s_next)])
-        # feasible iff a <= min over z of (entry avail, caps) and exit space
-        a_cap = np.minimum(
-            np.minimum(e_grid[:, None] + q_min, space[None, :]), cap_total
-        )
-        a_range = np.arange(amax + 1)[:, None, None]
-        acc = np.where(a_range <= a_cap[None, :, :], acc, -np.inf)
-        best = np.argmax(acc, axis=0)  # first max = smallest action
-        values[t - 1] = (-hold + np.take_along_axis(acc, best[None], 0)[0]).ravel()
-        actions[t - 1] = best.ravel()
+    def holding(self) -> np.ndarray:
+        """``holding_cost`` of every state, summed in the same order."""
+        c, idx = self.instance.costs, self.indexer
+        h = np.zeros(idx.n_states)
+        for k, i in enumerate(idx.entry_ids):
+            h = h + c.entry_holding[i] * self.entry[:, k]
+        for k, j in enumerate(idx.exit_ids):
+            x = self.exit[:, k]
+            h = h + np.where(x >= 0, c.exit_holding[j] * x, c.exit_backorder[j] * -x)
+        return h
 
-    return (
-        ValueTable(tau, indexer, values),
-        PolicyTable(tau, indexer, actions),
-    )
+    def table(
+        self, t: int, z: ExogenousRealization, actions: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stage tables of period t under z.
 
+        With ``actions`` (one per state), a network table is filled only at
+        those entries; the rest stay infeasible.
+        """
+        caps = plan_caps_at(self.plan, t)
+        if self.lane is not None:
+            return self._lane_table(t, z, caps)
+        return self._network_table(t, z, caps, actions)
 
-def _sweep_generic(
-    instance: Instance, per_period: List[PeriodData], plan: CapacityPlan, gamma: float
-) -> Tuple[ValueTable, PolicyTable]:
-    indexer = StateIndexer.for_instance(instance)
-    tau = instance.horizon
-    n = indexer.n_states
-    states = indexer.all_states()
-    values = np.empty((tau + 1, n))
-    values[tau] = _terminal_row(instance, indexer)
-    actions = np.zeros((tau, n), dtype=int)
-    amax = instance.bounds.action_max
+    def _lane_table(self, t, z, caps):
+        i, j = self.lane
+        b = self.instance.bounds
+        back = b.exit_backorder_max[j]
+        cost = _lane_cost_table(self.instance, z, caps, t)[:, None]
+        a = np.arange(self.n_actions)[:, None]
+        e, s = self.entry[:, 0], self.exit[:, 0]
+        e_next = np.clip(e - a + z.inflow[i], 0, b.entry_max[i])
+        s_next = np.clip(s + a - z.outflow[j], -back, b.exit_max[j]) + back
+        feasible = (a <= e + z.inflow[i]) & (a <= b.exit_max[j] - s)
+        nxt = e_next * self.indexer.exit_sizes[0] + s_next
+        return np.where(feasible, cost, np.inf), nxt
 
-    for t in range(tau, 0, -1):
-        caps = plan_caps_at(plan, t)
-        data = _collapse(per_period[t - 1], instance)
-        memo: Dict[Tuple, Optional[Tuple[float, int]]] = {}
+    def _network_table(self, t, z, caps, actions):
+        inst, idx = self.instance, self.indexer
+        b = inst.bounds
+        ne = len(idx.entry_ids)
+        q = np.array([z.inflow[i] for i in idx.entry_ids])
+        d = np.array([z.outflow[j] for j in idx.exit_ids])
+        e_max = np.array([b.entry_max[i] for i in idx.entry_ids])
+        x_max = np.array([b.exit_max[j] for j in idx.exit_ids])
+        back = np.array(idx.exit_offsets)
+        bounds = np.hstack([self.entry + q, x_max - self.exit])  # avail | space
+        costs = lane_costs(inst, z, t)
+        src_caps = {k: float(v) for k, v in caps.items()}
+        rates = realization_key(z, inst)[2]
 
-        def stage(state, a, z):
-            """(transport cost, next-state index) or None if infeasible."""
-            avail = tuple(
-                state.entry_stock[i] + z.inflow[i] for i in indexer.entry_ids
+        n = idx.n_states
+        cost = np.full((self.n_actions, n), np.inf)
+        nxt = np.zeros((self.n_actions, n), dtype=int)
+        # a sweep tries a only where a - 1 was feasible (feasibility is monotone in a)
+        alive = np.arange(n)
+        for a in range(self.n_actions):
+            states = alive if actions is None else np.flatnonzero(actions == a)
+            if not states.size:
+                continue
+            clipped, inv = np.unique(
+                np.minimum(bounds[states], a), axis=0, return_inverse=True
             )
-            sp = tuple(
-                instance.bounds.exit_max[j] - state.exit_stock[j]
-                for j in indexer.exit_ids
+            sols = np.array(
+                [self._solve(t, a, row, rates, costs, src_caps) for row in clipped.tolist()]
+            )[inv.reshape(-1)]
+            ok = np.isfinite(sols[:, 0])
+            alive, sols = states[ok], sols[ok]
+            cost[a, alive] = sols[:, 0]
+            # alloc.transition's arithmetic, vectorized
+            e_next = np.rint(np.clip(self.entry[alive] - sols[:, 1 : 1 + ne] + q, 0, e_max))
+            x_next = np.rint(np.clip(self.exit[alive] + sols[:, 1 + ne :] - d, -back, x_max))
+            digits = np.hstack([e_next, x_next + back]).astype(int)
+            nxt[a, alive] = np.ravel_multi_index(tuple(digits.T), idx.shape)
+        return cost, nxt
+
+    def _solve(self, t, a, row, rates, costs, src_caps) -> Tuple[float, ...]:
+        """(cost, moves out of each entry, moves into each exit); cost inf if infeasible."""
+        key = (t, a, tuple(row), rates)
+        hit = self._memo.get(key)
+        if hit is None:
+            idx = self.indexer
+            ne = len(idx.entry_ids)
+            sol = solve_allocation(
+                AllocationProblem(
+                    total_volume=a,
+                    lane_costs=costs,
+                    source_caps=src_caps,
+                    entry_available=dict(zip(idx.entry_ids, row[:ne])),
+                    exit_space=dict(zip(idx.exit_ids, row[ne:])),
+                )
             )
-            key = (a, avail, sp, realization_key(z, instance))
-            if key in memo:
-                hit = memo[key]
-                if hit is None:
-                    return None
-                # next state still depends on the concrete stocks
-                cost, totals = hit
+            if sol is INFEASIBLE:
+                hit = (np.inf,) + (0.0,) * len(row)
             else:
-                prob = build_problem(state, a, z, caps, instance, period=t)
-                sol = solve_allocation(prob)
-                if sol is INFEASIBLE:
-                    memo[key] = None
-                    return None
-                cost, totals = sol.cost, sol.lane_totals()
-                memo[key] = (cost, totals)
-            nxt = transition(state, totals, z, instance.bounds)
-            return cost, indexer.index_of(nxt)
-
-        for si, state in enumerate(states):
-            h = holding_cost(state, instance.costs)
-            best_v, best_a = -np.inf, 0
-            for a in range(amax + 1):
-                total = 0.0
-                ok = True
-                for z, w in data:
-                    res = stage(state, a, z)
-                    if res is None:
-                        ok = False
-                        break
-                    c, ni = res
-                    total += w * (-c + gamma * values[t, ni])
-                if not ok:
-                    break  # feasibility is monotone in a
-                if total > best_v + 1e-12:
-                    best_v, best_a = total, a
-            values[t - 1, si] = -h + best_v
-            actions[t - 1, si] = best_a
-
-    return (
-        ValueTable(tau, indexer, values),
-        PolicyTable(tau, indexer, actions),
-    )
+                out, into = lane_flows(sol.lane_totals())
+                hit = (
+                    (sol.cost,)
+                    + tuple(out.get(i, 0.0) for i in idx.entry_ids)
+                    + tuple(into.get(j, 0.0) for j in idx.exit_ids)
+                )
+            self._memo[key] = hit
+        return hit
 
 
-def _sweep(instance, per_period, plan, gamma):
+# ---------------------------------------------------------------------------
+# The backward sweep and policy evaluation
+
+
+def _check_periods(instance: Instance, per_period: List[PeriodData]) -> None:
+    """Input checks of every sweep: one period per stage, weights summing to 1."""
+    if len(per_period) != instance.horizon:
+        raise ValueError("sample periods do not match horizon")
     for t, data in enumerate(per_period, start=1):
         w = sum(w for _, w in data)
         if abs(w - 1.0) > 1e-9:
             raise ValueError(f"period {t} weights sum to {w}, expected 1")
-    if _single_lane_ids(instance) is not None:
-        return _sweep_fast(instance, per_period, plan, gamma)
-    return _sweep_generic(instance, per_period, plan, gamma)
+
+
+def _sample_periods(sample: SampleSet) -> List[PeriodData]:
+    return [
+        list(zip(sample.realizations[t], sample.weights[t]))
+        for t in range(sample.periods)
+    ]
+
+
+def _sweep(instance, per_period, plan, gamma):
+    """Backward induction over the stage tables.
+
+    An action is kept at a state only if it is allocatable under every
+    realization of the period (feasibility is monotone in the action, so the
+    kept set is {0..A*}). Single-lane sweeps take the first maximum; network
+    sweeps move to a larger action only on a gain above 1e-12, so LP
+    round-off never decides a tie.
+    """
+    _check_periods(instance, per_period)
+    kernel = _StageTables(instance, plan)
+    indexer = kernel.indexer
+    tau, n, n_act = instance.horizon, indexer.n_states, kernel.n_actions
+    hold = kernel.holding()
+    values = np.empty((tau + 1, n))
+    values[tau] = _terminal_row(instance, indexer)
+    actions = np.zeros((tau, n), dtype=int)
+
+    for t in range(tau, 0, -1):
+        acc = np.zeros((n_act, n))
+        ok = np.ones((n_act, n), dtype=bool)
+        for z, w in _collapse(per_period[t - 1], instance):
+            cost, nxt = kernel.table(t, z)
+            finite = np.isfinite(cost)
+            ok &= finite
+            acc += w * (-np.where(finite, cost, 0.0) + gamma * values[t][nxt])
+        ok = np.logical_and.accumulate(ok, axis=0)
+        if kernel.lane is not None:
+            acc = np.where(ok, acc, -np.inf)
+            best_a = np.argmax(acc, axis=0)  # first max = smallest action
+            best_v = np.take_along_axis(acc, best_a[None], 0)[0]
+        else:
+            best_v = np.full(n, -np.inf)
+            best_a = np.zeros(n, dtype=int)
+            for a in range(n_act):
+                better = ok[a] & (acc[a] > best_v + 1e-12)
+                best_v = np.where(better, acc[a], best_v)
+                best_a[better] = a
+        values[t - 1] = -hold + best_v
+        actions[t - 1] = best_a
+
+    return (
+        ValueTable(tau, indexer, values),
+        PolicyTable(tau, indexer, actions),
+    )
 
 
 def solve_scenario(
@@ -480,13 +544,7 @@ def solve_expected(
     An action is kept only if the allocation LP is feasible under every
     realization sampled at that period.
     """
-    if sample.periods != instance.horizon:
-        raise ValueError("sample periods do not match horizon")
-    per_period = [
-        list(zip(sample.realizations[t], sample.weights[t]))
-        for t in range(sample.periods)
-    ]
-    return _sweep(instance, per_period, plan, gamma)
+    return _sweep(instance, _sample_periods(sample), plan, gamma)
 
 
 def evaluate_policy(
@@ -496,32 +554,41 @@ def evaluate_policy(
     plan: CapacityPlan,
     gamma: float = 1.0,
 ) -> ValueTable:
-    """Value of a FIXED policy under the sample weights (no maximization)."""
-    indexer = policy.indexer
-    tau = instance.horizon
-    n = indexer.n_states
-    states = indexer.all_states()
+    """Value of a FIXED policy under the sample weights (no maximization).
+
+    Reads the stage tables at the policy's actions. Raises
+    UndefinedPolicyState when an action is not allocatable under some
+    realization of its period.
+    """
+    per_period = _sample_periods(sample)
+    _check_periods(instance, per_period)
+    kernel = _StageTables(instance, plan)
+    indexer = kernel.indexer
+    tau, n = instance.horizon, indexer.n_states
+    if policy.actions.shape != (tau, n):
+        raise ValueError(f"policy table shape {policy.actions.shape}, expected {(tau, n)}")
+    cols = np.arange(n)
+    hold = kernel.holding()
     values = np.empty((tau + 1, n))
     values[tau] = _terminal_row(instance, indexer)
     for t in range(tau, 0, -1):
-        caps = plan_caps_at(plan, t)
-        data = _collapse(
-            list(zip(sample.realizations[t - 1], sample.weights[t - 1])), instance
-        )
-        for si, state in enumerate(states):
-            a = int(policy.actions[t - 1, si])
-            h = holding_cost(state, instance.costs)
-            total = -h
-            for z, w in data:
-                prob = build_problem(state, a, z, caps, instance, period=t)
-                sol = solve_allocation(prob)
-                if sol is INFEASIBLE:
-                    raise UndefinedPolicyState(
-                        f"policy action {a} infeasible at period {t} state {state}"
-                    )
-                nxt = transition(state, sol.lane_totals(), z, instance.bounds)
-                total += w * (-sol.cost + gamma * values[t, indexer.index_of(nxt)])
-            values[t - 1, si] = total
+        acts = policy.actions[t - 1]
+        undefined = (acts < 0) | (acts >= kernel.n_actions)
+        rows = np.clip(acts, 0, kernel.n_actions - 1)
+        total = -hold
+        for z, w in _collapse(per_period[t - 1], instance):
+            cost, nxt = kernel.table(t, z, rows)
+            c = cost[rows, cols]
+            undefined |= ~np.isfinite(c)
+            c = np.where(undefined, 0.0, c)
+            total = total + w * (-c + gamma * values[t][nxt[rows, cols]])
+        if undefined.any():
+            si = int(np.argmax(undefined))
+            raise UndefinedPolicyState(
+                f"policy action {int(acts[si])} infeasible at period {t} "
+                f"state {indexer.state_of(si)}"
+            )
+        values[t - 1] = total
     return ValueTable(tau, indexer, values)
 
 

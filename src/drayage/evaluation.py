@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,11 +101,17 @@ def _cache_get(key: str) -> Optional[Dict]:
 
 
 def _cache_put(key: str, doc: Dict) -> None:
-    path = os.path.join(_cache_dir(), key + ".json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-    os.replace(tmp, path)
+    # a private temporary file per writer, so concurrent writers of one key
+    # never share (and truncate or rename away) each other's file
+    root = _cache_dir()
+    fd, tmp = tempfile.mkstemp(prefix=key + ".", suffix=".tmp", dir=root)
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(doc, f, sort_keys=True)
+        os.replace(tmp, os.path.join(root, key + ".json"))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

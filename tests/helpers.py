@@ -300,3 +300,36 @@ def brute_force_allocation(problem: AllocationProblem) -> Optional[float]:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def loop_policy_values(instance, policy, sample, plan, gamma: float = 1.0) -> np.ndarray:
+    """Fixed-policy values by a direct allocation solve per state and draw.
+
+    The per-state loop the stage tables replaced, kept as the reference:
+    same accumulation order (-holding, then += w * (-cost + gamma * V') per
+    distinct realization), so the results must agree bit for bit.
+    """
+    from drayage.alloc import transition
+    from drayage.dp import StateIndexer
+    from drayage.scenario import realization_key
+
+    indexer = StateIndexer.for_instance(instance)
+    tau = instance.horizon
+    values = np.empty((tau + 1, indexer.n_states))
+    states = indexer.all_states()
+    values[tau] = [terminal_value(s, instance.costs) for s in states]
+    for t in range(tau, 0, -1):
+        folded: Dict[Tuple, List] = {}
+        for z, w in zip(sample.realizations[t - 1], sample.weights[t - 1]):
+            folded.setdefault(realization_key(z, instance), [z, 0.0])[1] += w
+        caps = plan_caps_at(plan, t)
+        for si, state in enumerate(states):
+            a = int(policy.actions[t - 1, si])
+            total = -holding_cost(state, instance.costs)
+            for z, w in folded.values():
+                sol = solve_allocation(build_problem(state, a, z, caps, instance, t))
+                assert sol is not INFEASIBLE
+                nxt = transition(state, sol.lane_totals(), z, instance.bounds)
+                total += w * (-sol.cost + gamma * values[t, indexer.index_of(nxt)])
+            values[t - 1, si] = total
+    return values

@@ -3,8 +3,8 @@
 Budget-sensitive pieces run at CI scale by default: criterion 3 samples
 M=10^4 capacity vectors and checks the bound form of the grid statistics;
 setting DRAYAGE_FULL_MC=1 escalates to the full M=10^6 sweep and adds the
-interior statistics. Criterion 8 runs the genuine N=1000 sample-average plan
-search single-threaded with a bounded iteration budget.
+interior statistics. Criterion 8 solves the genuine N=1000 sample-average
+plan exactly, as one extensive-form LP, single-threaded.
 """
 
 import os

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from drayage import alloc
 from drayage.dp import (
     PolicyTable,
     StateIndexer,
@@ -18,10 +19,16 @@ from drayage.dp import (
     value_surface,
 )
 from drayage.model import CapacityPlan, ExogenousRealization, Scenario, SystemState
-from drayage.scenario import SampleSet, build_sample_set
+from drayage.scenario import SampleSet, build_sample_set, realization_key
 from drayage import reference
 
-from helpers import all_states, enumerate_policy_value, micro_instance, random_plan
+from helpers import (
+    all_states,
+    enumerate_policy_value,
+    loop_policy_values,
+    micro_instance,
+    random_plan,
+)
 
 
 S08 = SystemState(entry_stock={1: 0}, exit_stock={2: 8})
@@ -185,6 +192,105 @@ def test_evaluate_policy_suboptimal_is_dominated(
     )
     assert np.all(ev.values <= vt.values + 1e-9)
     assert ev.value(1, S08) < vt.value(1, S08)
+
+
+def _network_case():
+    rng = np.random.Generator(np.random.Philox(11))
+    inst = micro_instance(rng, n_entries=2, n_exits=1, horizon=2, stock_bound=2)
+    return inst, build_sample_set(inst, 4, 3), random_plan(rng, inst)
+
+
+def test_network_evaluate_policy_reproduces_sweep():
+    inst, sample, plan = _network_case()
+    vt, pt = solve_expected(inst, sample, plan)
+    ev = evaluate_policy(inst, pt, sample, plan)
+    assert np.max(np.abs(ev.values - vt.values)) <= 1e-9
+
+
+def test_evaluate_policy_equals_per_state_loop(capacity_instance, tuned_plan):
+    # the gather keeps the loop's arithmetic: equal to the last bit
+    sample = build_sample_set(capacity_instance, 0, 0, mode="enumerate")
+    _, pt = solve_expected(capacity_instance, sample, tuned_plan)
+    ev = evaluate_policy(capacity_instance, pt, sample, tuned_plan)
+    assert np.array_equal(ev.values, loop_policy_values(capacity_instance, pt, sample, tuned_plan))
+
+    inst, sample, plan = _network_case()
+    _, pt = solve_expected(inst, sample, plan)
+    ev = evaluate_policy(inst, pt, sample, plan)
+    assert np.array_equal(ev.values, loop_policy_values(inst, pt, sample, plan))
+
+
+def _all_at_action_max(policy, instance):
+    return PolicyTable(
+        policy.horizon,
+        policy.indexer,
+        np.full_like(policy.actions, instance.bounds.action_max),
+    )
+
+
+def test_evaluate_policy_infeasible_action_raises_single_lane(
+    capacity_instance, demo_scenario, tuned_plan
+):
+    # at a full exit yard no positive move fits
+    _, pt = solve_scenario(capacity_instance, demo_scenario, tuned_plan)
+    forced = _all_at_action_max(pt, capacity_instance)
+    with pytest.raises(UndefinedPolicyState, match="period 4 state"):
+        evaluate_policy(
+            capacity_instance, forced, scenario_sample_set(demo_scenario), tuned_plan
+        )
+
+
+def test_evaluate_policy_infeasible_action_raises_network():
+    inst, sample, plan = _network_case()
+    _, pt = solve_expected(inst, sample, plan)
+    with pytest.raises(UndefinedPolicyState, match="period 2 state"):
+        evaluate_policy(inst, _all_at_action_max(pt, inst), sample, plan)
+
+
+def test_evaluate_policy_rejects_bad_samples(capacity_instance, tuned_plan):
+    sample = build_sample_set(capacity_instance, 4, 9)
+    _, pt = solve_expected(capacity_instance, sample, tuned_plan)
+    halved = SampleSet(
+        realizations=sample.realizations,
+        weights=((0.5,) * len(sample.weights[0]),) + sample.weights[1:],
+        seed=9,
+        mode="iid",
+    )
+    with pytest.raises(ValueError, match="period 1 weights"):
+        evaluate_policy(capacity_instance, pt, halved, tuned_plan)
+    short = SampleSet(sample.realizations[:-1], sample.weights[:-1], 9, "iid")
+    with pytest.raises(ValueError, match="periods"):
+        evaluate_policy(capacity_instance, pt, short, tuned_plan)
+
+
+def test_network_sweep_solves_each_clipped_problem_at_most_once(monkeypatch):
+    inst, sample, plan = _network_case()
+    calls = []
+    real = alloc.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(alloc, "solve_lp", counting)
+    solve_expected(inst, sample, plan)
+
+    distinct = set()
+    b = inst.bounds
+    for t in range(1, inst.horizon + 1):
+        for z in sample.realizations[t - 1]:
+            for state in StateIndexer.for_instance(inst).all_states():
+                avail = [state.entry_stock[i] + z.inflow[i] for i in inst.network.entries]
+                space = [b.exit_max[j] - state.exit_stock[j] for j in inst.network.exits]
+                for a in range(1, b.action_max + 1):
+                    distinct.add((
+                        t,
+                        a,
+                        tuple(min(v, a) for v in avail),
+                        tuple(min(v, a) for v in space),
+                        realization_key(z, inst),
+                    ))
+    assert 0 < len(calls) <= len(distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 import itertools
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from drayage.capopt import reservation_cost
 from drayage.evaluation import (
     RegretRecord,
+    _cache_get,
+    _cache_put,
     generalization_report,
     per_scenario_optimum,
     regret_profile,
@@ -86,6 +90,35 @@ def test_corrupt_cache_entry_recomputed(capacity_instance, demo_scenario):
                 fh.write("{ not json")
     _, value = per_scenario_optimum(capacity_instance, demo_scenario)
     assert value == pytest.approx(-439.2, abs=1e-9)
+
+
+def test_concurrent_cache_writers_of_one_key(tmp_path, monkeypatch):
+    # every writer must finish, and the entry must be one writer's whole doc
+    monkeypatch.setenv("DRAYAGE_CACHE_DIR", str(tmp_path))
+    docs = [{"writer": k, "payload": list(range(500))} for k in range(6)]
+    errors = []
+
+    def write(doc):
+        try:
+            for _ in range(40):
+                _cache_put("psopt-race", doc)
+        except Exception as exc:  # collected for the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(doc,)) for doc in docs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often to expose races
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert _cache_get("psopt-race") in docs
+    assert os.listdir(tmp_path) == ["psopt-race.json"]
 
 
 def test_per_scenario_optimum_bad_method(capacity_instance, demo_scenario):

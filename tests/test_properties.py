@@ -311,3 +311,42 @@ def test_transition_unclamped_is_exact_balance(e, x, q, d):
         assert nxt.entry_stock[1] == raw_entry
     if -CAP.bounds.exit_backorder_max[2] <= raw_exit <= CAP.bounds.exit_max[2]:
         assert nxt.exit_stock[2] == raw_exit
+
+
+# ---------------------------------------------------------------------------
+# Allocation on networks: bounds above the volume never matter
+
+
+@MANY
+@given(st.sampled_from([(2, 1), (1, 2), (2, 2)]),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_allocation_unchanged_by_clipping_bounds_to_volume(shape, seed):
+    # The DP memoizes allocations on min(avail, a) and min(space, a); that is
+    # exact only if the solver's answer, including which of several
+    # cost-tied allocations it returns, depends on nothing else.
+    from dataclasses import replace
+
+    from drayage.alloc import INFEASIBLE, plan_caps_at
+    from drayage.scenario import enumerate_support
+    from helpers import all_states, micro_instance, random_plan
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    inst = micro_instance(rng, n_entries=shape[0], n_exits=shape[1])
+    plan = random_plan(rng, inst)
+    support = enumerate_support(inst)
+    states = all_states(inst)
+    z = support[int(rng.integers(len(support)))][0]
+    st_ = states[int(rng.integers(len(states)))]
+    t = int(rng.integers(1, inst.horizon + 1))
+    a = int(rng.integers(0, inst.bounds.action_max + 1))
+    full = build_problem(st_, a, z, plan_caps_at(plan, t), inst, t)
+    clipped = replace(
+        full,
+        entry_available={i: min(v, a) for i, v in full.entry_available.items()},
+        exit_space={j: min(v, a) for j, v in full.exit_space.items()},
+    )
+    got, want = solve_allocation(clipped), solve_allocation(full)
+    assert (got is INFEASIBLE) == (want is INFEASIBLE)
+    if want is not INFEASIBLE:
+        assert got.cost == want.cost
+        assert got.lane_totals() == want.lane_totals()
