@@ -21,6 +21,8 @@ slope in total capacity, steering the search back toward feasibility.
 """
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,6 +55,12 @@ def _caps_to_plan(instance: Instance, caps: np.ndarray) -> CapacityPlan:
     )
 
 
+def _box_plan(instance: Instance) -> CapacityPlan:
+    """Every source at action_max in every period: the loosest plan."""
+    shape = (len(instance.sources), instance.horizon)
+    return _caps_to_plan(instance, np.full(shape, float(instance.bounds.action_max)))
+
+
 def _plan_to_caps(instance: Instance, plan: CapacityPlan) -> np.ndarray:
     return np.array(
         [[float(v) for v in plan.capacity[s.id]] for s in instance.sources]
@@ -68,43 +76,28 @@ def total_flow(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parallel LP evaluation (fork-based; templates built once per worker)
+# LP evaluation: serial for one plan, forked workers for a batch of plans
 
 _W: Dict = {}
 
 
-def _zero_templates(instance, weighted_scenarios, initial, extra=None):
-    """One zero-plan multistage LP per weighted scenario, with its weight.
-
-    Capacity enters only through the cap rows' right-hand sides, so each
-    evaluation fills them in (with_caps_array) instead of rebuilding.
-    """
-    zero = _zero_plan(instance)
-    return [
-        (build_mslp(instance, sc, zero, initial=initial, extra_move_cost=extra), w)
-        for sc, w in weighted_scenarios
-    ]
+def _cpu_count() -> int:
+    """CPUs this process may run on: the worker count of the batch pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-def _worker_init(instance, weighted_scenarios, initial, extra):
-    _W["templates"] = _zero_templates(instance, weighted_scenarios, initial, extra)
-    _W["source_ids"] = [s.id for s in instance.sources]
-
-
-def _slice_terms(templates, source_ids, caps) -> Optional[List[float]]:
-    """Weighted per-scenario values, or None when a scenario is infeasible."""
-    terms = []
-    for tpl, w in templates:
-        try:
-            terms.append(w * (-solve_mslp(tpl.with_caps_array(caps, source_ids)).cost))
-        except InfeasibleLP:
-            return None
-    return terms
+def _worker_init(templates, source_ids):
+    # the forked worker inherits the parent's templates; nothing is pickled
+    _W["templates"] = templates
+    _W["source_ids"] = source_ids
 
 
 def _sum_in_order(terms: Sequence[float]) -> float:
-    # One left-to-right sum over all scenarios, however they were split
-    # across workers, so the value does not depend on the worker count.
+    # One left-to-right sum over the scenarios, the same loop in the parent
+    # and in every worker, so pooled and serial values are bit-identical.
     total = 0.0
     for v in terms:
         total += v
@@ -112,16 +105,18 @@ def _sum_in_order(terms: Sequence[float]) -> float:
 
 
 def _points(templates, source_ids, caps_batch) -> List[Optional[float]]:
-    out = []
+    """Weighted value per capacity array; None where a scenario is infeasible."""
+    out: List[Optional[float]] = []
     for caps in caps_batch:
-        terms = _slice_terms(templates, source_ids, caps)
+        terms = []
+        for tpl, w in templates:
+            try:
+                terms.append(w * (-solve_mslp(tpl.with_caps_array(caps, source_ids)).cost))
+            except InfeasibleLP:
+                terms = None
+                break
         out.append(None if terms is None else _sum_in_order(terms))
     return out
-
-
-def _worker_slice(args) -> Optional[List[float]]:
-    caps, lo, hi = args
-    return _slice_terms(_W["templates"][lo:hi], _W["source_ids"], caps)
 
 
 def _worker_points(caps_batch) -> List[Optional[float]]:
@@ -129,76 +124,59 @@ def _worker_points(caps_batch) -> List[Optional[float]]:
 
 
 class _LPEvaluator:
-    """Wait-and-see LP value of capacity arrays, optionally process-parallel."""
+    """Wait-and-see LP value of capacity arrays.
+
+    One plan is solved in this process. A batch of plans (the Monte Carlo
+    sweep, a finite-difference gradient) is split over a fork pool with one
+    worker per usable CPU; on one CPU it is solved here as well.
+    """
 
     def __init__(
         self,
         instance: Instance,
         weighted_scenarios: Sequence[Tuple[Scenario, float]],
         initial: str = "free",
-        extra: Optional[Dict[Tuple[int, int], float]] = None,
-        threads: Optional[int] = None,
     ):
         self.instance = instance
         self.weighted = list(weighted_scenarios)
         self.initial = initial
-        self.extra = extra
         self.source_ids = [s.id for s in instance.sources]
-        import os
-
-        self.threads = max(1, threads if threads else (os.cpu_count() or 1))
         self._pool = None
         self._templates = None
 
     def templates(self) -> List[Tuple[MultistageLP, float]]:
-        """This evaluator's weighted zero-plan LPs, built once on first use.
+        """One zero-plan multistage LP per weighted scenario, with its weight,
+        built once on first use.
 
-        The serial path solves these; pool workers build their own.
+        Capacity enters only through the cap rows' right-hand sides, so each
+        evaluation fills them in (with_caps_array) instead of rebuilding.
         """
         if self._templates is None:
-            self._templates = _zero_templates(
-                self.instance, self.weighted, self.initial, self.extra
-            )
+            zero = _zero_plan(self.instance)
+            self._templates = [
+                (build_mslp(self.instance, sc, zero, initial=self.initial), w)
+                for sc, w in self.weighted
+            ]
         return self._templates
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = get_context("fork").Pool(
-                self.threads,
-                initializer=_worker_init,
-                initargs=(self.instance, self.weighted, self.initial, self.extra),
-            )
-        return self._pool
 
     def value(self, caps: np.ndarray) -> Optional[float]:
         """Weighted value, or None when any scenario is infeasible at caps."""
-        n = len(self.weighted)
-        if self.threads > 1 and n >= 2 * self.threads:
-            pool = self._ensure_pool()
-            bounds = np.linspace(0, n, self.threads + 1).astype(int)
-            parts = pool.map(
-                _worker_slice,
-                [(caps, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])],
-            )
-            if any(terms is None for terms in parts):
-                return None
-            return _sum_in_order([v for terms in parts for v in terms])
-        terms = _slice_terms(self.templates(), self.source_ids, caps)
-        return None if terms is None else _sum_in_order(terms)
+        return _points(self.templates(), self.source_ids, [caps])[0]
 
     def value_batch(self, caps_list: Sequence[np.ndarray]) -> List[Optional[float]]:
         """Evaluate many capacity arrays; parallel across points."""
-        if self.threads > 1 and len(caps_list) > 1:
-            pool = self._ensure_pool()
-            chunk = max(1, math.ceil(len(caps_list) / (self.threads * 4)))
-            batches = [
-                caps_list[k : k + chunk] for k in range(0, len(caps_list), chunk)
-            ]
-            out: List[Optional[float]] = []
-            for part in pool.map(_worker_points, batches):
-                out.extend(part)
-            return out
-        return _points(self.templates(), self.source_ids, caps_list)
+        workers = _cpu_count()
+        if workers < 2 or len(caps_list) < 2:
+            return _points(self.templates(), self.source_ids, caps_list)
+        if self._pool is None:
+            self._pool = get_context("fork").Pool(
+                workers,
+                initializer=_worker_init,
+                initargs=(self.templates(), self.source_ids),
+            )
+        chunk = max(1, math.ceil(len(caps_list) / (workers * 4)))
+        batches = [caps_list[k : k + chunk] for k in range(0, len(caps_list), chunk)]
+        return [v for part in self._pool.map(_worker_points, batches) for v in part]
 
     def close(self):
         if self._pool is not None:
@@ -227,7 +205,6 @@ class CapacityObjective:
     rates: Optional[Dict[int, Tuple[float, ...]]] = None
     box_upper: Optional[np.ndarray] = None
     initial: str = "free"
-    threads: Optional[int] = None
     dropped_scenarios: int = field(default=0, init=False, repr=False)
     _evaluator: Optional[_LPEvaluator] = field(default=None, repr=False, init=False)
 
@@ -261,10 +238,7 @@ class CapacityObjective:
     def _lp_evaluator(self) -> _LPEvaluator:
         if self._evaluator is None:
             self._evaluator = _LPEvaluator(
-                self.instance,
-                self.weighted_scenarios,
-                initial=self.initial,
-                threads=self.threads,
+                self.instance, self.weighted_scenarios, initial=self.initial
             )
         return self._evaluator
 
@@ -285,15 +259,9 @@ class CapacityObjective:
             self._evaluator = None
 
 
-def scenario_objective(
-    instance: Instance, scenario: Scenario, threads: Optional[int] = None, **kw
-) -> CapacityObjective:
+def scenario_objective(instance: Instance, scenario: Scenario, **kw) -> CapacityObjective:
     return CapacityObjective(
-        instance,
-        mode="scenario",
-        weighted_scenarios=((scenario, 1.0),),
-        threads=threads,
-        **kw,
+        instance, mode="scenario", weighted_scenarios=((scenario, 1.0),), **kw
     )
 
 
@@ -307,23 +275,15 @@ def operable_scenario(
     the whole box: a scenario rejected there is rejected by the hard storage
     bounds themselves and no plan can operate it.
     """
-    n = len(instance.sources)
-    box = _caps_to_plan(
-        instance,
-        np.full((n, instance.horizon), float(instance.bounds.action_max)),
-    )
     try:
-        solve_mslp(build_mslp(instance, scenario, box, initial=initial))
+        solve_mslp(build_mslp(instance, scenario, _box_plan(instance), initial=initial))
         return True
     except InfeasibleLP:
         return False
 
 
 def sample_objective(
-    instance: Instance,
-    scenarios: Sequence[Scenario],
-    threads: Optional[int] = None,
-    **kw,
+    instance: Instance, scenarios: Sequence[Scenario], **kw
 ) -> CapacityObjective:
     """Uniform-weight expected-LP objective over the operable sub-sample.
 
@@ -344,7 +304,6 @@ def sample_objective(
         instance,
         mode="expected",
         weighted_scenarios=tuple((sc, w) for sc in kept),
-        threads=threads,
         **kw,
     )
     obj.dropped_scenarios = len(scenarios) - len(kept)
@@ -382,7 +341,6 @@ class OptConfig:
     max_iter: int = 60
     restarts: int = 8
     seed: int = 0
-    threads: Optional[int] = None
     polish: bool = True  # integer coordinate descent around the rounded best
 
 
@@ -602,37 +560,31 @@ def monte_carlo_search(
     res_rates = obj.rates_array()
     denom = obj.flow_denominator()
 
-    writer = None
-    if samples_out is not None:
-        writer = open(samples_out, "w")
-        cols = [
-            f"x_{sid}_{t}"
-            for k, sid in enumerate(obj.source_ids)
-            for t in range(1, inst.horizon + 1)
-        ]
-        writer.write("sample_id," + ",".join(cols) + ",feasible,total_cost\n")
-
     evaluator = obj._lp_evaluator() if obj.mode in ("scenario", "expected") else None
     costs = np.empty(count)
     feasible = np.zeros(count, dtype=bool)
     chunk = 4096
-    for lo in range(0, count, chunk):
-        batch = [samples[k].astype(float) for k in range(lo, min(lo + chunk, count))]
-        if evaluator is not None:
-            vals = evaluator.value_batch(batch)
-        else:
-            vals = [obj.value_of_caps(c) for c in batch]
-        for off, v in enumerate(vals):
-            k = lo + off
-            if v is not None:
-                feasible[k] = True
-                costs[k] = -(v - float(np.sum(res_rates * samples[k])))
-            if writer is not None:
-                flat = ",".join(str(int(c)) for c in samples[k].ravel())
-                val = repr(float(costs[k])) if v is not None else ""
-                writer.write(f"{k},{flat},{int(v is not None)},{val}\n")
-    if writer is not None:
-        writer.close()
+    with open(samples_out, "w") if samples_out is not None else nullcontext() as writer:
+        if writer is not None:
+            cols = [
+                f"x_{sid}_{t}" for sid in obj.source_ids for t in range(1, inst.horizon + 1)
+            ]
+            writer.write("sample_id," + ",".join(cols) + ",feasible,total_cost\n")
+        for lo in range(0, count, chunk):
+            batch = [samples[k].astype(float) for k in range(lo, min(lo + chunk, count))]
+            if evaluator is not None:
+                vals = evaluator.value_batch(batch)
+            else:
+                vals = [obj.value_of_caps(c) for c in batch]
+            for off, v in enumerate(vals):
+                k = lo + off
+                if v is not None:
+                    feasible[k] = True
+                    costs[k] = -(v - float(np.sum(res_rates * samples[k])))
+                if writer is not None:
+                    flat = ",".join(str(int(c)) for c in samples[k].ravel())
+                    val = repr(float(costs[k])) if v is not None else ""
+                    writer.write(f"{k},{flat},{int(v is not None)},{val}\n")
 
     feas_costs = costs[feasible]
     if feas_costs.size == 0:
@@ -829,17 +781,13 @@ def optimize_capacity_saa(
     """Exact SAA capacity plan over N seeded scenarios.
 
     Draws no plan can operate are dropped (sample_objective); the rest are
-    solved as one extensive-form LP (optimize_capacity_exact). Of config
-    only threads is read, for the re-evaluation of the plan; the search
-    settings do not apply.
+    solved as one extensive-form LP (optimize_capacity_exact). config is
+    accepted for the callers that pass one and is not read: the exact solve
+    has no search settings.
     """
     from .scenario import sample_scenarios
 
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
     scenarios = sample_scenarios(instance, n_scenarios, seed)
-    obj = sample_objective(instance, scenarios, threads=config.threads)
-    try:
-        return optimize_capacity_exact(obj)
-    finally:
-        obj.close()
+    return optimize_capacity_exact(sample_objective(instance, scenarios))

@@ -174,7 +174,6 @@ def _opt_config(args) -> capopt.OptConfig:
         max_iter=args.max_iter,
         restarts=args.restarts,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -186,12 +185,12 @@ def cmd_optimize_capacity(args) -> int:
         if not args.scenario:
             raise UsageError("scenario mode needs --scenario FILE")
         sc = _load_scenario(args.scenario, args.scenario_index, instance)
-        obj = capopt.scenario_objective(instance, sc, threads=args.threads)
+        obj = capopt.scenario_objective(instance, sc)
     else:
         if args.samples < 1:
             raise UsageError("--samples must be >= 1 in saa mode")
         scenarios = scen.sample_scenarios(instance, args.samples, args.seed)
-        obj = capopt.sample_objective(instance, scenarios, threads=args.threads)
+        obj = capopt.sample_objective(instance, scenarios)
 
     if args.start:
         start = _load_plan(args.start, instance)
@@ -258,8 +257,10 @@ def cmd_monte_carlo(args) -> int:
     if not args.scenario:
         raise UsageError("monte-carlo needs --scenario FILE")
     sc = _load_scenario(args.scenario, args.scenario_index, instance)
+    if args.count < 1:
+        raise UsageError("--count must be >= 1")
     out = _outdir(args.out)
-    obj = capopt.scenario_objective(instance, sc, threads=args.threads)
+    obj = capopt.scenario_objective(instance, sc)
     try:
         best_plan, stats = capopt.monte_carlo_search(
             obj,
@@ -298,6 +299,8 @@ def cmd_monte_carlo(args) -> int:
 def cmd_regret(args) -> int:
     instance = _load_instance(args.instance)
     shared = _load_plan(args.shared_plan, instance)
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
     out = _outdir(args.out)
     scenarios_in = scen.sample_scenarios(instance, args.samples, args.in_seed)
     scenarios_out = scen.sample_scenarios(instance, args.samples, args.out_seed)
@@ -375,7 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=int, default=100, help="draws per period (iid)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--plan", help="capacity plan JSON (default: seeded plan)")
-    s.add_argument("--threads", type=int, default=None)
     s.add_argument("--out", default="policy_out")
     s.set_defaults(func=cmd_solve_policy)
 
@@ -400,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument(
         "--parameterization", choices=["direct", "quadratic"], default="direct"
     )
-    o.add_argument("--threads", type=int, default=None)
     o.add_argument("--out", default="capacity_out")
     o.set_defaults(func=cmd_optimize_capacity)
 
@@ -410,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--scenario-index", type=int, default=0)
     m.add_argument("--count", type=int, default=10000)
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--threads", type=int, default=None)
     m.add_argument("--out", default="mc_out")
     m.set_defaults(func=cmd_monte_carlo)
 
@@ -420,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--samples", type=int, default=1000)
     r.add_argument("--in-seed", type=int, default=1)
     r.add_argument("--out-seed", type=int, default=2)
-    r.add_argument("--threads", type=int, default=None)
     r.add_argument("--out", default="regret_out")
     r.set_defaults(func=cmd_regret)
     return p

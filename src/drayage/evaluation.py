@@ -6,34 +6,19 @@ with nonnegative rates, the optimal reservation equals the per-period usage,
 so the joint (capacity, operations) minimum collapses to one LP. This keeps
 the dominance property regret >= 0 exact up to LP tolerance, which a
 finite-difference quasi-Newton search cannot guarantee on a piecewise-linear
-landscape. The quasi-Newton route remains available via config method
-"lbfgsb" for cross-checking.
-
-Per-scenario optima are cached on disk (env DRAYAGE_CACHE_DIR, defaulting to
-~/.cache/drayage) keyed by instance, scenario, and config hashes.
+landscape.
 """
 
-import hashlib
-import json
 import math
-import os
-import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capopt import (
-    OptConfig,
-    _caps_to_plan,
-    _plan_to_caps,
-    optimize_capacity,
-    reservation_cost,
-    scenario_objective,
-)
-from .model import CapacityPlan, Instance, Scenario, instance_to_dict
+from .capopt import _box_plan, reservation_cost
+from .model import CapacityPlan, Instance, Scenario
 from .mslp import InfeasibleLP, build_mslp, solve_mslp
-from .scenario import realization_key
 
 REGRET_TOL = 1e-4
 
@@ -63,162 +48,39 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Disk cache
-
-
-def _cache_dir() -> str:
-    root = os.environ.get("DRAYAGE_CACHE_DIR")
-    if not root:
-        root = os.path.join(os.path.expanduser("~"), ".cache", "drayage")
-    os.makedirs(root, exist_ok=True)
-    return root
-
-
-def _instance_hash(instance: Instance) -> str:
-    doc = json.dumps(instance_to_dict(instance), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
-
-
-def _scenario_hash(scenario: Scenario, instance: Instance) -> str:
-    keys = tuple(realization_key(z, instance) for z in scenario.realizations)
-    return hashlib.sha256(repr(keys).encode()).hexdigest()[:16]
-
-
-def _config_hash(config: Dict) -> str:
-    doc = json.dumps(config, sort_keys=True, default=repr)
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
-
-
-def _cache_get(key: str) -> Optional[Dict]:
-    path = os.path.join(_cache_dir(), key + ".json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
-def _cache_put(key: str, doc: Dict) -> None:
-    # a private temporary file per writer, so concurrent writers of one key
-    # never share (and truncate or rename away) each other's file
-    root = _cache_dir()
-    fd, tmp = tempfile.mkstemp(prefix=key + ".", suffix=".tmp", dir=root)
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(doc, f, sort_keys=True)
-        os.replace(tmp, os.path.join(root, key + ".json"))
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-# ---------------------------------------------------------------------------
 # Per-scenario optimum
 
 
-def _normalize_config(config: Optional[Dict]) -> Dict:
-    cfg = {"method": "exact", "box": None}
-    if config:
-        cfg.update(config)
-    return cfg
-
-
-def _box_plan(instance: Instance, box) -> CapacityPlan:
-    if box is None:
-        caps = np.full(
-            (len(instance.sources), instance.horizon),
-            float(instance.bounds.action_max),
-        )
-    else:
-        caps = np.asarray(box, dtype=float)
-    return _caps_to_plan(instance, caps)
-
-
-def _exact_optimum(
-    instance: Instance, scenario: Scenario, box
+def per_scenario_optimum(
+    instance: Instance, scenario: Scenario
 ) -> Tuple[CapacityPlan, float]:
+    """Best capacity plan and objective for one scenario.
+
+    One LP over the box plan with the reservation rates folded into the move
+    costs; the plan reserves what the optimum moves. When even the box plan
+    cannot operate the scenario, no plan can, and the result is the box plan
+    with objective -inf.
+    """
     rates = {
         (s.id, t): float(s.reservation_rate[t - 1])
         for s in instance.sources
         for t in range(1, instance.horizon + 1)
     }
-    lp = build_mslp(
-        instance,
-        scenario,
-        _box_plan(instance, box),
-        initial="free",
-        extra_move_cost=rates,
-    )
-    sol = solve_mslp(lp)
-    capacity = {}
-    for s in instance.sources:
-        per_t = []
-        for t in range(1, instance.horizon + 1):
-            used = sum(
-                v for (sid, lane, tt), v in sol.moves.items() if sid == s.id and tt == t
-            )
-            per_t.append(float(used))
-        capacity[s.id] = tuple(per_t)
+    box = _box_plan(instance)
+    try:
+        sol = solve_mslp(
+            build_mslp(instance, scenario, box, initial="free", extra_move_cost=rates)
+        )
+    except InfeasibleLP:
+        return box, -math.inf
+    used = defaultdict(float)
+    for (sid, _lane, t), v in sol.moves.items():
+        used[sid, t] += v
+    capacity = {
+        s.id: tuple(float(used[s.id, t]) for t in range(1, instance.horizon + 1))
+        for s in instance.sources
+    }
     return CapacityPlan(capacity=capacity), -sol.cost
-
-
-def per_scenario_optimum(
-    instance: Instance, scenario: Scenario, config: Optional[Dict] = None
-) -> Tuple[CapacityPlan, float]:
-    """Best capacity plan and objective for one scenario (cached on disk)."""
-    cfg = _normalize_config(config)
-    key = "psopt-" + "-".join(
-        (
-            _instance_hash(instance),
-            _scenario_hash(scenario, instance),
-            _config_hash(cfg),
-        )
-    )
-    hit = _cache_get(key)
-    if hit is not None:
-        plan = CapacityPlan(
-            capacity={int(k): tuple(v) for k, v in hit["capacity"].items()}
-        )
-        return plan, float(hit["objective"])
-
-    if cfg["method"] == "exact":
-        try:
-            plan, obj_value = _exact_optimum(instance, scenario, cfg.get("box"))
-        except InfeasibleLP:
-            # No plan can operate this scenario (caps at the action bound are
-            # the loosest the flow rows ever get), so the optimum is -inf.
-            plan, obj_value = _box_plan(instance, cfg.get("box")), -math.inf
-    elif cfg["method"] == "lbfgsb":
-        objective = scenario_objective(
-            instance, scenario, threads=cfg.get("threads", 1)
-        )
-        if cfg.get("box") is not None:
-            objective.box_upper = np.asarray(cfg["box"], dtype=float)
-        opt_kwargs = {
-            k: cfg[k]
-            for k in ("fd_step", "tolerance", "max_iter", "restarts", "seed")
-            if k in cfg
-        }
-        start = _box_plan(instance, cfg.get("box"))
-        result = optimize_capacity(objective, start, OptConfig(**opt_kwargs))
-        plan, obj_value = result.best_plan, result.best_objective
-        # Penalty values signal an everywhere-infeasible scenario.
-        if objective.value_of_caps(_plan_to_caps(instance, plan)) is None:
-            plan, obj_value = _box_plan(instance, cfg.get("box")), -math.inf
-        objective.close()
-    else:
-        raise ValueError(f"unknown method {cfg['method']!r}")
-
-    _cache_put(
-        key,
-        {
-            "capacity": {str(k): list(v) for k, v in plan.capacity.items()},
-            "objective": obj_value,
-        },
-    )
-    return plan, obj_value
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +102,6 @@ def regret_profile(
     instance: Instance,
     shared_plan: CapacityPlan,
     scenarios: Sequence[Scenario],
-    config: Optional[Dict] = None,
 ) -> List[RegretRecord]:
     """One record per scenario: per-scenario optimum minus shared-plan value.
 
@@ -249,7 +110,7 @@ def regret_profile(
     """
     records = []
     for sid, sc in enumerate(scenarios):
-        _, opt_value = per_scenario_optimum(instance, sc, config)
+        _, opt_value = per_scenario_optimum(instance, sc)
         achieved = _achieved_objective(instance, sc, shared_plan)
         records.append(
             RegretRecord(

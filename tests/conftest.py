@@ -1,21 +1,6 @@
-import os
-
 import pytest
 
 from drayage import reference
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_cache(tmp_path_factory):
-    # Per-scenario optimum caching must not leak between runs or pollute HOME.
-    path = tmp_path_factory.mktemp("cache")
-    old = os.environ.get("DRAYAGE_CACHE_DIR")
-    os.environ["DRAYAGE_CACHE_DIR"] = str(path)
-    yield
-    if old is None:
-        os.environ.pop("DRAYAGE_CACHE_DIR", None)
-    else:
-        os.environ["DRAYAGE_CACHE_DIR"] = old
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,7 @@ GRID_MAX_TOTAL = 1671.5
 def test_criterion_1_headline_costs(capacity_instance, demo_scenario):
     """Baseline caps cost 557.2, tuned caps 439.2, a 21.2% reduction; <10 s."""
     t0 = time.monotonic()
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     try:
         total_base = -objective(reference.baseline_plan(), obj)
         total_tuned = -objective(reference.tuned_plan(), obj)
@@ -66,12 +66,12 @@ def test_criterion_1_headline_costs(capacity_instance, demo_scenario):
 def test_criterion_2_optimizer_reaches_tuned_cost(capacity_instance, demo_scenario):
     """Quasi-Newton search from the baseline caps lands at <= 439.7; <60 s."""
     t0 = time.monotonic()
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     try:
         res = optimize_capacity(
             obj,
             reference.baseline_plan(),
-            config=OptConfig(restarts=1, max_iter=25, seed=0, threads=1),
+            config=OptConfig(restarts=1, max_iter=25, seed=0),
         )
     finally:
         obj.close()
@@ -92,7 +92,7 @@ def test_criterion_3_capacity_grid_statistics(capacity_instance, demo_scenario):
     full = os.environ.get("DRAYAGE_FULL_MC") == "1"
     count = 1_000_000 if full else 10_000
 
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     try:
         _, stats = monte_carlo_search(obj, count=count, seed=0)
         total_tuned = -objective(reference.tuned_plan(), obj)
@@ -347,7 +347,7 @@ def test_criterion_8_regret_generalization(capacity_instance):
         inst,
         1000,
         seed=0,
-        config=OptConfig(restarts=0, max_iter=6, seed=0, threads=1),
+        config=OptConfig(restarts=0, max_iter=6, seed=0),
     )
 
     in_sample = sample_scenarios(inst, 1000, 0)  # the optimizer's own draws

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from drayage import capopt
 from drayage.capopt import (
     CapacityObjective,
     OptConfig,
@@ -21,13 +22,13 @@ from drayage.capopt import (
     scenario_objective,
     total_flow,
 )
-from drayage.evaluation import _exact_optimum
+from drayage.evaluation import per_scenario_optimum
 from drayage.model import CapacityPlan, ExogenousRealization, Scenario
 from drayage.mslp import InfeasibleLP
 from drayage.scenario import SampleSet, sample_scenarios
 
 
-SMALL = OptConfig(restarts=1, max_iter=8, seed=7, threads=1)
+SMALL = OptConfig(restarts=1, max_iter=8, seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ def test_fd_gradient_of_reservation_matches_rates(reservation_rates, baseline_pl
 def test_optimizer_never_regresses_below_start(
     capacity_instance, demo_scenario, baseline_plan
 ):
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     try:
         start_val = objective(baseline_plan, obj)
         res = optimize_capacity(obj, baseline_plan, SMALL)
@@ -209,7 +210,7 @@ def test_optimizer_never_regresses_below_start(
 
 
 def test_optimizer_plan_stays_in_box(capacity_instance, demo_scenario, baseline_plan):
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     try:
         res = optimize_capacity(obj, baseline_plan, SMALL)
         amax = capacity_instance.bounds.action_max
@@ -220,7 +221,7 @@ def test_optimizer_plan_stays_in_box(capacity_instance, demo_scenario, baseline_
 
 
 def test_trace_csv_roundtrip(tmp_path, capacity_instance, demo_scenario, baseline_plan):
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     try:
         res = optimize_capacity(obj, baseline_plan, SMALL)
     finally:
@@ -239,7 +240,7 @@ def test_trace_csv_roundtrip(tmp_path, capacity_instance, demo_scenario, baselin
 
 
 def test_monte_carlo_deterministic_and_bounded(capacity_instance, demo_scenario):
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     try:
         plan_a, stats_a = monte_carlo_search(obj, 300, seed=11)
         plan_b, stats_b = monte_carlo_search(obj, 300, seed=11)
@@ -260,7 +261,7 @@ def test_monte_carlo_deterministic_and_bounded(capacity_instance, demo_scenario)
 
 
 def test_monte_carlo_samples_csv(tmp_path, capacity_instance, demo_scenario):
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     path = tmp_path / "samples.csv"
     try:
         _, stats = monte_carlo_search(obj, 50, seed=3, samples_out=str(path))
@@ -305,7 +306,7 @@ def test_saa_rejects_zero_scenarios(capacity_instance):
 
 
 def test_quadratic_search_smoke(capacity_instance, demo_scenario):
-    obj = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    obj = scenario_objective(capacity_instance, demo_scenario)
     calls = []
     value_of_caps = obj.value_of_caps
     obj.value_of_caps = lambda caps: calls.append(1) or value_of_caps(caps)
@@ -327,7 +328,7 @@ def test_quadratic_search_smoke(capacity_instance, demo_scenario):
 
 def test_sample_objective_weights_uniform(capacity_instance):
     scens = sample_scenarios(capacity_instance, 5, 17)
-    obj = sample_objective(capacity_instance, scens, threads=1)
+    obj = sample_objective(capacity_instance, scens)
     try:
         assert [w for _, w in obj.weighted_scenarios] == [0.2] * 5
         assert obj.dropped_scenarios == 0
@@ -357,7 +358,7 @@ def test_sample_objective_drops_inoperable_draws(capacity_instance, demo_scenari
     assert not operable_scenario(capacity_instance, dry)
     assert operable_scenario(capacity_instance, demo_scenario)
 
-    obj = sample_objective(capacity_instance, [demo_scenario, dry], threads=1)
+    obj = sample_objective(capacity_instance, [demo_scenario, dry])
     try:
         assert obj.dropped_scenarios == 1
         assert [w for _, w in obj.weighted_scenarios] == [1.0]
@@ -369,31 +370,41 @@ def test_sample_objective_drops_inoperable_draws(capacity_instance, demo_scenari
         obj.close()
 
     with pytest.raises(InfeasibleLP):
-        sample_objective(capacity_instance, [dry, dry], threads=1)
+        sample_objective(capacity_instance, [dry, dry])
 
 
-def test_lp_value_independent_of_worker_count(capacity_instance):
-    scens = sample_scenarios(capacity_instance, 60, 0)
-    one = sample_objective(capacity_instance, scens, threads=1)
-    two = sample_objective(capacity_instance, scens, threads=2)
+def test_lp_value_independent_of_worker_count(capacity_instance, monkeypatch):
+    # a batch over two forked workers equals the serial values bit for bit
+    monkeypatch.setattr(capopt, "_cpu_count", lambda: 2)
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 60, 0))
     rng = np.random.default_rng(3)
+    caps = [rng.uniform(3.0, 10.0, size=(2, 4)) for _ in range(8)]
+    evaluator = obj._lp_evaluator()
     try:
-        values = []
-        for _ in range(8):
-            caps = rng.uniform(3.0, 10.0, size=(2, 4))
-            values.append(one.value_of_caps(caps))
-            assert two.value_of_caps(caps) == values[-1]
-        assert sum(v is not None for v in values) >= 4
+        pooled = evaluator.value_batch(caps)
+        assert evaluator._pool is not None
+        values = [evaluator.value(c) for c in caps]
     finally:
-        one.close()
-        two.close()
+        obj.close()
+    assert pooled == values
+    assert sum(v is not None for v in values) >= 4
+
+
+def test_single_plan_value_starts_no_pool(capacity_instance, monkeypatch):
+    monkeypatch.setattr(capopt, "_cpu_count", lambda: 2)
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 60, 0))
+    try:
+        assert obj.value_of_caps(np.full((2, 4), 8.0)) is not None
+        assert obj._lp_evaluator()._pool is None
+    finally:
+        obj.close()
 
 
 def test_serial_objectives_keep_their_own_scenarios(capacity_instance):
     # Two serial objectives used in turn each evaluate their own scenario.
     a_sc, b_sc = sample_scenarios(capacity_instance, 2, 3)
-    a = scenario_objective(capacity_instance, a_sc, threads=1)
-    b = scenario_objective(capacity_instance, b_sc, threads=1)
+    a = scenario_objective(capacity_instance, a_sc)
+    b = scenario_objective(capacity_instance, b_sc)
     caps = np.asarray(a.box_upper) / 2.0
     try:
         first = a.value_of_caps(caps)
@@ -409,17 +420,18 @@ def test_serial_objectives_keep_their_own_scenarios(capacity_instance):
 
 
 def test_exact_matches_folded_optimum_on_one_scenario(capacity_instance, demo_scenario):
-    # _exact_optimum folds the reservation rates into the move costs instead
-    # of pricing separate capacity columns; both must give the same optimum.
+    # per_scenario_optimum folds the reservation rates into the move costs
+    # instead of pricing separate capacity columns; both must give the same
+    # optimum.
     for sc in [demo_scenario] + sample_scenarios(capacity_instance, 4, 9):
         if not operable_scenario(capacity_instance, sc):
             continue
-        obj = scenario_objective(capacity_instance, sc, threads=1)
+        obj = scenario_objective(capacity_instance, sc)
         try:
             res = optimize_capacity_exact(obj)
         finally:
             obj.close()
-        _, folded = _exact_optimum(capacity_instance, sc, None)
+        _, folded = per_scenario_optimum(capacity_instance, sc)
         assert -res.lp_objective == pytest.approx(folded, abs=1e-7)
         assert res.best_objective == pytest.approx(folded, abs=1e-7)
         assert res.total_cost == -res.best_objective
@@ -428,10 +440,9 @@ def test_exact_matches_folded_optimum_on_one_scenario(capacity_instance, demo_sc
 
 @pytest.mark.parametrize("n", [3, 4, 20])
 def test_exact_saa_never_worse_than_search(capacity_instance, n):
-    config = OptConfig(restarts=0, max_iter=6, seed=0, threads=1)
+    config = OptConfig(restarts=0, max_iter=6, seed=0)
     exact = optimize_capacity_saa(capacity_instance, n, seed=0, config=config)
-    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, n, 0),
-                           threads=1)
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, n, 0))
     try:
         # the search's start for SAA: half the box in every coordinate
         half = obj.box_upper / 2.0
@@ -446,8 +457,7 @@ def test_exact_saa_never_worse_than_search(capacity_instance, n):
 
 @pytest.mark.parametrize("n", [3, 4, 20])
 def test_exact_plan_in_box_and_lowered_to_usage(capacity_instance, n):
-    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, n, 0),
-                           threads=1)
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, n, 0))
     try:
         res = optimize_capacity_exact(obj)
         caps = np.array([res.best_plan.capacity[sid] for sid in obj.source_ids])
@@ -472,9 +482,9 @@ def test_exact_plan_in_box_and_lowered_to_usage(capacity_instance, n):
 
 def test_exact_reports_dropped_scenarios(capacity_instance, demo_scenario):
     mixed = sample_objective(
-        capacity_instance, [demo_scenario, _dry_scenario(capacity_instance)], threads=1
+        capacity_instance, [demo_scenario, _dry_scenario(capacity_instance)]
     )
-    alone = scenario_objective(capacity_instance, demo_scenario, threads=1)
+    alone = scenario_objective(capacity_instance, demo_scenario)
     try:
         res = optimize_capacity_exact(mixed)
         ref = optimize_capacity_exact(alone)

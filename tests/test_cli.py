@@ -176,7 +176,7 @@ def test_optimize_capacity_scenario_mode(example_dir):
         "optimize-capacity", "--instance", str(example_dir / "inst.json"),
         "--scenario", str(example_dir / "scenario.json"),
         "--start", str(example_dir / "baseline_plan.json"),
-        "--restarts", "1", "--max-iter", "8", "--threads", "1",
+        "--restarts", "1", "--max-iter", "8",
         "--out", str(out),
     )
     assert rc == 0
@@ -200,7 +200,7 @@ def test_optimize_capacity_quadratic_is_certified(example_dir):
         "optimize-capacity", "--instance", str(example_dir / "inst.json"),
         "--scenario", str(example_dir / "scenario.json"),
         "--parameterization", "quadratic",
-        "--restarts", "0", "--max-iter", "4", "--threads", "1",
+        "--restarts", "0", "--max-iter", "4",
         "--out", str(out),
     )
     assert rc == 0
@@ -219,7 +219,7 @@ def test_optimize_capacity_saa_mode(example_dir):
     rc = run_cli(
         "optimize-capacity", "--instance", str(example_dir / "inst.json"),
         "--mode", "saa", "--samples", "3", "--seed", "4",
-        "--restarts", "0", "--max-iter", "5", "--threads", "1",
+        "--restarts", "0", "--max-iter", "5",
         "--out", str(out),
     )
     assert rc == 0
@@ -251,7 +251,7 @@ def test_monte_carlo_outputs(example_dir):
     rc = run_cli(
         "monte-carlo", "--instance", str(example_dir / "inst.json"),
         "--scenario", str(example_dir / "scenario.json"),
-        "--count", "60", "--seed", "2", "--threads", "1",
+        "--count", "60", "--seed", "2",
         "--out", str(out),
     )
     assert rc == 0
@@ -283,6 +283,17 @@ def test_monte_carlo_inoperable_scenario_exits_one(example_dir, capacity_instanc
     assert rc == 1
 
 
+def test_monte_carlo_zero_count_exits_two(example_dir, monkeypatch, capsys):
+    monkeypatch.chdir(example_dir)
+    rc = run_cli(
+        "monte-carlo", "--instance", str(example_dir / "inst.json"),
+        "--scenario", str(example_dir / "scenario.json"), "--count", "0",
+    )
+    assert rc == 2
+    assert "--count" in capsys.readouterr().err
+    assert not (example_dir / "mc_out").exists()
+
+
 # ---------------------------------------------------------------------------
 # regret
 
@@ -305,6 +316,17 @@ def test_regret_outputs(example_dir):
     assert len(list(csv.DictReader(open(out / "generalization.csv")))) == 101
     assert (out / "scenarios_in.json").exists()
     assert (out / "scenarios_out.json").exists()
+
+
+def test_regret_zero_samples_exits_two(example_dir, monkeypatch, capsys):
+    monkeypatch.chdir(example_dir)
+    rc = run_cli(
+        "regret", "--instance", str(example_dir / "inst.json"),
+        "--shared-plan", str(example_dir / "tuned_plan.json"), "--samples", "0",
+    )
+    assert rc == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (example_dir / "regret_out").exists()
 
 
 # ---------------------------------------------------------------------------

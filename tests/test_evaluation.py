@@ -1,11 +1,8 @@
-"""Regret study machinery: summaries, cached per-scenario optima, reports."""
+"""Regret study machinery: summaries, per-scenario optima, reports."""
 
 import csv
 import itertools
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -13,8 +10,6 @@ import pytest
 from drayage.capopt import reservation_cost
 from drayage.evaluation import (
     RegretRecord,
-    _cache_get,
-    _cache_put,
     generalization_report,
     per_scenario_optimum,
     regret_profile,
@@ -67,76 +62,6 @@ def test_per_scenario_optimum_reference(capacity_instance, demo_scenario):
         build_mslp(capacity_instance, demo_scenario, plan, initial="free")
     ).cost
     assert -(cost + reservation_cost(plan, rates)) == pytest.approx(value, abs=1e-9)
-
-
-def test_per_scenario_optimum_cached(capacity_instance, demo_scenario):
-    first = per_scenario_optimum(capacity_instance, demo_scenario)
-    files = [
-        f for f in os.listdir(os.environ["DRAYAGE_CACHE_DIR"])
-        if f.startswith("psopt-") and f.endswith(".json")
-    ]
-    assert files
-    second = per_scenario_optimum(capacity_instance, demo_scenario)
-    assert second[1] == first[1]
-    assert second[0].capacity == first[0].capacity
-
-
-def test_corrupt_cache_entry_recomputed(capacity_instance, demo_scenario):
-    per_scenario_optimum(capacity_instance, demo_scenario)
-    cache = os.environ["DRAYAGE_CACHE_DIR"]
-    for f in os.listdir(cache):
-        if f.startswith("psopt-"):
-            with open(os.path.join(cache, f), "w") as fh:
-                fh.write("{ not json")
-    _, value = per_scenario_optimum(capacity_instance, demo_scenario)
-    assert value == pytest.approx(-439.2, abs=1e-9)
-
-
-def test_concurrent_cache_writers_of_one_key(tmp_path, monkeypatch):
-    # every writer must finish, and the entry must be one writer's whole doc
-    monkeypatch.setenv("DRAYAGE_CACHE_DIR", str(tmp_path))
-    docs = [{"writer": k, "payload": list(range(500))} for k in range(6)]
-    errors = []
-
-    def write(doc):
-        try:
-            for _ in range(40):
-                _cache_put("psopt-race", doc)
-        except Exception as exc:  # collected for the assertion below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=write, args=(doc,)) for doc in docs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often to expose races
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == []
-    assert _cache_get("psopt-race") in docs
-    assert os.listdir(tmp_path) == ["psopt-race.json"]
-
-
-def test_per_scenario_optimum_bad_method(capacity_instance, demo_scenario):
-    with pytest.raises(ValueError):
-        per_scenario_optimum(
-            capacity_instance, demo_scenario, {"method": "annealing"}
-        )
-
-
-def test_lbfgsb_method_close_to_exact(capacity_instance, demo_scenario):
-    _, exact = per_scenario_optimum(capacity_instance, demo_scenario)
-    _, approx = per_scenario_optimum(
-        capacity_instance,
-        demo_scenario,
-        {"method": "lbfgsb", "restarts": 1, "max_iter": 10, "seed": 3},
-    )
-    assert approx <= exact + 1e-6  # local search cannot beat the true optimum
-    assert approx >= exact - 25.0  # but should land in the neighborhood
 
 
 def test_micro_grid_matches_exact_optimum():
