@@ -1,19 +1,20 @@
 """Capacity-plan search: maximize value minus reservation cost over a box.
 
-Evaluator modes:
-  "scenario"   one fixed scenario, LP value (deterministic)
-  "expected"   weighted average of per-scenario LP values (wait-and-see)
-  "saa-dp"     value of the sample-average Bellman recursion
+Objectives (CapacityObjective):
+  LP-valued   weighted average of per-scenario LP values (wait-and-see);
+              scenario_objective for one scenario, sample_objective for a sample
+  DP-valued   value of the sample-average Bellman recursion over a SampleSet
 
-The LP-valued modes have an exact optimum: optimize_capacity_exact solves
+An LP-valued objective has an exact optimum: optimize_capacity_exact solves
 the capacity choice and every scenario's operations as one extensive-form
 LP. It is the SAA path (optimize_capacity_saa, ``--mode saa``).
 
-The quasi-Newton path runs scipy's L-BFGS-B on central-difference gradients
-of the LP-relaxed objective. The landscape is piecewise linear and concave,
-so kink points can stall a single descent; the optimizer therefore restarts
-from seeded random plans and keeps the best, then polishes on the integer
-lattice around the rounded incumbent.
+The quasi-Newton searches run scipy's L-BFGS-B on central-difference
+gradients, over raw capacities (optimize_capacity) or per-source quadratic
+profiles (optimize_capacity_quadratic). The landscape is piecewise linear and
+concave, so kink points can stall a single descent; each search restarts
+from seeded random points and keeps the best. The raw search then polishes
+on the integer lattice around the rounded incumbent.
 
 Infeasible capacity plans (too little capacity to respect storage bounds
 under some scenario) evaluate to a large negative penalty with a mild upward
@@ -25,7 +26,7 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -38,12 +39,6 @@ from .scenario import SampleSet
 
 PENALTY = 1.0e7
 PENALTY_SLOPE = 10.0  # reward per TEU of total capacity inside the penalty
-
-
-def _zero_plan(instance: Instance) -> CapacityPlan:
-    return CapacityPlan(
-        capacity={s.id: (0.0,) * instance.horizon for s in instance.sources}
-    )
 
 
 def _caps_to_plan(instance: Instance, caps: np.ndarray) -> CapacityPlan:
@@ -59,12 +54,6 @@ def _box_plan(instance: Instance) -> CapacityPlan:
     """Every source at action_max in every period: the loosest plan."""
     shape = (len(instance.sources), instance.horizon)
     return _caps_to_plan(instance, np.full(shape, float(instance.bounds.action_max)))
-
-
-def _plan_to_caps(instance: Instance, plan: CapacityPlan) -> np.ndarray:
-    return np.array(
-        [[float(v) for v in plan.capacity[s.id]] for s in instance.sources]
-    )
 
 
 def total_flow(scenario: Scenario) -> float:
@@ -123,26 +112,57 @@ def _worker_points(caps_batch) -> List[Optional[float]]:
     return _points(_W["templates"], _W["source_ids"], caps_batch)
 
 
-class _LPEvaluator:
-    """Wait-and-see LP value of capacity arrays.
+# ---------------------------------------------------------------------------
+# Objective
 
-    One plan is solved in this process. A batch of plans (the Monte Carlo
-    sweep, a finite-difference gradient) is split over a fork pool with one
-    worker per usable CPU; on one CPU it is solved here as well.
+
+@dataclass(eq=False)
+class CapacityObjective:
+    """V-estimate minus linear reservation cost over the capacity box.
+
+    Exactly one of weighted_scenarios (LP-valued) and sample_set (DP-valued)
+    is given. Both value the best achievable initial state. Capacity is
+    priced at each source's reservation_rate; the box is action_max per
+    source per period. An LP-valued objective solves one plan in this
+    process and splits a batch of plans over a fork pool with one worker per
+    usable CPU (solved here as well on one CPU); close() ends the pool.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        weighted_scenarios: Sequence[Tuple[Scenario, float]],
-        initial: str = "free",
-    ):
-        self.instance = instance
-        self.weighted = list(weighted_scenarios)
-        self.initial = initial
-        self.source_ids = [s.id for s in instance.sources]
-        self._pool = None
-        self._templates = None
+    instance: Instance
+    weighted_scenarios: Tuple[Tuple[Scenario, float], ...] = ()
+    sample_set: Optional[SampleSet] = None
+    dropped_scenarios: int = field(default=0, init=False, repr=False)
+    _templates: Optional[List] = field(default=None, init=False, repr=False)
+    _pool: Optional[object] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if bool(self.weighted_scenarios) == (self.sample_set is not None):
+            raise ValueError("give exactly one of weighted_scenarios and sample_set")
+
+    @property
+    def source_ids(self) -> List[int]:
+        return [s.id for s in self.instance.sources]
+
+    @property
+    def rates(self) -> Dict[int, Tuple[float, ...]]:
+        return {
+            s.id: tuple(float(v) for v in s.reservation_rate)
+            for s in self.instance.sources
+        }
+
+    @property
+    def box_upper(self) -> np.ndarray:
+        shape = (len(self.instance.sources), self.instance.horizon)
+        return np.full(shape, float(self.instance.bounds.action_max))
+
+    def rates_array(self) -> np.ndarray:
+        return np.array([self.rates[sid] for sid in self.source_ids])
+
+    def flow_denominator(self) -> float:
+        """Weighted total exogenous flow (cost-per-TEU denominator)."""
+        return float(
+            sum(w * total_flow(sc) for sc, w in self.weighted_scenarios) or 1.0
+        )
 
     def templates(self) -> List[Tuple[MultistageLP, float]]:
         """One zero-plan multistage LP per weighted scenario, with its weight,
@@ -152,19 +172,26 @@ class _LPEvaluator:
         evaluation fills them in (with_caps_array) instead of rebuilding.
         """
         if self._templates is None:
-            zero = _zero_plan(self.instance)
+            zero = _caps_to_plan(self.instance, np.zeros_like(self.box_upper))
             self._templates = [
-                (build_mslp(self.instance, sc, zero, initial=self.initial), w)
-                for sc, w in self.weighted
+                (build_mslp(self.instance, sc, zero, initial="free"), w)
+                for sc, w in self.weighted_scenarios
             ]
         return self._templates
 
-    def value(self, caps: np.ndarray) -> Optional[float]:
-        """Weighted value, or None when any scenario is infeasible at caps."""
-        return _points(self.templates(), self.source_ids, [caps])[0]
+    def value_of_caps(self, caps: np.ndarray) -> Optional[float]:
+        """V estimate at a capacity array; None when infeasible."""
+        if self.sample_set is None:
+            return _points(self.templates(), self.source_ids, [caps])[0]
+        table, _ = solve_expected(
+            self.instance, self.sample_set, _caps_to_plan(self.instance, caps)
+        )
+        return table.best_initial_state()[1]
 
-    def value_batch(self, caps_list: Sequence[np.ndarray]) -> List[Optional[float]]:
-        """Evaluate many capacity arrays; parallel across points."""
+    def values_of_caps(self, caps_list: Sequence[np.ndarray]) -> List[Optional[float]]:
+        """value_of_caps of each array; LP batches run on the fork pool."""
+        if self.sample_set is not None:
+            return [self.value_of_caps(caps) for caps in caps_list]
         workers = _cpu_count()
         if workers < 2 or len(caps_list) < 2:
             return _points(self.templates(), self.source_ids, caps_list)
@@ -184,90 +211,11 @@ class _LPEvaluator:
             self._pool = None
 
 
-# ---------------------------------------------------------------------------
-# Objective
+def scenario_objective(instance: Instance, scenario: Scenario) -> CapacityObjective:
+    return CapacityObjective(instance, weighted_scenarios=((scenario, 1.0),))
 
 
-@dataclass(eq=False)
-class CapacityObjective:
-    """V-estimate minus linear reservation cost over the capacity box.
-
-    rates default to each source's reservation_rate; box_upper defaults to
-    action_max per source per period (the sampling grid of the search).
-    initial "free" evaluates the best achievable initial state, "fixed" pins
-    instance.initial_state.
-    """
-
-    instance: Instance
-    mode: str = "scenario"
-    weighted_scenarios: Tuple[Tuple[Scenario, float], ...] = ()
-    sample_set: Optional[SampleSet] = None
-    rates: Optional[Dict[int, Tuple[float, ...]]] = None
-    box_upper: Optional[np.ndarray] = None
-    initial: str = "free"
-    dropped_scenarios: int = field(default=0, init=False, repr=False)
-    _evaluator: Optional[_LPEvaluator] = field(default=None, repr=False, init=False)
-
-    def __post_init__(self):
-        if self.mode not in ("scenario", "expected", "saa-dp"):
-            raise ValueError(f"unknown evaluator mode {self.mode!r}")
-        if self.rates is None:
-            self.rates = {
-                s.id: tuple(float(v) for v in s.reservation_rate)
-                for s in self.instance.sources
-            }
-        if self.box_upper is None:
-            n = len(self.instance.sources)
-            self.box_upper = np.full(
-                (n, self.instance.horizon), float(self.instance.bounds.action_max)
-            )
-
-    @property
-    def source_ids(self) -> List[int]:
-        return [s.id for s in self.instance.sources]
-
-    def rates_array(self) -> np.ndarray:
-        return np.array([self.rates[sid] for sid in self.source_ids])
-
-    def flow_denominator(self) -> float:
-        """Weighted total exogenous flow (cost-per-TEU denominator)."""
-        return float(
-            sum(w * total_flow(sc) for sc, w in self.weighted_scenarios) or 1.0
-        )
-
-    def _lp_evaluator(self) -> _LPEvaluator:
-        if self._evaluator is None:
-            self._evaluator = _LPEvaluator(
-                self.instance, self.weighted_scenarios, initial=self.initial
-            )
-        return self._evaluator
-
-    def value_of_caps(self, caps: np.ndarray) -> Optional[float]:
-        """V estimate at a capacity array; None when infeasible."""
-        if self.mode in ("scenario", "expected"):
-            return self._lp_evaluator().value(caps)
-        table, _ = solve_expected(
-            self.instance, self.sample_set, _caps_to_plan(self.instance, caps)
-        )
-        if self.initial == "free":
-            return table.best_initial_state()[1]
-        return table.value(1, self.instance.initial_state)
-
-    def close(self):
-        if self._evaluator is not None:
-            self._evaluator.close()
-            self._evaluator = None
-
-
-def scenario_objective(instance: Instance, scenario: Scenario, **kw) -> CapacityObjective:
-    return CapacityObjective(
-        instance, mode="scenario", weighted_scenarios=((scenario, 1.0),), **kw
-    )
-
-
-def operable_scenario(
-    instance: Instance, scenario: Scenario, initial: str = "free"
-) -> bool:
+def operable_scenario(instance: Instance, scenario: Scenario) -> bool:
     """True when some capacity plan admits a feasible LP for this scenario.
 
     Capacity enters the LP only through per-source cap rows, so feasibility
@@ -276,14 +224,14 @@ def operable_scenario(
     bounds themselves and no plan can operate it.
     """
     try:
-        solve_mslp(build_mslp(instance, scenario, _box_plan(instance), initial=initial))
+        solve_mslp(build_mslp(instance, scenario, _box_plan(instance), initial="free"))
         return True
     except InfeasibleLP:
         return False
 
 
 def sample_objective(
-    instance: Instance, scenarios: Sequence[Scenario], **kw
+    instance: Instance, scenarios: Sequence[Scenario]
 ) -> CapacityObjective:
     """Uniform-weight expected-LP objective over the operable sub-sample.
 
@@ -293,19 +241,11 @@ def sample_objective(
     objective) and the weights renormalized; per-plan infeasibility inside
     the box still penalizes as usual.
     """
-    initial = kw.get("initial", "free")
-    kept = tuple(
-        sc for sc in scenarios if operable_scenario(instance, sc, initial)
-    )
+    kept = tuple(sc for sc in scenarios if operable_scenario(instance, sc))
     if not kept:
         raise InfeasibleLP("no operable scenario in the sample")
     w = 1.0 / len(kept)
-    obj = CapacityObjective(
-        instance,
-        mode="expected",
-        weighted_scenarios=tuple((sc, w) for sc in kept),
-        **kw,
-    )
+    obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, w) for sc in kept))
     obj.dropped_scenarios = len(scenarios) - len(kept)
     return obj
 
@@ -323,8 +263,7 @@ def reservation_cost(plan: CapacityPlan, rates: Dict[int, Tuple[float, ...]]) ->
 
 def objective(plan: CapacityPlan, obj: CapacityObjective) -> float:
     """V-estimate minus reservation cost; raises InfeasibleLP when undefined."""
-    caps = _plan_to_caps(obj.instance, plan)
-    value = obj.value_of_caps(caps)
+    value = obj.value_of_caps(plan.as_array(obj.source_ids))
     if value is None:
         raise InfeasibleLP("capacity plan infeasible for the objective's scenarios")
     return value - reservation_cost(plan, obj.rates)
@@ -341,7 +280,6 @@ class OptConfig:
     max_iter: int = 60
     restarts: int = 8
     seed: int = 0
-    polish: bool = True  # integer coordinate descent around the rounded best
 
 
 @dataclass
@@ -363,46 +301,106 @@ class OptimizationResult:
                 f.write(f"{it},{float(obj)!r},{float(gn)!r}\n")
 
 
-def _penalized(obj: CapacityObjective, res_rates: np.ndarray, caps: np.ndarray) -> float:
-    value = obj.value_of_caps(caps)
-    if value is None:
-        return -PENALTY + PENALTY_SLOPE * float(np.sum(caps))
-    return value - float(np.sum(res_rates * caps))
+@dataclass
+class _Search:
+    """Restarted L-BFGS-B ascent of the penalized objective over a vector x.
 
+    to_caps maps x to a capacity array. Every capacity array scored, alone
+    or in a gradient's batch, counts as one function evaluation.
+    """
 
-def _ascend(f, grad, x0: np.ndarray, bounds, config: OptConfig):
-    """One L-BFGS-B ascent of f from x0; returns the scipy result and a
-    per-iteration trace of (iter, objective, inf-norm of the gradient)."""
-    trace: List[Tuple[int, float, float]] = []
-    last = {"f": None, "g": np.zeros(x0.size)}
+    obj: CapacityObjective
+    to_caps: Callable[[np.ndarray], np.ndarray]
+    config: OptConfig
+    iterations: int = 0
+    nfev: int = 0
+    njev: int = 0
 
-    def fun(x):
-        v = f(x)
-        last["f"] = v
-        return -v
+    def score(self, caps_list: Sequence[np.ndarray]) -> List[float]:
+        """Value minus reservation cost per array; the penalty where infeasible."""
+        self.nfev += len(caps_list)
+        res_rates = self.obj.rates_array()
+        out = []
+        for caps, v in zip(caps_list, self.obj.values_of_caps(caps_list)):
+            if v is None:
+                out.append(-PENALTY + PENALTY_SLOPE * float(np.sum(caps)))
+            else:
+                out.append(v - float(np.sum(res_rates * caps)))
+        return out
 
-    def jac(x):
-        g = grad(x)
-        last["g"] = g
-        return -g
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Central differences, forward only where the backward point has a
+        capacity below 0; all points are scored as one batch."""
+        self.njev += 1
+        h = self.config.fd_step
+        ups, dns = [], []
+        for k in range(x.size):
+            up, dn = x.copy(), x.copy()
+            up[k] += h
+            dn[k] -= h
+            ups.append(self.to_caps(up))
+            dns.append(self.to_caps(dn))
+        central = [bool(np.all(dn >= 0.0)) for dn in dns]
+        at_x = [] if all(central) else [self.to_caps(x)]
+        vals = self.score(ups + [dn for dn, c in zip(dns, central) if c] + at_x)
+        f_dn = iter(vals[x.size :])
+        return np.array([
+            (f_up - next(f_dn)) / (2 * h) if c else (f_up - vals[-1]) / h
+            for f_up, c in zip(vals[: x.size], central)
+        ])
 
-    def cb(xk):
-        trace.append((len(trace), last["f"], float(np.linalg.norm(last["g"], np.inf))))
+    def run(self, x0: np.ndarray, draw, bounds):
+        """L-BFGS-B from x0 and from config.restarts starts draw(rng) makes.
 
-    res = minimize(
-        fun,
-        x0,
-        jac=jac,
-        method="L-BFGS-B",
-        bounds=bounds,
-        callback=cb,
-        options={
-            "maxiter": config.max_iter,
-            "ftol": 1e-12,
-            "gtol": config.tolerance,
-        },
-    )
-    return res, trace
+        Returns the best (x, objective, trace); the trace holds one row of
+        (iter, objective, inf-norm of the gradient) per iteration.
+        """
+        rng = np.random.Generator(np.random.Philox(self.config.seed))
+        starts = [x0] + [draw(rng) for _ in range(self.config.restarts)]
+        best_x, best_f, best_trace = None, -np.inf, []
+        for x_start in starts:
+            trace: List[Tuple[int, float, float]] = []
+            last = {"f": None, "g": np.zeros(x_start.size)}
+
+            def fun(x):
+                last["f"] = self.score([self.to_caps(x)])[0]
+                return -last["f"]
+
+            def jac(x):
+                last["g"] = self.grad(x)
+                return -last["g"]
+
+            def cb(xk):
+                trace.append((len(trace), last["f"], float(np.linalg.norm(last["g"], np.inf))))
+
+            res = minimize(
+                fun,
+                x_start,
+                jac=jac,
+                method="L-BFGS-B",
+                bounds=bounds,
+                callback=cb,
+                options={
+                    "maxiter": self.config.max_iter,
+                    "ftol": 1e-12,
+                    "gtol": self.config.tolerance,
+                },
+            )
+            self.iterations += int(res.nit)
+            if -float(res.fun) > best_f:
+                best_x, best_f, best_trace = np.asarray(res.x), -float(res.fun), trace
+        return best_x, best_f, best_trace
+
+    def result(self, caps: np.ndarray, f: float, trace) -> OptimizationResult:
+        return OptimizationResult(
+            best_plan=_caps_to_plan(self.obj.instance, caps),
+            best_objective=float(f),
+            total_cost=float(-f),
+            iterations=self.iterations,
+            gradient_evaluations=self.njev,
+            function_evaluations=self.nfev,
+            trace=trace,
+        )
 
 
 def optimize_capacity(
@@ -416,130 +414,53 @@ def optimize_capacity(
     integer polish of the rounded optimum}, whichever scores best. Never
     returns a plan scoring below the start.
     """
-    inst = obj.instance
-    shape = (len(inst.sources), inst.horizon)
-    res_rates = obj.rates_array()
-    lower = np.zeros(shape)
-    upper = np.asarray(obj.box_upper, dtype=float)
-    nfev = 0
-    njev = 0
+    upper = obj.box_upper
+    shape = upper.shape
+    search = _Search(obj, lambda x: x.reshape(shape), config)
+    start_caps = start.as_array(obj.source_ids)
+    best_x, best_f, best_trace = search.run(
+        start_caps.ravel(),
+        lambda rng: rng.uniform(size=upper.size) * upper.ravel(),
+        list(zip(np.zeros(upper.size), upper.ravel())),
+    )
 
-    def f(caps_flat: np.ndarray) -> float:
-        nonlocal nfev
-        nfev += 1
-        return _penalized(obj, res_rates, caps_flat.reshape(shape))
-
-    def grad(caps_flat: np.ndarray) -> np.ndarray:
-        # central differences, one-sided at the lower box face
-        nonlocal njev
-        njev += 1
-        h = config.fd_step
-        points = []
-        specs = []
-        for k in range(caps_flat.size):
-            lo_ok = caps_flat[k] - h >= 0.0
-            up = caps_flat.copy()
-            up[k] += h
-            points.append(up.reshape(shape))
-            if lo_ok:
-                dn = caps_flat.copy()
-                dn[k] -= h
-                points.append(dn.reshape(shape))
-            specs.append(lo_ok)
-        if obj.mode in ("scenario", "expected"):
-            raw = obj._lp_evaluator().value_batch(points)
-            vals = []
-            for caps, v in zip(points, raw):
-                if v is None:
-                    vals.append(-PENALTY + PENALTY_SLOPE * float(np.sum(caps)))
-                else:
-                    vals.append(v - float(np.sum(res_rates * caps)))
-        else:
-            vals = [_penalized(obj, res_rates, caps) for caps in points]
-        nonlocal nfev
-        nfev += len(points)
-        g = np.zeros(caps_flat.size)
-        pos = 0
-        f0 = None
-        for k, lo_ok in enumerate(specs):
-            if lo_ok:
-                g[k] = (vals[pos] - vals[pos + 1]) / (2 * h)
-                pos += 2
-            else:
-                if f0 is None:
-                    f0 = f(caps_flat)
-                g[k] = (vals[pos] - f0) / h
-                pos += 1
-        return g
-
-    bounds = list(zip(lower.ravel(), upper.ravel()))
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    starts = [_plan_to_caps(inst, start).ravel()]
-    for _ in range(config.restarts):
-        starts.append((rng.uniform(size=lower.size) * upper.ravel()))
-
-    best_x, best_f = None, -np.inf
-    best_trace: List[Tuple[int, float, float]] = []
-    iterations = 0
-    for x0 in starts:
-        res, trace = _ascend(f, grad, x0, bounds, config)
-        iterations += int(res.nit)
-        fx = -float(res.fun)
-        if fx > best_f:
-            best_f, best_x = fx, np.asarray(res.x)
-            best_trace = trace
-
-    # candidate set: raw optimum, its rounding, optional integer polish
+    # candidate set: raw optimum, its rounding, integer polish
     cand_caps = best_x.reshape(shape)
     candidates = [(best_f, cand_caps)]
-    rounded = np.clip(np.rint(cand_caps), lower, upper)
-    f_rounded = _penalized(obj, res_rates, rounded)
-    nfev += 1
+    rounded = np.clip(np.rint(cand_caps), 0.0, upper)
+    f_rounded = search.score([rounded])[0]
     candidates.append((f_rounded, rounded))
-    if config.polish:
-        cur, cur_f = rounded.copy(), f_rounded
-        for _ in range(200):
-            improved = False
-            flat = cur.ravel()
-            for k in range(flat.size):
-                for step in (1.0, -1.0):
-                    trial = flat.copy()
-                    trial[k] += step
-                    if trial[k] < 0 or trial[k] > upper.ravel()[k]:
-                        continue
-                    tf = _penalized(obj, res_rates, trial.reshape(shape))
-                    nfev += 1
-                    if tf > cur_f + 1e-9:
-                        cur_f, flat = tf, trial
-                        improved = True
-            cur = flat.reshape(shape)
-            if not improved:
-                break
-        if best_trace and cur_f > best_trace[-1][1]:
-            best_trace = best_trace + [(len(best_trace), cur_f, 0.0)]
-        candidates.append((cur_f, cur))
+    cur, cur_f = rounded.copy(), f_rounded
+    for _ in range(200):
+        improved = False
+        flat = cur.ravel()
+        for k in range(flat.size):
+            for step in (1.0, -1.0):
+                trial = flat.copy()
+                trial[k] += step
+                if trial[k] < 0 or trial[k] > upper.ravel()[k]:
+                    continue
+                tf = search.score([trial.reshape(shape)])[0]
+                if tf > cur_f + 1e-9:
+                    cur_f, flat = tf, trial
+                    improved = True
+        cur = flat.reshape(shape)
+        if not improved:
+            break
+    if best_trace and cur_f > best_trace[-1][1]:
+        best_trace = best_trace + [(len(best_trace), cur_f, 0.0)]
+    candidates.append((cur_f, cur))
 
-    start_caps = _plan_to_caps(inst, start)
-    f_start = _penalized(obj, res_rates, start_caps)
-    nfev += 1
+    f_start = search.score([start_caps])[0]
     candidates.append((f_start, start_caps))  # never regress below the start
     best_f, best_caps = max(candidates, key=lambda kv: kv[0])
-    return OptimizationResult(
-        best_plan=_caps_to_plan(inst, best_caps),
-        best_objective=float(best_f),
-        total_cost=float(-best_f),
-        iterations=iterations,
-        gradient_evaluations=njev,
-        function_evaluations=nfev,
-        trace=best_trace,
-    )
+    return search.result(best_caps, best_f, best_trace)
 
 
 def monte_carlo_search(
     obj: CapacityObjective,
     count: int,
     seed: int,
-    box: Optional[np.ndarray] = None,
     samples_out: Optional[str] = None,
 ) -> Tuple[CapacityPlan, Dict]:
     """Uniform integer-grid search over capacity plans.
@@ -553,14 +474,13 @@ def monte_carlo_search(
     if count < 1:
         raise ValueError("count must be >= 1")
     inst = obj.instance
-    upper = np.asarray(obj.box_upper if box is None else box, dtype=float)
+    upper = obj.box_upper
     shape = upper.shape
     rng = np.random.Generator(np.random.Philox(seed))
     samples = rng.integers(0, upper.astype(int) + 1, size=(count,) + shape)
     res_rates = obj.rates_array()
     denom = obj.flow_denominator()
 
-    evaluator = obj._lp_evaluator() if obj.mode in ("scenario", "expected") else None
     costs = np.empty(count)
     feasible = np.zeros(count, dtype=bool)
     chunk = 4096
@@ -572,11 +492,7 @@ def monte_carlo_search(
             writer.write("sample_id," + ",".join(cols) + ",feasible,total_cost\n")
         for lo in range(0, count, chunk):
             batch = [samples[k].astype(float) for k in range(lo, min(lo + chunk, count))]
-            if evaluator is not None:
-                vals = evaluator.value_batch(batch)
-            else:
-                vals = [obj.value_of_caps(c) for c in batch]
-            for off, v in enumerate(vals):
+            for off, v in enumerate(obj.values_of_caps(batch)):
                 k = lo + off
                 if v is not None:
                     feasible[k] = True
@@ -623,70 +539,28 @@ def optimize_capacity_quadratic(
     """Search over per-source (b0, b1, b2) profiles instead of raw capacities.
 
     Cuts the decision dimension from n*tau to 3n; the profile is clamped to
-    [0, box] per coordinate before evaluation.
+    [0, box] per coordinate before evaluation, so its finite differences
+    are always central.
     """
-    inst = obj.instance
-    tau = inst.horizon
     sids = obj.source_ids
-    res_rates = obj.rates_array()
-    xmax = float(np.max(obj.box_upper))
-    box_by_source = {
-        sid: float(np.max(np.asarray(obj.box_upper)[k]))
-        for k, sid in enumerate(sids)
-    }
+    upper = obj.box_upper
+    xmax = float(np.max(upper))
+    box_by_source = {sid: float(np.max(upper[k])) for k, sid in enumerate(sids)}
 
-    def plan_of(beta_flat: np.ndarray) -> CapacityPlan:
+    def to_caps(beta_flat: np.ndarray) -> np.ndarray:
         beta = {
             sid: tuple(beta_flat[3 * k : 3 * k + 3]) for k, sid in enumerate(sids)
         }
-        return quadratic_parameterization(beta, tau, box_by_source)
+        plan = quadratic_parameterization(beta, obj.instance.horizon, box_by_source)
+        return plan.as_array(sids)
 
-    nfev = 0
-    njev = 0
-
-    def value(beta_flat: np.ndarray) -> float:
-        nonlocal nfev
-        nfev += 1
-        return _penalized(obj, res_rates, _plan_to_caps(inst, plan_of(beta_flat)))
-
-    def grad(beta_flat: np.ndarray) -> np.ndarray:
-        nonlocal njev
-        njev += 1
-        h = config.fd_step
-        g = np.zeros(beta_flat.size)
-        for k in range(beta_flat.size):
-            up = beta_flat.copy()
-            up[k] += h
-            dn = beta_flat.copy()
-            dn[k] -= h
-            g[k] = (value(up) - value(dn)) / (2 * h)
-        return g
-
-    bounds = [(-2 * xmax, 2 * xmax)] * (3 * len(sids))
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    starts = [np.array([xmax / 2, 0.0, 0.0] * len(sids))]
-    for _ in range(config.restarts):
-        starts.append(rng.uniform(-xmax, xmax, size=3 * len(sids)))
-
-    best_beta, best_f = starts[0], -np.inf
-    best_trace: List[Tuple[int, float, float]] = []
-    iterations = 0
-    for x0 in starts:
-        res, trace = _ascend(value, grad, x0, bounds, config)
-        iterations += int(res.nit)
-        if -res.fun > best_f:
-            best_f, best_beta = -float(res.fun), np.asarray(res.x)
-            best_trace = trace
-    plan = plan_of(best_beta)
-    return OptimizationResult(
-        best_plan=plan,
-        best_objective=float(best_f),
-        total_cost=float(-best_f),
-        iterations=iterations,
-        gradient_evaluations=njev,
-        function_evaluations=nfev,
-        trace=best_trace,
+    search = _Search(obj, to_caps, config)
+    best_x, best_f, best_trace = search.run(
+        np.array([xmax / 2, 0.0, 0.0] * len(sids)),
+        lambda rng: rng.uniform(-xmax, xmax, size=3 * len(sids)),
+        [(-2 * xmax, 2 * xmax)] * (3 * len(sids)),
     )
+    return search.result(to_caps(best_x), best_f, best_trace)
 
 
 def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
@@ -706,13 +580,13 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
     optimal cost, only by round-off. Raises InfeasibleLP when no plan in
     the box operates every scenario.
     """
-    if obj.mode not in ("scenario", "expected") or not obj.weighted_scenarios:
-        raise ValueError("the exact LP needs an LP-valued objective with scenarios")
+    if obj.sample_set is not None:
+        raise ValueError("the exact LP needs an LP-valued objective")
     inst = obj.instance
     tau = inst.horizon
     keys = [(sid, t) for sid in obj.source_ids for t in range(1, tau + 1)]
     nx = len(keys)
-    blocks = obj._lp_evaluator().templates()
+    blocks = obj.templates()
     # the row layout depends on the instance only, so it is the same in every block
     rows = [blocks[0][0].cap_rows[key] for key in keys]
     couple = sparse.csr_matrix(
@@ -734,7 +608,7 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
         format="csr",
     )
     rates = obj.rates_array().ravel()
-    box = np.asarray(obj.box_upper, dtype=float).ravel()
+    box = obj.box_upper.ravel()
     upper = np.concatenate([box] + [lp.upper for lp, _ in blocks])
     res = linprog(
         np.concatenate([rates] + [w * lp.c for lp, w in blocks]),

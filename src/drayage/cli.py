@@ -48,6 +48,12 @@ def _load_plan(path: str, instance: model.Instance) -> model.CapacityPlan:
     for sid, caps in plan.capacity.items():
         if len(caps) != instance.horizon:
             raise UsageError(f"plan for source {sid} has {len(caps)} periods")
+        for t, c in enumerate(caps, start=1):
+            if not (np.isfinite(c) and c >= 0.0):
+                raise UsageError(
+                    f"plan capacity of source {sid} in period {t} is {c}; "
+                    "need a finite value >= 0"
+                )
     return plan
 
 

@@ -67,15 +67,9 @@ class MultistageLP:
     cap_rows: Dict[Tuple[int, int], int]  # (source, period) -> A_ub row
     initial: str = "fixed"
 
-    def with_plan(self, plan: CapacityPlan) -> "MultistageLP":
-        """Same LP with capacity right-hand sides swapped (cheap re-solve)."""
-        b = self.b_ub.copy()
-        for (sid, t), row in self.cap_rows.items():
-            b[row] = float(plan.capacity[sid][t - 1])
-        return dataclasses.replace(self, b_ub=b)
-
     def with_caps_array(self, caps: np.ndarray, source_ids: Sequence[int]) -> "MultistageLP":
-        """Caps as array shaped (len(source_ids), horizon), same row order."""
+        """Same LP with the capacity right-hand sides set to caps, an array
+        shaped (len(source_ids), horizon) (cheap re-solve)."""
         b = self.b_ub.copy()
         for k, sid in enumerate(source_ids):
             for t in range(1, self.horizon + 1):

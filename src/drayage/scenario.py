@@ -113,36 +113,39 @@ def scenario_probability(scenario: Scenario, instance: Instance) -> float:
     return p
 
 
-def _draw_columns(instance: Instance, count: int, rng: np.random.Generator):
-    """Draw count values for every component; returns comps and value columns."""
-    comps = _components(instance)
-    cols = []
-    for _, _, vals, probs in comps:
-        idx = rng.choice(len(vals), size=count, p=np.asarray(probs) / sum(probs))
-        cols.append([vals[k] for k in idx])
-    return comps, cols
+def _draw_periods(
+    instance: Instance, count: int, rng: np.random.Generator
+) -> List[List[ExogenousRealization]]:
+    """count i.i.d. realizations per period, each with its model probability.
 
-
-def sample_scenarios(instance: Instance, count: int, seed: int) -> List[Scenario]:
-    """count i.i.d. scenarios of length horizon; deterministic given seed."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    tau = instance.horizon
+    Per period, every component draws its count values in turn; the RNG call
+    order is part of every seeded sample.
+    """
     per_period = []
-    for _ in range(tau):
-        comps, cols = _draw_columns(instance, count, rng)
+    for _ in range(instance.horizon):
+        comps = _components(instance)
+        cols = []
+        for _, _, vals, probs in comps:
+            idx = rng.choice(len(vals), size=count, p=np.asarray(probs) / sum(probs))
+            cols.append([vals[k] for k in idx])
         zs = []
         for n in range(count):
-            values = [col[n] for col in cols]
-            z = _assemble(instance, comps, values, 0.0)
+            z = _assemble(instance, comps, [col[n] for col in cols], 0.0)
             zs.append(
                 ExogenousRealization(
                     z.inflow, z.outflow, z.spot_rates, realization_probability(z, instance)
                 )
             )
         per_period.append(zs)
+    return per_period
+
+
+def sample_scenarios(instance: Instance, count: int, seed: int) -> List[Scenario]:
+    """count i.i.d. scenarios of length horizon; deterministic given seed."""
+    per_period = _draw_periods(instance, count, np.random.Generator(np.random.Philox(seed)))
     out = []
     for n in range(count):
-        reals = tuple(per_period[t][n] for t in range(tau))
+        reals = tuple(zs[n] for zs in per_period)
         p = 1.0
         for z in reals:
             p *= z.probability
@@ -194,23 +197,13 @@ def build_sample_set(
         )
     if per_period_count < 1:
         raise ValueError("need at least one sample per period")
-    rng = np.random.Generator(np.random.Philox(seed))
-    reals_all = []
-    weights_all = []
-    for _ in range(instance.horizon):
-        comps, cols = _draw_columns(instance, per_period_count, rng)
-        zs = []
-        for n in range(per_period_count):
-            values = [col[n] for col in cols]
-            z = _assemble(instance, comps, values, 0.0)
-            zs.append(
-                ExogenousRealization(
-                    z.inflow, z.outflow, z.spot_rates, realization_probability(z, instance)
-                )
-            )
-        reals_all.append(tuple(zs))
-        weights_all.append(tuple([1.0 / per_period_count] * per_period_count))
-    return SampleSet(tuple(reals_all), tuple(weights_all), seed, mode)
+    per_period = _draw_periods(
+        instance, per_period_count, np.random.Generator(np.random.Philox(seed))
+    )
+    weights = tuple([1.0 / per_period_count] * per_period_count)
+    return SampleSet(
+        tuple(tuple(zs) for zs in per_period), (weights,) * instance.horizon, seed, mode
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from drayage.capopt import (
 from drayage.evaluation import per_scenario_optimum
 from drayage.model import CapacityPlan, ExogenousRealization, Scenario
 from drayage.mslp import InfeasibleLP
-from drayage.scenario import SampleSet, sample_scenarios
+from drayage.scenario import SampleSet, build_sample_set, sample_scenarios
 
 
 SMALL = OptConfig(restarts=1, max_iter=8, seed=7)
@@ -83,9 +83,17 @@ def test_total_flow_and_denominator(capacity_instance, demo_scenario):
         obj.close()
 
 
-def test_objective_mode_validated(capacity_instance):
+def test_objective_mode_validated(capacity_instance, demo_scenario):
+    # LP-valued with weighted_scenarios, DP-valued with sample_set: one of them
+    sample = build_sample_set(capacity_instance, 3, 0)
     with pytest.raises(ValueError):
-        CapacityObjective(capacity_instance, mode="grid")
+        CapacityObjective(capacity_instance)
+    with pytest.raises(ValueError):
+        CapacityObjective(
+            capacity_instance,
+            weighted_scenarios=((demo_scenario, 1.0),),
+            sample_set=sample,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +131,7 @@ def test_dp_and_lp_evaluators_agree_on_one_scenario(
         seed=0,
         mode="iid",
     )
-    dp_obj = CapacityObjective(capacity_instance, mode="saa-dp", sample_set=sample)
+    dp_obj = CapacityObjective(capacity_instance, sample_set=sample)
     caps = np.array([tuned_plan.capacity[1], tuned_plan.capacity[2]], float)
     try:
         v_lp = lp_obj.value_of_caps(caps)
@@ -220,6 +228,33 @@ def test_optimizer_plan_stays_in_box(capacity_instance, demo_scenario, baseline_
         obj.close()
 
 
+def test_reference_search_counts_and_trace(
+    capacity_instance, demo_scenario, baseline_plan
+):
+    # criterion 2's search: pins the L-BFGS-B path, not only where it ends
+    obj = scenario_objective(capacity_instance, demo_scenario)
+    try:
+        res = optimize_capacity(
+            obj, baseline_plan, OptConfig(restarts=1, max_iter=25, seed=0)
+        )
+    finally:
+        obj.close()
+    assert (res.iterations, res.gradient_evaluations, res.function_evaluations) == (
+        18, 84, 1344,
+    )
+    assert res.best_plan.capacity == {1: (0.0, 8.0, 0.0, 0.0), 2: (10.0, 10.0, 9.0, 2.0)}
+    assert res.total_cost == pytest.approx(439.2, abs=1e-9)
+    objectives = [
+        -446.8598742239233, -444.6646775912703, -440.1506565896016,
+        -440.0384897692571, -440.03816905282207, -439.26295953425415,
+        -439.2099101786654, -439.20236935485093, -439.2006556209763,
+        -439.2003466666667, -439.2,
+    ]
+    assert [row[0] for row in res.trace] == list(range(len(objectives)))
+    assert [row[1] for row in res.trace] == pytest.approx(objectives, abs=1e-9)
+    assert [row[2] for row in res.trace] == pytest.approx([9.7] * 10 + [0.0], abs=1e-6)
+
+
 def test_trace_csv_roundtrip(tmp_path, capacity_instance, demo_scenario, baseline_plan):
     obj = scenario_objective(capacity_instance, demo_scenario)
     try:
@@ -228,7 +263,8 @@ def test_trace_csv_roundtrip(tmp_path, capacity_instance, demo_scenario, baselin
         obj.close()
     path = tmp_path / "trace.csv"
     res.trace_to_csv(str(path))
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == len(res.trace)
     for row, (it, val, gn) in zip(rows, res.trace):
         assert int(row["iter"]) == it
@@ -267,7 +303,8 @@ def test_monte_carlo_samples_csv(tmp_path, capacity_instance, demo_scenario):
         _, stats = monte_carlo_search(obj, 50, seed=3, samples_out=str(path))
     finally:
         obj.close()
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 50
     feas = [r for r in rows if r["feasible"] == "1"]
     assert len(feas) == stats["feasible"]
@@ -308,8 +345,8 @@ def test_saa_rejects_zero_scenarios(capacity_instance):
 def test_quadratic_search_smoke(capacity_instance, demo_scenario):
     obj = scenario_objective(capacity_instance, demo_scenario)
     calls = []
-    value_of_caps = obj.value_of_caps
-    obj.value_of_caps = lambda caps: calls.append(1) or value_of_caps(caps)
+    values_of_caps = obj.values_of_caps
+    obj.values_of_caps = lambda caps_list: calls.extend(caps_list) or values_of_caps(caps_list)
     try:
         res = optimize_capacity_quadratic(obj, SMALL)
         assert np.isfinite(res.best_objective)
@@ -379,11 +416,10 @@ def test_lp_value_independent_of_worker_count(capacity_instance, monkeypatch):
     obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 60, 0))
     rng = np.random.default_rng(3)
     caps = [rng.uniform(3.0, 10.0, size=(2, 4)) for _ in range(8)]
-    evaluator = obj._lp_evaluator()
     try:
-        pooled = evaluator.value_batch(caps)
-        assert evaluator._pool is not None
-        values = [evaluator.value(c) for c in caps]
+        pooled = obj.values_of_caps(caps)
+        assert obj._pool is not None
+        values = [obj.value_of_caps(c) for c in caps]
     finally:
         obj.close()
     assert pooled == values
@@ -395,7 +431,7 @@ def test_single_plan_value_starts_no_pool(capacity_instance, monkeypatch):
     obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 60, 0))
     try:
         assert obj.value_of_caps(np.full((2, 4), 8.0)) is not None
-        assert obj._lp_evaluator()._pool is None
+        assert obj._pool is None
     finally:
         obj.close()
 
@@ -506,4 +542,8 @@ def test_exact_saa_is_deterministic(capacity_instance):
 
 def test_exact_rejects_dp_objective(capacity_instance):
     with pytest.raises(ValueError):
-        optimize_capacity_exact(CapacityObjective(capacity_instance, mode="saa-dp"))
+        optimize_capacity_exact(
+            CapacityObjective(
+                capacity_instance, sample_set=build_sample_set(capacity_instance, 3, 0)
+            )
+        )

@@ -81,7 +81,8 @@ def test_solve_policy_scenario_outputs(example_dir):
         "--out", str(out),
     )
     assert rc == 0
-    summary = json.load(open(out / "summary.json"))
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
     assert summary["cost_at_initial_state"] == pytest.approx(403.52, abs=1e-9)
     assert summary["rollout_total_cost"] == pytest.approx(403.52, abs=1e-9)
     assert summary["best_initial_state"] == {"entry": {"1": 0}, "exit": {"2": 8}}
@@ -90,7 +91,8 @@ def test_solve_policy_scenario_outputs(example_dir):
     # one surface per period plus the terminal row
     for t in range(1, 6):
         assert (out / f"value_surface_t{t}.csv").exists()
-    rows = list(csv.DictReader(open(out / "trajectory.csv")))
+    with open(out / "trajectory.csv") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 4
 
 
@@ -103,7 +105,8 @@ def test_solve_policy_enumerate_mode(example_dir):
         "--out", str(out),
     )
     assert rc == 0
-    summary = json.load(open(out / "summary.json"))
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
     assert summary["mode"] == "sample:enumerate"
     assert "rollout_total_cost" not in summary
     assert not (out / "trajectory.csv").exists()
@@ -155,6 +158,28 @@ def test_solve_policy_wrong_plan_shape(example_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["NaN", -3])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-policy", "--scenario", "scenario.json", "--plan"],
+        ["optimize-capacity", "--scenario", "scenario.json", "--start"],
+        ["regret", "--samples", "2", "--shared-plan"],
+    ],
+    ids=["solve-policy", "optimize-capacity", "regret"],
+)
+def test_bad_plan_capacity_exits_two(example_dir, monkeypatch, capsys, argv, bad):
+    # a negative or non-finite capacity is rejected before any output is written
+    monkeypatch.chdir(example_dir)
+    plan_path = example_dir / "bad_plan.json"
+    plan_path.write_text(json.dumps({"capacity": {"1": [4, bad, 4, 4], "2": [4, 4, 4, 4]}}))
+    rc = run_cli(argv[0], "--instance", "inst.json", *argv[1:], str(plan_path))
+    assert rc == 2
+    assert "source 1 in period 2" in capsys.readouterr().err
+    for name in ("policy_out", "capacity_out", "regret_out"):
+        assert not (example_dir / name).exists()
+
+
 def test_scenario_index_out_of_range(example_dir, monkeypatch):
     monkeypatch.chdir(example_dir)
     rc = run_cli(
@@ -180,7 +205,8 @@ def test_optimize_capacity_scenario_mode(example_dir):
         "--out", str(out),
     )
     assert rc == 0
-    summary = json.load(open(out / "summary.json"))
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
     assert summary["start_total_cost"] == pytest.approx(557.22, abs=1e-9)
     assert summary["best_total_cost"] <= summary["start_total_cost"] + 1e-9
     assert summary["improvement_pct"] >= -1e-9
@@ -204,7 +230,8 @@ def test_optimize_capacity_quadratic_is_certified(example_dir):
         "--out", str(out),
     )
     assert rc == 0
-    summary = json.load(open(out / "summary.json"))
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
     # the search is certified against the exact LP optimum of the same objective
     assert summary["exact_total_cost"] == pytest.approx(439.2, abs=1e-6)
     assert summary["optimality_gap"] == pytest.approx(
@@ -223,7 +250,8 @@ def test_optimize_capacity_saa_mode(example_dir):
         "--out", str(out),
     )
     assert rc == 0
-    summary = json.load(open(out / "summary.json"))
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
     assert summary["mode"] == "saa"
     assert (out / "best_plan.json").exists()
     # saa mode is the exact extensive-form LP: no gradients, no gap
@@ -255,12 +283,13 @@ def test_monte_carlo_outputs(example_dir):
         "--out", str(out),
     )
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "samples.csv")))
+    with open(out / "samples.csv") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 60
-    stats = {
-        (r["group"], r["stat"]): float(r["value"])
-        for r in csv.DictReader(open(out / "summary.csv"))
-    }
+    with open(out / "summary.csv") as f:
+        stats = {
+            (r["group"], r["stat"]): float(r["value"]) for r in csv.DictReader(f)
+        }
     assert stats[("counts", "feasible")] + stats[("counts", "infeasible")] == 60
     assert stats[("total_cost", "min")] >= 439.2 - 1e-6
     assert (out / "best_plan.json").exists()
@@ -307,13 +336,16 @@ def test_regret_outputs(example_dir):
         "--out", str(out),
     )
     assert rc == 0
-    rows = list(csv.DictReader(open(out / "regret.csv")))
+    with open(out / "regret.csv") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 10
     assert {r["sample"] for r in rows} == {"in", "out"}
-    summary = json.load(open(out / "summary.json"))
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
     assert -1.0 <= summary["spearman"] <= 1.0
     assert summary["in_sample"]["min"] >= -1e-9
-    assert len(list(csv.DictReader(open(out / "generalization.csv")))) == 101
+    with open(out / "generalization.csv") as f:
+        assert len(list(csv.DictReader(f))) == 101
     assert (out / "scenarios_in.json").exists()
     assert (out / "scenarios_out.json").exists()
 

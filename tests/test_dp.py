@@ -415,14 +415,16 @@ def test_csv_exports_roundtrip(
 
     vpath = tmp_path / "value.csv"
     vt.to_csv(str(vpath))
-    rows = list(csv.DictReader(open(vpath)))
+    with open(vpath) as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == (capacity_instance.horizon + 1) * vt.indexer.n_states
     probe = next(r for r in rows if r["t"] == "1" and r["entry"] == "0" and r["exit"] == "8")
     assert float(probe["value"]) == vt.value(1, S08)
 
     ppath = tmp_path / "policy.csv"
     pt.to_csv(str(ppath))
-    prows = list(csv.DictReader(open(ppath)))
+    with open(ppath) as f:
+        prows = list(csv.DictReader(f))
     assert len(prows) == capacity_instance.horizon * pt.indexer.n_states
     pprobe = next(
         r for r in prows if r["t"] == "1" and r["entry"] == "0" and r["exit"] == "8"
@@ -431,7 +433,8 @@ def test_csv_exports_roundtrip(
 
     tpath = tmp_path / "trajectory.csv"
     traj.to_csv(str(tpath))
-    trows = list(csv.DictReader(open(tpath)))
+    with open(tpath) as f:
+        trows = list(csv.DictReader(f))
     assert len(trows) == capacity_instance.horizon
     assert sum(float(r["immediate_cost"]) for r in trows) == pytest.approx(
         traj.total_cost + terminal_value(traj.steps[-1].next_state, capacity_instance.costs),
@@ -440,7 +443,8 @@ def test_csv_exports_roundtrip(
 
     spath = tmp_path / "surface.csv"
     value_surface(vt, 1).to_csv(str(spath))
-    srows = list(csv.DictReader(open(spath)))
+    with open(spath) as f:
+        srows = list(csv.DictReader(f))
     assert len(srows) == 231
     sprobe = next(r for r in srows if r["entry"] == "0" and r["exit"] == "8")
     assert float(sprobe["value"]) == vt.value(1, S08)

@@ -148,7 +148,8 @@ def test_report_skips_nonfinite_and_writes_csv(
     path = tmp_path / "generalization.csv"
     report = generalization_report(records + [nan_rec], records, path=str(path))
     assert report["skipped_nonfinite"] == 1
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 101
     assert float(rows[0]["percentile"]) == 0.0
     assert float(rows[-1]["percentile"]) == 1.0
@@ -170,7 +171,8 @@ def test_regret_csv_roundtrip(tmp_path, capacity_instance, demo_scenario, tuned_
     records = regret_profile(capacity_instance, tuned_plan, [demo_scenario])
     path = tmp_path / "regret.csv"
     regret_to_csv([("in", records[0])], str(path))
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 1
     assert rows[0]["sample"] == "in"
     assert float(rows[0]["optimal"]) == pytest.approx(-439.2, abs=1e-9)
@@ -181,7 +183,8 @@ def test_summary_csv_roundtrip(tmp_path):
     stats = {"total_cost": summarize([1.0, 2.0, 3.0, 4.0]), "n": {"count": 4}}
     path = tmp_path / "summary.csv"
     summary_to_csv(stats, str(path))
-    rows = list(csv.DictReader(open(path)))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
     got = {(r["group"], r["stat"]): float(r["value"]) for r in rows}
     assert got[("total_cost", "median")] == 2.5
     assert got[("n", "count")] == 4.0

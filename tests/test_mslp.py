@@ -232,7 +232,8 @@ def test_with_plan_reprices_capacity_rows(
     capacity_instance, demo_scenario, baseline_plan, tuned_plan
 ):
     lp = build_mslp(capacity_instance, demo_scenario, baseline_plan)
-    retargeted = lp.with_plan(tuned_plan)
+    sids = [s.id for s in capacity_instance.sources]
+    retargeted = lp.with_caps_array(tuned_plan.as_array(sids), sids)
     direct = build_mslp(capacity_instance, demo_scenario, tuned_plan)
     assert np.array_equal(retargeted.b_ub, direct.b_ub)
     assert solve_mslp(retargeted).cost == pytest.approx(403.52, abs=1e-9)
