@@ -5,7 +5,11 @@ lane) pairs at minimal cost subject to: total volume matches A_t, per-source
 capacity, per-entry availability (current stock plus inflow), per-exit space
 (storage bound minus current stock), and nonnegativity. Infeasibility is a
 signal: the action A_t is excluded from the feasible action set rather than
-penalized.
+penalized. Single-lane problems have a closed form (split_volume), the rest
+a dense tableau (tableau_simplex): at a handful of variables and thousands of
+solves per DP sweep it beats HiGHS (lp.solve_lp) on per-call overhead, and
+its fixed pivot rule decides which cost-tied allocation, and so which next
+state, the DP sees.
 
 The state transition applies the per-lane move totals and the realized
 inflows/outflows, clamping to the stock bounds. Excess inflow above an entry
@@ -18,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .lp import solve_lp
 from .model import (
     Bounds,
     CapacityPlan,
@@ -102,11 +105,107 @@ def split_volume(
     return cost, moves
 
 
+EPS = 1e-9
+
+
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    other = T[:, col].copy()
+    other[row] = 0.0
+    T -= np.outer(other, T[row])
+
+
+def tableau_simplex(c, A_eq, b_eq, A_ub, b_ub) -> Optional[np.ndarray]:
+    """Minimize c'x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0; None if infeasible.
+
+    Two-phase dense tableau over [x | slacks | artificials]. Pricing is
+    Dantzig (most improving reduced cost) until a run of degenerate pivots
+    suggests cycling, then Bland (lowest index) until the objective moves
+    again; the ratio test breaks ties toward the lowest basic variable index.
+    The pivot sequence is deterministic, so repeated solves of the same data
+    return the same vertex. Raises RuntimeError on an unbounded objective,
+    which a volume-matching allocation LP never has.
+    """
+    c = np.asarray(c, dtype=float)
+    n, n_ub = c.size, len(b_ub)
+    A = np.vstack([
+        np.hstack([np.reshape(A_ub, (n_ub, n)), np.eye(n_ub)]),
+        np.hstack([np.reshape(A_eq, (len(b_eq), n)), np.zeros((len(b_eq), n_ub))]),
+    ])
+    b = np.concatenate([b_ub, b_eq]).astype(float)
+    neg = b < 0  # normalize to b >= 0 so the artificial start is feasible
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    m = A.shape[0]
+    ns = n + n_ub  # structural + slack count
+    T = np.hstack([A, np.eye(m)])
+    basis = np.arange(ns, ns + m)
+    basic = np.arange(ns + m) >= ns
+    xval = np.r_[np.zeros(ns), b]
+
+    def run_phase(cost, allowed):
+        """Pivot until no allowed column improves cost; False if unbounded."""
+        stalled = 0
+        for _ in range(50000):
+            gain = -(cost - cost[basis] @ T)  # minus the reduced costs
+            gain[basic | ~allowed] = -np.inf
+            if stalled < 40:
+                enter = int(np.argmax(gain))
+            else:  # Bland fallback: first improving index
+                improving = gain > EPS
+                enter = int(np.argmax(improving)) if improving.any() else 0
+            if gain[enter] <= EPS:
+                return True
+            col = T[:, enter]
+            up = col > EPS
+            ratios = np.full(len(basis), np.inf)
+            ratios[up] = np.maximum(xval[basis][up] / col[up], 0.0)
+            step = ratios.min(initial=np.inf)
+            if not np.isfinite(step):
+                return False
+            cand = np.where(ratios <= step + EPS)[0]
+            leave_row = int(cand[np.argmin(basis[cand])])
+            stalled = stalled + 1 if step <= EPS else 0
+            xval[basis] -= step * col
+            xval[enter] = step
+            out = basis[leave_row]
+            xval[out] = 0.0
+            basic[out], basic[enter] = False, True
+            basis[leave_row] = enter
+            _pivot(T, leave_row, enter)
+        raise RuntimeError("simplex iteration limit exceeded")
+
+    # Phase 1: drive the artificials to zero.
+    run_phase(np.r_[np.zeros(ns), np.ones(m)], np.ones(ns + m, dtype=bool))
+    if xval[ns:].sum() > 1e-7:
+        return None
+
+    # Pivot out artificials left basic at level zero; drop redundant rows.
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        if basis[i] >= ns:
+            cols = np.flatnonzero(~basic[:ns] & (np.abs(T[i, :ns]) > 1e-7))
+            if not cols.size:
+                keep[i] = False
+                continue
+            j = int(cols[0])
+            xval[basis[i]] = 0.0
+            basic[basis[i]], basic[j] = False, True
+            basis[i] = j
+            _pivot(T, i, j)
+    T, basis = T[keep], basis[keep]
+
+    # Phase 2 over structural and slack columns only.
+    if not run_phase(np.r_[c, np.zeros(n_ub + m)], np.arange(ns + m) < ns):
+        raise RuntimeError("allocation LP unbounded")
+    return np.clip(xval[:n], 0.0, np.inf)
+
+
 def solve_allocation(problem: AllocationProblem):
     """Cost-minimal feasible allocation, or INFEASIBLE.
 
     Single-lane problems use a closed-form greedy fill; general problems go
-    through the bounded-variable simplex. The simplex sees entry availability
+    through tableau_simplex. The simplex sees entry availability
     and exit space clipped to the total volume: no lane can carry more, so
     the feasible set is the same, and among cost-tied allocations the one
     returned then depends only on the clipped problem. The DP's stage tables
@@ -139,32 +238,25 @@ def solve_allocation(problem: AllocationProblem):
         cost, moves = split
         return Allocation({key: m for key, m in zip(keys, moves)}, cost)
 
-    # General case: one variable per (source, lane).
-    n = len(keys)
+    # General case: one variable per (source, lane), one 0/1 row per source
+    # cap, entry availability and exit space (the last two clipped to A).
     c = np.array([problem.lane_costs[k] for k in keys])
-    A_eq = np.ones((1, n))
-    b_eq = np.array([A])
-    rows = []
-    rhs = []
-    for sid, cap in sorted(problem.source_caps.items()):
-        row = np.array([1.0 if k == sid else 0.0 for (k, _) in keys])
-        if row.any():
-            rows.append(row)
-            rhs.append(cap)
-    for i, avail in sorted(problem.entry_available.items()):
-        row = np.array([1.0 if lane[0] == i else 0.0 for (_, lane) in keys])
-        if row.any():
-            rows.append(row)
-            rhs.append(min(avail, A))
-    for j, space in sorted(problem.exit_space.items()):
-        row = np.array([1.0 if lane[1] == j else 0.0 for (_, lane) in keys])
-        if row.any():
-            rows.append(row)
-            rhs.append(min(space, A))
-    res = solve_lp(c, A_eq=A_eq, b_eq=b_eq, A_ub=np.array(rows), b_ub=np.array(rhs))
-    if res.status != "optimal":
+    where = np.array([(k, i, j) for (k, (i, j)) in keys])
+    rows, rhs = [], []
+    for col, limits, most in (
+        (0, problem.source_caps, np.inf),
+        (1, problem.entry_available, A),
+        (2, problem.exit_space, A),
+    ):
+        for loc, limit in sorted(limits.items()):
+            row = (where[:, col] == loc).astype(float)
+            if row.any():
+                rows.append(row)
+                rhs.append(min(limit, most))
+    x = tableau_simplex(c, np.ones((1, len(keys))), np.array([A]), rows, rhs)
+    if x is None:
         return INFEASIBLE
-    return Allocation({k: float(x) for k, x in zip(keys, res.x)}, float(res.objective))
+    return Allocation({k: float(v) for k, v in zip(keys, x)}, float(c @ x))
 
 
 def lane_costs(

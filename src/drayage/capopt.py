@@ -30,9 +30,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from .dp import solve_expected
+from .lp import solve_lp
 from .model import CapacityPlan, Instance, Scenario
 from .mslp import InfeasibleLP, MultistageLP, build_mslp, solve_mslp
 from .scenario import SampleSet
@@ -280,6 +281,16 @@ class OptConfig:
     max_iter: int = 60
     restarts: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError(f"fd_step is {self.fd_step}; need a finite value > 0")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance is {self.tolerance}; need tolerance >= 0")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter is {self.max_iter}; need max_iter >= 1")
+        if self.restarts < 0:
+            raise ValueError(f"restarts is {self.restarts}; need restarts >= 0")
 
 
 @dataclass
@@ -610,19 +621,16 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
     rates = obj.rates_array().ravel()
     box = obj.box_upper.ravel()
     upper = np.concatenate([box] + [lp.upper for lp, _ in blocks])
-    res = linprog(
+    res = solve_lp(
         np.concatenate([rates] + [w * lp.c for lp, w in blocks]),
-        A_ub=A_ub,
-        b_ub=np.concatenate([lp.b_ub for lp, _ in blocks]),
-        A_eq=A_eq,
-        b_eq=np.concatenate([lp.b_eq for lp, _ in blocks]),
-        bounds=np.column_stack([np.zeros_like(upper), upper]),
-        method="highs",
+        A_eq, np.concatenate([lp.b_eq for lp, _ in blocks]),
+        A_ub, np.concatenate([lp.b_ub for lp, _ in blocks]),
+        upper,
     )
-    if res.status == 2:
+    if res.status == "infeasible":
         raise InfeasibleLP("no capacity plan in the box operates every scenario")
-    if res.status != 0:
-        raise RuntimeError(f"extensive-form LP failed: {res.message}")
+    if res.status != "optimal":
+        raise RuntimeError(f"extensive-form LP {res.status}")
 
     usage = np.zeros(nx)
     offset = nx
@@ -637,11 +645,11 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
         best_plan=plan,
         best_objective=best,
         total_cost=-best,
-        iterations=int(res.nit),
+        iterations=res.iterations,
         gradient_evaluations=0,
         function_evaluations=1,
         trace=[(0, best, 0.0)],
-        lp_objective=float(res.fun),
+        lp_objective=res.objective,
         dropped_scenarios=obj.dropped_scenarios,
     )
 

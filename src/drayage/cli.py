@@ -69,6 +69,13 @@ def _load_scenario(path: str, index: int, instance: model.Instance) -> model.Sce
     return sc
 
 
+def _seed(text: str) -> int:
+    """argparse type of the seed flags: an integer >= 0, as numpy requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
 def _outdir(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -358,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-instance", help="write a synthetic instance.json")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_seed, required=True)
     g.add_argument("--entries", type=int, default=1)
     g.add_argument("--exits", type=int, default=1)
     g.add_argument("--strategic", type=int, default=1, help="number of strategic bids")
@@ -382,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scenario-index", type=int, default=0)
     s.add_argument("--sample-mode", choices=["enumerate", "iid"])
     s.add_argument("--samples", type=int, default=100, help="draws per period (iid)")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--plan", help="capacity plan JSON (default: seeded plan)")
     s.add_argument("--out", default="policy_out")
     s.set_defaults(func=cmd_solve_policy)
@@ -396,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--scenario", help="scenarios.json path (scenario mode)")
     o.add_argument("--scenario-index", type=int, default=0)
     o.add_argument("--samples", type=int, default=1000, help="scenario count (saa)")
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=_seed, default=0)
     o.add_argument(
         "--start", help="plan JSON the result is compared with (default: seeded plan)"
     )
@@ -416,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--scenario", required=True, help="scenarios.json path")
     m.add_argument("--scenario-index", type=int, default=0)
     m.add_argument("--count", type=int, default=10000)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--out", default="mc_out")
     m.set_defaults(func=cmd_monte_carlo)
 
@@ -424,8 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--instance", required=True)
     r.add_argument("--shared-plan", required=True)
     r.add_argument("--samples", type=int, default=1000)
-    r.add_argument("--in-seed", type=int, default=1)
-    r.add_argument("--out-seed", type=int, default=2)
+    r.add_argument("--in-seed", type=_seed, default=1)
+    r.add_argument("--out-seed", type=_seed, default=2)
     r.add_argument("--out", default="regret_out")
     r.set_defaults(func=cmd_regret)
     return p

@@ -1,28 +1,21 @@
-"""Dense bounded-variable primal simplex.
+"""The package's HiGHS wrapper.
 
 Solves   min c'x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  0 <= x <= upper
 
-with a two-phase tableau method. Variables may have finite or infinite upper
-bounds; nonbasic variables rest at either bound and the ratio test allows
-bound-to-bound flips. Bland's anti-cycling rule (smallest index) makes the
-pivot sequence deterministic, so repeated solves of the same data return the
-same vertex.
-
-The problems this package generates are tiny (tens of variables), so a dense
-tableau is both the simplest and the fastest option; no factorization updates
-or sparsity handling are attempted.
+with scipy's `linprog(method="highs")`. It serves the per-scenario
+multistage LP (mslp.solve_mslp) and the extensive-form capacity LP
+(capopt.optimize_capacity_exact); rows may be dense arrays or scipy sparse
+matrices. The tiny per-period allocation LP has its own dense tableau in
+alloc, where linprog's per-call overhead would cost more than the solve.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import linprog
 
-EPS = 1e-9
-
-AT_LOWER = 0
-AT_UPPER = 1
-BASIC = 2
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
@@ -30,197 +23,24 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
+    iterations: int  # HiGHS simplex / IPM iterations
 
 
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, upper=None) -> LPResult:
-    """Minimize c'x subject to equalities, inequalities and box bounds [0, upper].
+    """Minimize c'x subject to equalities, inequalities and bounds [0, upper].
 
-    upper may contain np.inf. Returns LPResult; x has the caller's variable
-    order (slacks and artificials are internal).
+    upper may contain np.inf (None: no upper bounds). x is clipped into the
+    box; the objective is HiGHS's optimal value, which differs from c'x at
+    the clipped point only by round-off. Any HiGHS outcome other than an
+    optimum, infeasibility or unboundedness (an iteration limit, numerical
+    trouble) raises RuntimeError.
     """
     c = np.asarray(c, dtype=float)
-    n = c.size
-    if upper is None:
-        upper = np.full(n, np.inf)
-    else:
-        upper = np.asarray(upper, dtype=float).copy()
-
-    rows = []
-    rhs = []
-    n_ub = 0
-    if A_ub is not None and len(A_ub) > 0:
-        A_ub = np.asarray(A_ub, dtype=float).reshape(len(b_ub), n)
-        b_ub = np.asarray(b_ub, dtype=float)
-        n_ub = A_ub.shape[0]
-        rows.append(np.hstack([A_ub, np.eye(n_ub)]))
-        rhs.append(b_ub)
-    if A_eq is not None and len(A_eq) > 0:
-        A_eq = np.asarray(A_eq, dtype=float).reshape(len(b_eq), n)
-        b_eq = np.asarray(b_eq, dtype=float)
-        pad = np.zeros((A_eq.shape[0], n_ub))
-        rows.append(np.hstack([A_eq, pad]))
-        rhs.append(b_eq)
-
-    if not rows:
-        # Pure box problem.
-        x = np.where(c > 0.0, 0.0, np.where(np.isfinite(upper), upper, 0.0))
-        if np.any((c < -EPS) & ~np.isfinite(upper)):
-            return LPResult("unbounded", None, None)
-        return LPResult("optimal", x, float(c @ x))
-
-    A = np.vstack(rows) if len(rows) > 1 else rows[0]
-    if A.shape[1] < n + n_ub:  # only equalities, no slack block
-        A = np.hstack([A, np.zeros((A.shape[0], n + n_ub - A.shape[1]))])
-    b = np.concatenate(rhs)
-    m = A.shape[0]
-    ns = n + n_ub  # structural + slack count
-    ub_all = np.concatenate([upper, np.full(n_ub, np.inf)])
-
-    # Normalize to b >= 0 so the artificial start is feasible.
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Tableau over [structural+slack | artificial] columns.
-    T = np.hstack([A, np.eye(m)])
-    ub_full = np.concatenate([ub_all, np.full(m, np.inf)])
-    ntot = ns + m
-    status = np.full(ntot, AT_LOWER, dtype=np.int8)
-    basis = np.arange(ns, ns + m)
-    status[basis] = BASIC
-    xval = np.zeros(ntot)
-    xval[basis] = b.copy()
-
-    # Fixed variables (upper == 0) can never enter.
-    fixed = ub_full <= EPS
-
-    def run_phase(cost, allowed):
-        """Pivot until optimal for the given cost over allowed entering columns.
-
-        Pricing is Dantzig (most improving reduced cost) until a run of
-        degenerate pivots suggests cycling, then Bland (lowest index) until
-        the objective moves again; both tie-break on the lowest index, so
-        the pivot sequence stays deterministic.
-        """
-        nonlocal T
-        stalled = 0
-        for _ in range(50000):
-            cb = cost[basis]
-            # reduced costs via the updated tableau: z = c - cb' T
-            z = cost - cb @ T
-            eligible = (status != BASIC) & allowed & ~fixed
-            # improvement per unit increase along the feasible direction
-            gain = np.where(status == AT_UPPER, z, -z)
-            gain[~eligible] = -np.inf
-            if stalled < 40:
-                enter = int(np.argmax(gain))
-            else:  # Bland fallback: first improving index
-                improving = gain > EPS
-                enter = int(np.argmax(improving)) if improving.any() else 0
-            if gain[enter] <= EPS:
-                return True  # optimal for this phase
-            direction = -1.0 if status[enter] == AT_UPPER else 1.0
-            col = T[:, enter] * direction
-            # Ratio test: basic vars hitting a bound, or the entering variable
-            # flipping to its other bound. Lowest variable index on ties.
-            xb = xval[basis]
-            ubb = ub_full[basis]
-            up = col > EPS
-            dn = (col < -EPS) & np.isfinite(ubb)
-            ratios = np.full(m, np.inf)
-            ratios[up] = np.maximum(xb[up] / col[up], 0.0)
-            ratios[dn] = np.maximum((ubb[dn] - xb[dn]) / (-col[dn]), 0.0)
-            best_ratio = min(ratios.min(initial=np.inf), ub_full[enter])
-            if not np.isfinite(best_ratio):
-                return False  # unbounded direction
-            near = ratios <= best_ratio + EPS
-            if near.any():
-                cand = np.where(near)[0]
-                leave_row = int(cand[np.argmin(basis[cand])])
-                bound_flip = ub_full[enter] + EPS < ratios[leave_row] or (
-                    ub_full[enter] <= ratios[leave_row] + EPS
-                    and enter < basis[leave_row]
-                    and np.isfinite(ub_full[enter])
-                )
-            else:
-                leave_row = -1
-                bound_flip = True
-            step = best_ratio
-            stalled = stalled + 1 if step <= EPS else 0
-            if bound_flip:
-                # Entering variable runs to its other bound: no basis change.
-                xval[basis] -= step * col
-                if status[enter] == AT_LOWER:
-                    status[enter] = AT_UPPER
-                    xval[enter] = ub_full[enter]
-                else:
-                    status[enter] = AT_LOWER
-                    xval[enter] = 0.0
-                continue
-            # Update values, swap basis.
-            leave_to = AT_LOWER if up[leave_row] else AT_UPPER
-            xval[basis] -= step * col
-            if status[enter] == AT_LOWER:
-                xval[enter] = step
-            else:
-                xval[enter] = ub_full[enter] - step
-            out = basis[leave_row]
-            xval[out] = ub_full[out] if leave_to == AT_UPPER else 0.0
-            status[out] = leave_to
-            status[enter] = BASIC
-            basis[leave_row] = enter
-            piv = T[leave_row, enter]
-            T[leave_row] /= piv
-            other = T[:, enter].copy()
-            other[leave_row] = 0.0
-            T -= np.outer(other, T[leave_row])
-        raise RuntimeError("simplex iteration limit exceeded")
-
-    # Phase 1: drive artificials to zero.
-    cost1 = np.zeros(ntot)
-    cost1[ns:] = 1.0
-    allowed1 = np.ones(ntot, dtype=bool)
-    run_phase(cost1, allowed1)
-    if xval[ns:].sum() > 1e-7:
-        return LPResult("infeasible", None, None)
-
-    # Remove artificials still in the basis at level zero.
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= ns:
-            pivot_col = -1
-            for j in range(ns):
-                if status[j] != BASIC and not fixed[j] and abs(T[i, j]) > 1e-7:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                drop_rows.append(i)  # redundant row
-                continue
-            out = basis[i]
-            status[out] = AT_LOWER
-            xval[out] = 0.0
-            status[pivot_col] = BASIC
-            basis[i] = pivot_col
-            piv = T[i, pivot_col]
-            T[i] /= piv
-            other = T[:, pivot_col].copy()
-            other[i] = 0.0
-            T -= np.outer(other, T[i])
-    if drop_rows:
-        keep = [i for i in range(m) if i not in set(drop_rows)]
-        T = T[keep]
-        basis = basis[keep]
-        m = len(keep)
-
-    # Phase 2 over structural and slack columns only.
-    cost2 = np.zeros(ntot)
-    cost2[:n] = c
-    allowed2 = np.zeros(ntot, dtype=bool)
-    allowed2[:ns] = True
-    ok = run_phase(cost2, allowed2)
-    if not ok:
-        return LPResult("unbounded", None, None)
-
-    x = xval[:n].copy()
-    np.clip(x, 0.0, np.where(np.isfinite(upper), upper, np.inf), out=x)
-    return LPResult("optimal", x, float(c @ x))
+    upper = np.full(c.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    bounds = np.column_stack([np.zeros(c.size), upper])
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    if res.status not in _STATUS:
+        raise RuntimeError(f"HiGHS stopped with status {res.status}: {res.message}")
+    if res.status != 0:
+        return LPResult(_STATUS[res.status], None, None, int(res.nit))
+    return LPResult("optimal", np.clip(res.x, 0.0, upper), float(res.fun), int(res.nit))

@@ -325,8 +325,11 @@ def generate_instance(seed: int, shape: Dict) -> Instance:
     cost_mean, cost_sd, cost_min, capacity_levels. Lanes are the full I x J
     product; each bid is a random nonempty lane subset with a random winning
     carrier, and each (bid, winner) pair becomes one strategic source.
-    capacity_levels fixes all stock bounds and action_max, so capacity plans
-    live on the grid {0..capacity_levels} per source-period.
+    Without spot sources the last bid also takes every lane no earlier bid
+    drew, so every lane is served. capacity_levels fixes all stock bounds
+    and action_max, so capacity plans live on the grid {0..capacity_levels}
+    per source-period. A shape that admits no valid instance raises
+    ValueError naming the key.
     """
     n_entries = int(shape["n_entries"])
     n_exits = int(shape["n_exits"])
@@ -340,6 +343,13 @@ def generate_instance(seed: int, shape: Dict) -> Instance:
     n_carriers = int(shape.get("n_carriers", max(n_bids, 1)))
     if n_entries < 1 or n_exits < 1:
         raise ValueError("shape with zero lanes: need n_entries >= 1 and n_exits >= 1")
+    for key, val, lo in (("horizon", horizon, 1), ("n_bids", n_bids, 0), ("n_spot", n_spot, 0),
+                         ("n_carriers", n_carriers, 1), ("capacity_levels", levels, 0),
+                         ("cost_sd", cost_sd, 0)):
+        if not val >= lo:
+            raise ValueError(f"shape {key} is {val}; need {key} >= {lo}")
+    if n_bids + n_spot < 1:
+        raise ValueError("shape has no source: need n_bids + n_spot >= 1")
     if not cost_min < cost_mean:
         raise ValueError("need cost_min < cost_mean")
 
@@ -350,11 +360,16 @@ def generate_instance(seed: int, shape: Dict) -> Instance:
 
     sources: List[Source] = []
     sid = 0
+    covered = set()
     for _ in range(n_bids):
         sid += 1
         k = int(rng.integers(1, len(lanes) + 1))
         pick = rng.choice(len(lanes), size=k, replace=False)
-        bid_lanes = tuple(sorted(lanes[int(p)] for p in pick))
+        drawn = {lanes[int(p)] for p in pick}
+        if n_spot == 0 and sid == n_bids:
+            drawn |= set(lanes) - covered
+        covered |= drawn
+        bid_lanes = tuple(sorted(drawn))
         rng.integers(0, n_carriers)  # winner draw; identity folded into the source id
         cost = {
             lane: tuple([_truncated_normal(rng, cost_mean, cost_sd, cost_min)] * horizon)

@@ -4,7 +4,8 @@ Continuous relaxation of the per-scenario control problem: moves are real,
 state balance holds as equalities with hard bounds (no clamping), and the
 exit stock is split into nonnegative parts splus - sminus. Used as the
 differentiable surrogate for capacity search and as a relaxation cross-check
-on the DP.
+on the DP. solve_mslp solves it with HiGHS through lp.solve_lp, the same
+solver capopt.optimize_capacity_exact uses for the stacked blocks.
 
 The relaxation bounds the DP only along unclamped trajectories. The DP
 transition (alloc.transition) clamps stocks into their bounds, dropping entry
@@ -59,7 +60,6 @@ class MultistageLP:
     A_ub: np.ndarray
     b_ub: np.ndarray
     upper: np.ndarray
-    names: List[str]
     move_cols: Dict[Tuple[int, Lane, int], int]  # (source, lane, period)
     entry_cols: Dict[Tuple[int, int], int]  # (entry, period 1..tau+1)
     splus_cols: Dict[Tuple[int, int], int]
@@ -116,7 +116,6 @@ def build_mslp(
     costs = instance.costs
     a_entry, a_plus, a_minus = _terminal_slope_maps(instance)
 
-    names: List[str] = []
     cvec: List[float] = []
     upper: List[float] = []
     move_cols: Dict[Tuple[int, Lane, int], int] = {}
@@ -124,11 +123,10 @@ def build_mslp(
     splus_cols: Dict[Tuple[int, int], int] = {}
     sminus_cols: Dict[Tuple[int, int], int] = {}
 
-    def add_col(name, cost, ub):
-        names.append(name)
+    def add_col(cost, ub):
         cvec.append(float(cost))
         upper.append(np.inf if ub is None else float(ub))
-        return len(names) - 1
+        return len(cvec) - 1
 
     for s in instance.sources:
         for lane in sorted(s.lanes):
@@ -138,26 +136,21 @@ def build_mslp(
                 else:
                     rate = scenario.realizations[t - 1].spot_rates[s.id][lane]
                 rate += extra.get((s.id, t), 0.0)
-                i, j = lane
-                move_cols[(s.id, lane, t)] = add_col(
-                    f"move[{s.id}][{i}][{j}][{t}]", rate, None
-                )
+                move_cols[(s.id, lane, t)] = add_col(rate, None)
     for i in net.entries:
         for t in range(1, tau + 2):
             cost = costs.entry_holding[i] if t <= tau else a_entry[i]
-            entry_cols[(i, t)] = add_col(f"entry[{i}][{t}]", cost, b.entry_max[i])
+            entry_cols[(i, t)] = add_col(cost, b.entry_max[i])
     for j in net.exits:
         for t in range(1, tau + 2):
             cost = costs.exit_holding[j] if t <= tau else a_plus[j]
-            splus_cols[(j, t)] = add_col(f"splus[{j}][{t}]", cost, b.exit_max[j])
+            splus_cols[(j, t)] = add_col(cost, b.exit_max[j])
     for j in net.exits:
         for t in range(1, tau + 2):
             cost = costs.exit_backorder[j] if t <= tau else a_minus[j]
-            sminus_cols[(j, t)] = add_col(
-                f"sminus[{j}][{t}]", cost, b.exit_backorder_max[j]
-            )
+            sminus_cols[(j, t)] = add_col(cost, b.exit_backorder_max[j])
 
-    n = len(names)
+    n = len(cvec)
     eq_rows: List[Tuple[Dict[int, float], float]] = []
     ub_rows: List[Tuple[Dict[int, float], float]] = []
 
@@ -239,7 +232,6 @@ def build_mslp(
         A_ub=A_ub,
         b_ub=b_ub,
         upper=np.array(upper),
-        names=names,
         move_cols=move_cols,
         entry_cols=entry_cols,
         splus_cols=splus_cols,
@@ -289,56 +281,3 @@ def solve_mslp(lp: MultistageLP) -> MSLPSolution:
         integral=integral,
         x=x,
     )
-
-
-def expected_value_lp(
-    instance: Instance,
-    weighted_scenarios: Sequence[Tuple[Scenario, float]],
-    plan: CapacityPlan,
-    initial: str = "fixed",
-) -> float:
-    """Weighted average of per-scenario optima, negated to the value sign.
-
-    This is the wait-and-see estimator: each scenario gets its own adapted
-    decisions. Per-scenario infeasibility propagates.
-    """
-    total_w = sum(w for _, w in weighted_scenarios)
-    if abs(total_w - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {total_w}, expected 1")
-    value = 0.0
-    for sc, w in weighted_scenarios:
-        lp = build_mslp(instance, sc, plan, initial=initial)
-        value += w * (-solve_mslp(lp).cost)
-    return value
-
-
-def write_lp_text(lp: MultistageLP, path: str) -> None:
-    """LP-format text export for cross-checking with external solvers."""
-
-    def term(coef, name, first):
-        sign = "" if (first and coef >= 0) else ("+ " if coef >= 0 else "- ")
-        mag = float(abs(coef))
-        return f"{sign}{mag!r} {name}"
-
-    def row_text(row):
-        parts = []
-        idx = np.nonzero(row)[0]
-        for k, col in enumerate(idx):
-            parts.append(term(row[col], lp.names[col], k == 0))
-        return " ".join(parts) if parts else "0 " + lp.names[0]
-
-    with open(path, "w") as f:
-        f.write("Minimize\n obj: " + row_text(lp.c) + "\n")
-        f.write("Subject To\n")
-        for r in range(lp.A_eq.shape[0]):
-            f.write(f" eq{r}: " + row_text(lp.A_eq[r]) + f" = {float(lp.b_eq[r])!r}\n")
-        for r in range(lp.A_ub.shape[0]):
-            f.write(f" ub{r}: " + row_text(lp.A_ub[r]) + f" <= {float(lp.b_ub[r])!r}\n")
-        f.write("Bounds\n")
-        for col, name in enumerate(lp.names):
-            ub = lp.upper[col]
-            if np.isfinite(ub):
-                f.write(f" 0 <= {name} <= {float(ub)!r}\n")
-            else:
-                f.write(f" 0 <= {name}\n")
-        f.write("End\n")

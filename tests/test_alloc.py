@@ -1,8 +1,9 @@
-"""Per-period allocation solver against integer brute force, plus cost and
-transition semantics."""
+"""Per-period allocation solver against integer brute force, its dense
+tableau against HiGHS, plus cost and transition semantics."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from helpers import brute_force_allocation, micro_instance, micro_scenario
 from drayage.alloc import (
@@ -14,6 +15,7 @@ from drayage.alloc import (
     plan_caps_at,
     solve_allocation,
     split_volume,
+    tableau_simplex,
     transition,
 )
 from drayage.model import SystemState
@@ -131,6 +133,68 @@ def test_moves_reconstruct_cost():
             continue
         rebuilt = sum(problem.lane_costs[k] * m for k, m in r.moves.items())
         assert rebuilt == pytest.approx(r.cost, abs=1e-9)
+
+
+def _allocation_lp(rng):
+    """Random allocation-shaped LP: x >= 0 with no upper bounds, one
+    volume row sum(x) = total, and 0/1 capacity rows with integer limits
+    (integer data makes degenerate vertices common)."""
+    n = int(rng.integers(2, 9))
+    c = rng.uniform(1, 20, n).round(2)
+    A_ub = (rng.uniform(size=(int(rng.integers(1, 7)), n)) < 0.5).astype(float)
+    b_ub = rng.integers(0, 6, A_ub.shape[0]).astype(float)
+    return c, np.ones((1, n)), np.array([float(rng.integers(1, 8))]), A_ub, b_ub
+
+
+def test_tableau_matches_highs_on_allocation_lps():
+    rng = np.random.default_rng(17)
+    infeasible = 0
+    for _ in range(300):
+        c, A_eq, b_eq, A_ub, b_ub = _allocation_lp(rng)
+        x = tableau_simplex(c, A_eq, b_eq, A_ub, b_ub)
+        ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
+        assert ref.status in (0, 2)
+        if ref.status == 2:
+            assert x is None
+            infeasible += 1
+            continue
+        assert x is not None
+        assert float(c @ x) == pytest.approx(ref.fun, abs=1e-7)
+        assert np.all(x >= 0.0)
+        assert np.allclose(A_eq @ x, b_eq, atol=1e-9)
+        assert np.all(A_ub @ x <= b_ub + 1e-9)
+    assert 0 < infeasible < 300
+
+
+def test_tableau_detects_infeasible_volume():
+    # three units over two sources capped at one each
+    x = tableau_simplex(
+        np.array([1.0, 2.0]), np.ones((1, 2)), np.array([3.0]), np.eye(2), np.ones(2)
+    )
+    assert x is None
+
+
+def test_tableau_degenerate_problem_terminates():
+    # Redundant volume rows pin the same point, and duplicated capacity rows
+    # make every vertex degenerate; phase 1 must drop the redundant rows
+    # and neither phase may cycle.
+    c = np.array([1.0, 2.0, 3.0, 4.0])
+    A_eq = np.vstack([np.ones(4), np.ones(4), 2 * np.ones(4)])
+    b_eq = np.array([2.0, 2.0, 4.0])
+    A_ub = np.vstack([np.eye(4), np.eye(4)])
+    b_ub = np.full(8, 2.0)
+    x = tableau_simplex(c, A_eq, b_eq, A_ub, b_ub)
+    assert x.tolist() == [2.0, 0.0, 0.0, 0.0]
+
+
+def test_tableau_same_vertex_on_repeat():
+    # cost-tied sources: the vertex returned must not vary between solves
+    c = np.array([5.0, 5.0, 5.0])
+    args = (np.ones((1, 3)), np.array([4.0]), np.eye(3), np.full(3, 3.0))
+    first = tableau_simplex(c, *args)
+    second = tableau_simplex(c, *args)
+    assert np.array_equal(first, second)
+    assert float(c @ first) == pytest.approx(20.0)
 
 
 def test_zero_action_cost_is_holding_only(capacity_instance, tuned_plan, demo_scenario):

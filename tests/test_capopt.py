@@ -240,14 +240,14 @@ def test_reference_search_counts_and_trace(
     finally:
         obj.close()
     assert (res.iterations, res.gradient_evaluations, res.function_evaluations) == (
-        18, 84, 1344,
+        18, 65, 1045,
     )
     assert res.best_plan.capacity == {1: (0.0, 8.0, 0.0, 0.0), 2: (10.0, 10.0, 9.0, 2.0)}
     assert res.total_cost == pytest.approx(439.2, abs=1e-9)
     objectives = [
-        -446.8598742239233, -444.6646775912703, -440.1506565896016,
-        -440.0384897692571, -440.03816905282207, -439.26295953425415,
-        -439.2099101786654, -439.20236935485093, -439.2006556209763,
+        -446.8598742239233, -444.6646775912703, -440.1506565907085,
+        -440.0384897692571, -440.03816905282207, -439.2629596350851,
+        -439.2099101058847, -439.20236935485093, -439.2006556209763,
         -439.2003466666667, -439.2,
     ]
     assert [row[0] for row in res.trace] == list(range(len(objectives)))

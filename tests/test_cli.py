@@ -68,6 +68,22 @@ def test_gen_instance_validates(tmp_path):
     assert model.validate_instance(inst) == []
 
 
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        (["--horizon", "0"], "horizon"),
+        (["--strategic", "0", "--spot", "0"], "no source"),
+        (["--capacity-levels", "-1"], "capacity_levels"),
+        (["--cost-sd", "-1"], "cost_sd"),
+    ],
+)
+def test_gen_instance_bad_shape_exits_two(tmp_path, capsys, flags, key):
+    out = tmp_path / "g.json"
+    assert run_cli("gen-instance", "--seed", "0", *flags, "--out", str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve-policy
 
@@ -263,6 +279,30 @@ def test_optimize_capacity_saa_mode(example_dir):
     )
 
 
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        (["--parameterization", "quadratic", "--fd-step", "0"], "fd_step"),
+        (["--fd-step", "-0.5"], "fd_step"),
+        (["--fd-step", "nan"], "fd_step"),
+        (["--tolerance", "-1"], "tolerance"),
+        (["--max-iter", "0"], "max_iter"),
+        (["--restarts", "-2"], "restarts"),
+    ],
+)
+def test_optimize_capacity_bad_search_settings_exit_two(
+    example_dir, monkeypatch, capsys, flags, key
+):
+    monkeypatch.chdir(example_dir)
+    rc = run_cli(
+        "optimize-capacity", "--instance", "inst.json", "--scenario", "scenario.json",
+        *flags,
+    )
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (example_dir / "capacity_out").exists()
+
+
 def test_optimize_capacity_scenario_mode_needs_file(example_dir, monkeypatch):
     monkeypatch.chdir(example_dir)
     rc = run_cli("optimize-capacity", "--instance", str(example_dir / "inst.json"))
@@ -359,6 +399,26 @@ def test_regret_zero_samples_exits_two(example_dir, monkeypatch, capsys):
     assert rc == 2
     assert "--samples" in capsys.readouterr().err
     assert not (example_dir / "regret_out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flag,outdir",
+    [
+        (["monte-carlo", "--scenario", "scenario.json", "--seed", "-1"], "--seed", "mc_out"),
+        (["regret", "--shared-plan", "tuned_plan.json", "--in-seed", "-1"], "--in-seed",
+         "regret_out"),
+        (["regret", "--shared-plan", "tuned_plan.json", "--out-seed", "-2"], "--out-seed",
+         "regret_out"),
+        (["solve-policy", "--sample-mode", "iid", "--seed", "-1"], "--seed", "policy_out"),
+    ],
+)
+def test_negative_seed_exits_two(example_dir, monkeypatch, capsys, argv, flag, outdir):
+    monkeypatch.chdir(example_dir)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[0], "--instance", "inst.json", *argv[1:])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (example_dir / outdir).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -266,13 +266,13 @@ def test_evaluate_policy_rejects_bad_samples(capacity_instance, tuned_plan):
 def test_network_sweep_solves_each_clipped_problem_at_most_once(monkeypatch):
     inst, sample, plan = _network_case()
     calls = []
-    real = alloc.solve_lp
+    real = alloc.tableau_simplex
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(alloc, "solve_lp", counting)
+    monkeypatch.setattr(alloc, "tableau_simplex", counting)
     solve_expected(inst, sample, plan)
 
     distinct = set()

@@ -1,4 +1,5 @@
-"""Bounded-variable simplex checked against scipy's HiGHS as the oracle.
+"""The HiGHS wrapper: results against a direct linprog call, the status
+mapping, clipping into the box, sparse rows and the iteration count.
 
 Random problems are drawn fully bounded so the optimal status is never
 ambiguous; unboundedness and infeasibility get dedicated hand-built cases.
@@ -6,8 +7,10 @@ ambiguous; unboundedness and infeasibility get dedicated hand-built cases.
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import OptimizeResult, linprog
 
+from drayage import lp
 from drayage.lp import solve_lp
 
 
@@ -150,3 +153,61 @@ def test_zero_upper_bound_variable_stays_fixed():
     res = solve_lp(c, None, None, A_ub, b_ub, upper)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_other_highs_statuses_raise(monkeypatch, status):
+    # 1: iteration limit, 4: numerical difficulties
+    def stopped(*args, **kwargs):
+        return OptimizeResult(status=status, message="stopped", x=None, nit=7)
+
+    monkeypatch.setattr(lp, "linprog", stopped)
+    with pytest.raises(RuntimeError, match=f"status {status}"):
+        solve_lp(np.array([1.0]), upper=np.array([1.0]))
+
+
+def test_x_is_clipped_into_the_box(monkeypatch):
+    def sloppy(*args, **kwargs):
+        x = np.array([-1e-12, 2.0 + 1e-12, 3.0])
+        return OptimizeResult(status=0, message="", x=x, fun=-1.0, nit=2)
+
+    monkeypatch.setattr(lp, "linprog", sloppy)
+    res = solve_lp(np.array([1.0, 1.0, -1.0]), upper=np.array([1.0, 2.0, np.inf]))
+    assert res.status == "optimal"
+    assert res.x.tolist() == [0.0, 2.0, 3.0]
+    assert res.objective == -1.0
+    assert res.iterations == 2
+
+
+def test_sparse_rows_match_dense():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        c, A_eq, b_eq, A_ub, b_ub, upper = _random_problem(rng)
+        dense = solve_lp(c, A_eq, b_eq, A_ub, b_ub, upper)
+        sp = solve_lp(
+            c,
+            None if A_eq is None else sparse.csr_matrix(A_eq),
+            b_eq,
+            None if A_ub is None else sparse.csr_matrix(A_ub),
+            b_ub,
+            upper,
+        )
+        assert sp.status == dense.status == "optimal"
+        assert sp.objective == pytest.approx(dense.objective, abs=1e-9)
+        assert np.all((sp.x >= 0.0) & (sp.x <= upper))
+
+
+def test_iterations_are_highs_iterations():
+    rng = np.random.default_rng(5)
+    c, A_eq, b_eq, A_ub, b_ub, upper = _random_problem(rng)
+    ref = linprog(
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+        bounds=[(0, u) for u in upper], method="highs",
+    )
+    res = solve_lp(c, A_eq, b_eq, A_ub, b_ub, upper)
+    assert res.iterations == ref.nit
+    infeasible = solve_lp(
+        np.ones(2), A_eq=np.ones((1, 2)), b_eq=np.array([5.0]), upper=np.ones(2)
+    )
+    assert infeasible.status == "infeasible"
+    assert infeasible.x is None and infeasible.objective is None

@@ -146,6 +146,33 @@ def test_generated_spot_rates_validate_when_rates_round_together():
     assert collapsed >= 7
 
 
+def test_generated_instances_without_spot_serve_every_lane():
+    # gen-instance's defaults on a 2 x 2 network with 2 bids and no spot
+    # source: the last bid takes every lane no earlier bid drew
+    shape = dict(
+        SHAPE, n_entries=2, n_exits=2, n_bids=2, n_spot=0, capacity_levels=10
+    )
+    for seed in range(50):
+        assert validate_instance(generate_instance(seed, shape)) == [], seed
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (dict(horizon=0), "shape horizon is 0"),
+        (dict(n_bids=-1), "shape n_bids is -1"),
+        (dict(n_spot=-1), "shape n_spot is -1"),
+        (dict(capacity_levels=-1), "shape capacity_levels is -1"),
+        (dict(cost_sd=-1.0), "shape cost_sd is -1.0"),
+        (dict(n_carriers=0), "shape n_carriers is 0"),
+        (dict(n_bids=0, n_spot=0), "shape has no source"),
+    ],
+)
+def test_bad_generator_shape_names_the_key(bad, message):
+    with pytest.raises(ValueError, match=message):
+        generate_instance(0, dict(SHAPE, **bad))
+
+
 def test_default_plan_within_action_bound(capacity_instance):
     plan = generate_default_plan(9, capacity_instance)
     amax = capacity_instance.bounds.action_max

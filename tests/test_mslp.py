@@ -1,18 +1,12 @@
-"""Per-scenario linear program: pinned optima, duality with the DP, exports."""
+"""Per-scenario linear program: pinned optima, duality with the DP, and an
+independent HiGHS cross-check."""
 
 import numpy as np
 import pytest
 
 from drayage.dp import solve_scenario
 from drayage.model import CapacityPlan, Scenario
-from drayage.mslp import (
-    InfeasibleLP,
-    build_mslp,
-    expected_value_lp,
-    solve_mslp,
-    write_lp_text,
-)
-from drayage.scenario import sample_scenarios
+from drayage.mslp import InfeasibleLP, build_mslp, solve_mslp
 
 from helpers import relaxation_triple
 
@@ -240,31 +234,7 @@ def test_with_plan_reprices_capacity_rows(
 
 
 # ---------------------------------------------------------------------------
-# Expected-value wrapper
-
-
-def test_expected_value_lp_matches_manual_average(capacity_instance, baseline_plan):
-    scens = sample_scenarios(capacity_instance, 3, 99)
-    weighted = [(scens[0], 0.5), (scens[1], 0.25), (scens[2], 0.25)]
-    got = expected_value_lp(capacity_instance, weighted, baseline_plan)
-    manual = sum(
-        w * -solve_mslp(build_mslp(capacity_instance, sc, baseline_plan)).cost
-        for sc, w in weighted
-    )
-    assert got == pytest.approx(manual, abs=1e-9)
-
-
-def test_expected_value_lp_rejects_bad_weights(
-    capacity_instance, demo_scenario, baseline_plan
-):
-    with pytest.raises(ValueError):
-        expected_value_lp(
-            capacity_instance, [(demo_scenario, 0.7)], baseline_plan
-        )
-
-
-# ---------------------------------------------------------------------------
-# Independent solver cross-check and text export
+# Independent solver cross-check
 
 
 def test_against_reference_solver(capacity_instance, demo_scenario, baseline_plan):
@@ -279,17 +249,3 @@ def test_against_reference_solver(capacity_instance, demo_scenario, baseline_pla
         )
         assert ref.status == 0
         assert mine.cost == pytest.approx(ref.fun, abs=1e-7)
-
-
-def test_lp_text_export(tmp_path, capacity_instance, demo_scenario, baseline_plan):
-    lp = build_mslp(capacity_instance, demo_scenario, baseline_plan)
-    path = tmp_path / "model.lp"
-    write_lp_text(lp, str(path))
-    text = path.read_text()
-    for section in ("Minimize", "Subject To", "Bounds", "End"):
-        assert section in text
-    assert text.count("eq") >= lp.A_eq.shape[0]
-    assert "move[1][1][2][1]" in text
-    # every bounded column shows up in the bounds section
-    bounded = sum(1 for u in lp.upper if np.isfinite(u))
-    assert text.count(" <= ") >= bounded
