@@ -24,7 +24,7 @@ slope in total capacity, steering the search back toward feasibility.
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -49,12 +49,6 @@ def _caps_to_plan(instance: Instance, caps: np.ndarray) -> CapacityPlan:
             for k, s in enumerate(instance.sources)
         }
     )
-
-
-def _box_plan(instance: Instance) -> CapacityPlan:
-    """Every source at action_max in every period: the loosest plan."""
-    shape = (len(instance.sources), instance.horizon)
-    return _caps_to_plan(instance, np.full(shape, float(instance.bounds.action_max)))
 
 
 def total_flow(scenario: Scenario) -> float:
@@ -167,7 +161,7 @@ class CapacityObjective:
 
     def templates(self) -> List[Tuple[MultistageLP, float]]:
         """One zero-plan multistage LP per weighted scenario, with its weight,
-        built once on first use.
+        built once on first use. This is the package's one build_mslp call.
 
         Capacity enters only through the cap rows' right-hand sides, so each
         evaluation fills them in (with_caps_array) instead of rebuilding.
@@ -224,11 +218,8 @@ def operable_scenario(instance: Instance, scenario: Scenario) -> bool:
     the whole box: a scenario rejected there is rejected by the hard storage
     bounds themselves and no plan can operate it.
     """
-    try:
-        solve_mslp(build_mslp(instance, scenario, _box_plan(instance), initial="free"))
-        return True
-    except InfeasibleLP:
-        return False
+    obj = scenario_objective(instance, scenario)
+    return obj.value_of_caps(obj.box_upper) is not None
 
 
 def sample_objective(
@@ -584,12 +575,13 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
     Wets 1969; for SAA, Kleywegt, Shapiro & Homem-de-Mello 2002).
 
     Where a rate is >= 0 the returned capacity is the largest per-block
-    usage. That still admits every block's solution, so it stays optimal,
-    and it pins the plan where the LP is indifferent, such as a zero-rate
-    spot source. total_cost re-evaluates the plan with objective(), as the
-    searches report theirs, so it differs from lp_objective, the LP's
-    optimal cost, only by round-off. Raises InfeasibleLP when no plan in
-    the box operates every scenario.
+    usage. That still admits every block's solution x_b, so each x_b stays
+    optimal at the returned plan, and it pins the plan where the LP is
+    indifferent, such as a zero-rate spot source. So total_cost is read from
+    the one solve: the plan's reservation cost plus the weighted sum of
+    c_b x_b, with no block solved again. It differs from lp_objective,
+    HiGHS's optimal cost, only by round-off. Raises InfeasibleLP when no
+    plan in the box operates every scenario.
     """
     if obj.sample_set is not None:
         raise ValueError("the exact LP needs an LP-valued objective")
@@ -633,25 +625,48 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
         raise RuntimeError(f"extensive-form LP {res.status}")
 
     usage = np.zeros(nx)
+    operations = 0.0
     offset = nx
-    for lp, _ in blocks:
-        n = lp.c.size
-        usage = np.maximum(usage, lp.A_ub[rows] @ res.x[offset : offset + n])
-        offset += n
+    for lp, w in blocks:
+        x_b = res.x[offset : offset + lp.c.size]
+        usage = np.maximum(usage, lp.A_ub[rows] @ x_b)
+        operations += w * float(lp.c @ x_b)
+        offset += lp.c.size
     caps = np.where(rates >= 0.0, np.clip(usage, 0.0, box), res.x[:nx])
     plan = _caps_to_plan(inst, caps.reshape(len(obj.source_ids), tau))
-    best = objective(plan, obj)
+    total = reservation_cost(plan, obj.rates) + operations
     return OptimizationResult(
         best_plan=plan,
-        best_objective=best,
-        total_cost=-best,
+        best_objective=-total,
+        total_cost=total,
         iterations=res.iterations,
         gradient_evaluations=0,
         function_evaluations=1,
-        trace=[(0, best, 0.0)],
+        trace=[(0, -total, 0.0)],
         lp_objective=res.objective,
         dropped_scenarios=obj.dropped_scenarios,
     )
+
+
+def folded_scenario_lp(obj: CapacityObjective) -> MultistageLP:
+    """Joint capacity-and-operations LP of a one-scenario LP objective.
+
+    The template at the box caps with the reservation rates added to the
+    move costs: with rates >= 0 the best reservation is the usage, so its
+    optimum is the joint minimum. It is optimize_capacity_exact's one-block
+    extensive form with the capacity columns folded away, kept because
+    regret profiles solve one per scenario and the extensive form was 1.7x
+    slower there.
+    """
+    if len(obj.weighted_scenarios) != 1:
+        raise ValueError("the folded LP needs a one-scenario LP-valued objective")
+    (template, _), = obj.templates()
+    lp = template.with_caps_array(obj.box_upper, obj.source_ids)
+    rates = obj.rates
+    c = lp.c.copy()
+    for (sid, _lane, t), col in lp.move_cols.items():
+        c[col] += rates[sid][t - 1]
+    return replace(lp, c=c)
 
 
 def optimize_capacity_saa(

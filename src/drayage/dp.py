@@ -473,7 +473,7 @@ def _sample_periods(sample: SampleSet) -> List[PeriodData]:
     ]
 
 
-def _sweep(instance, per_period, plan, gamma):
+def _sweep(instance, per_period, plan):
     """Backward induction over the stage tables.
 
     An action is kept at a state only if it is allocatable under every
@@ -498,7 +498,7 @@ def _sweep(instance, per_period, plan, gamma):
             cost, nxt = kernel.table(t, z)
             finite = np.isfinite(cost)
             ok &= finite
-            acc += w * (-np.where(finite, cost, 0.0) + gamma * values[t][nxt])
+            acc += w * (-np.where(finite, cost, 0.0) + values[t][nxt])
         ok = np.logical_and.accumulate(ok, axis=0)
         if kernel.lane is not None:
             acc = np.where(ok, acc, -np.inf)
@@ -524,27 +524,25 @@ def solve_scenario(
     instance: Instance,
     scenario: Scenario,
     plan: CapacityPlan,
-    gamma: float = 1.0,
 ) -> Tuple[ValueTable, PolicyTable]:
     """Perfect-information DP along one scenario."""
     if len(scenario.realizations) != instance.horizon:
         raise ValueError("scenario length does not match horizon")
     per_period = [[(z, 1.0)] for z in scenario.realizations]
-    return _sweep(instance, per_period, plan, gamma)
+    return _sweep(instance, per_period, plan)
 
 
 def solve_expected(
     instance: Instance,
     sample: SampleSet,
     plan: CapacityPlan,
-    gamma: float = 1.0,
 ) -> Tuple[ValueTable, PolicyTable]:
     """Weighted-sample Bellman recursion (exact when sample enumerates).
 
     An action is kept only if the allocation LP is feasible under every
     realization sampled at that period.
     """
-    return _sweep(instance, _sample_periods(sample), plan, gamma)
+    return _sweep(instance, _sample_periods(sample), plan)
 
 
 def evaluate_policy(
@@ -552,7 +550,6 @@ def evaluate_policy(
     policy: PolicyTable,
     sample: SampleSet,
     plan: CapacityPlan,
-    gamma: float = 1.0,
 ) -> ValueTable:
     """Value of a FIXED policy under the sample weights (no maximization).
 
@@ -581,7 +578,7 @@ def evaluate_policy(
             c = cost[rows, cols]
             undefined |= ~np.isfinite(c)
             c = np.where(undefined, 0.0, c)
-            total = total + w * (-c + gamma * values[t][nxt[rows, cols]])
+            total = total + w * (-c + values[t][nxt[rows, cols]])
         if undefined.any():
             si = int(np.argmax(undefined))
             raise UndefinedPolicyState(

@@ -1,12 +1,13 @@
 """Regret profiles, generalization diagnostics, and summary statistics.
 
-The per-scenario optimum is computed exactly by folding reservation rates
-into the execution rates of a free-initial-state LP over the capacity box:
-with nonnegative rates, the optimal reservation equals the per-period usage,
-so the joint (capacity, operations) minimum collapses to one LP. This keeps
-the dominance property regret >= 0 exact up to LP tolerance, which a
-finite-difference quasi-Newton search cannot guarantee on a piecewise-linear
-landscape.
+Each scenario of a regret profile gets one one-scenario CapacityObjective,
+so its multistage LP is built once, from the objective's template. The
+achieved value is capopt.objective at the shared plan. The per-scenario
+optimum is exact: the same template at the box caps, with the reservation
+rates folded into the move costs (capopt.folded_scenario_lp), collapses the
+joint (capacity, operations) minimum to one LP. This keeps the dominance
+property regret >= 0 exact up to LP tolerance, which a finite-difference
+quasi-Newton search cannot guarantee on a piecewise-linear landscape.
 """
 
 import math
@@ -16,9 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capopt import _box_plan, reservation_cost
+from .capopt import (CapacityObjective, _caps_to_plan, folded_scenario_lp, objective,
+                     scenario_objective)
 from .model import CapacityPlan, Instance, Scenario
-from .mslp import InfeasibleLP, build_mslp, solve_mslp
+from .mslp import InfeasibleLP, solve_mslp
 
 REGRET_TOL = 1e-4
 
@@ -51,51 +53,29 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
 # Per-scenario optimum
 
 
-def per_scenario_optimum(
-    instance: Instance, scenario: Scenario
-) -> Tuple[CapacityPlan, float]:
-    """Best capacity plan and objective for one scenario.
+def per_scenario_optimum(obj: CapacityObjective) -> Tuple[CapacityPlan, float]:
+    """Best capacity plan and objective for a one-scenario LP objective.
 
-    One LP over the box plan with the reservation rates folded into the move
-    costs; the plan reserves what the optimum moves. When even the box plan
-    cannot operate the scenario, no plan can, and the result is the box plan
-    with objective -inf.
+    One solve of folded_scenario_lp; the plan reserves what the optimum
+    moves. When even the box plan cannot operate the scenario, no plan can,
+    and the result is the box plan with objective -inf.
     """
-    rates = {
-        (s.id, t): float(s.reservation_rate[t - 1])
-        for s in instance.sources
-        for t in range(1, instance.horizon + 1)
-    }
-    box = _box_plan(instance)
     try:
-        sol = solve_mslp(
-            build_mslp(instance, scenario, box, initial="free", extra_move_cost=rates)
-        )
+        sol = solve_mslp(folded_scenario_lp(obj))
     except InfeasibleLP:
-        return box, -math.inf
+        return _caps_to_plan(obj.instance, obj.box_upper), -math.inf
     used = defaultdict(float)
     for (sid, _lane, t), v in sol.moves.items():
         used[sid, t] += v
     capacity = {
-        s.id: tuple(float(used[s.id, t]) for t in range(1, instance.horizon + 1))
-        for s in instance.sources
+        sid: tuple(float(used[sid, t]) for t in range(1, obj.instance.horizon + 1))
+        for sid in obj.source_ids
     }
     return CapacityPlan(capacity=capacity), -sol.cost
 
 
 # ---------------------------------------------------------------------------
 # Regret
-
-
-def _achieved_objective(
-    instance: Instance, scenario: Scenario, plan: CapacityPlan
-) -> float:
-    rates = {s.id: tuple(s.reservation_rate) for s in instance.sources}
-    try:
-        cost = solve_mslp(build_mslp(instance, scenario, plan, initial="free")).cost
-    except InfeasibleLP:
-        return -math.inf
-    return -(cost + reservation_cost(plan, rates))
 
 
 def regret_profile(
@@ -110,8 +90,12 @@ def regret_profile(
     """
     records = []
     for sid, sc in enumerate(scenarios):
-        _, opt_value = per_scenario_optimum(instance, sc)
-        achieved = _achieved_objective(instance, sc, shared_plan)
+        obj = scenario_objective(instance, sc)
+        _, opt_value = per_scenario_optimum(obj)
+        try:
+            achieved = objective(shared_plan, obj)
+        except InfeasibleLP:
+            achieved = -math.inf
         records.append(
             RegretRecord(
                 scenario_id=sid,

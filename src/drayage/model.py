@@ -311,11 +311,14 @@ def exogenous_support_size(instance: Instance) -> int:
 
 
 def _truncated_normal(rng: np.random.Generator, mean: float, sd: float, lo: float) -> float:
-    # Rejection sampling; exact at desk scale.
-    while True:
+    # Rejection sampling; exact at desk scale. A floor that 10,000 draws miss
+    # (say sd 0 with the mean below it) is an input error, not a long wait.
+    for _ in range(10_000):
         x = rng.normal(mean, sd)
         if x >= lo:
             return float(x)
+    raise ValueError(f"no normal draw with mean {mean} and sd {sd} reached the floor {lo}; "
+                     "raise cost_mean or cost_sd, or lower cost_min")
 
 
 def generate_instance(seed: int, shape: Dict) -> Instance:
@@ -345,7 +348,7 @@ def generate_instance(seed: int, shape: Dict) -> Instance:
         raise ValueError("shape with zero lanes: need n_entries >= 1 and n_exits >= 1")
     for key, val, lo in (("horizon", horizon, 1), ("n_bids", n_bids, 0), ("n_spot", n_spot, 0),
                          ("n_carriers", n_carriers, 1), ("capacity_levels", levels, 0),
-                         ("cost_sd", cost_sd, 0)):
+                         ("cost_sd", cost_sd, 0), ("cost_min", cost_min, 0)):
         if not val >= lo:
             raise ValueError(f"shape {key} is {val}; need {key} >= {lo}")
     if n_bids + n_spot < 1:

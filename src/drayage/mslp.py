@@ -18,7 +18,7 @@ Costs are minimized here; callers that want the value convention negate.
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,7 +91,6 @@ def build_mslp(
     scenario: Scenario,
     plan: CapacityPlan,
     initial: str = "fixed",
-    extra_move_cost: Optional[Dict[Tuple[int, int], float]] = None,
 ) -> MultistageLP:
     """Assemble the per-scenario LP.
 
@@ -99,17 +98,16 @@ def build_mslp(
     equality rows; "free" leaves it a decision within bounds, realizing the
     best-initial-state value in one solve.
 
-    extra_move_cost adds a per-(source, period) surcharge to every move of
-    that source in that period. With surcharge = reservation rate and plan =
-    box upper bounds, the optimum equals the joint minimum over capacities
-    and operations, because a nonnegative surcharge prices capacity exactly
-    at its usage.
+    In the package, only capopt.CapacityObjective.templates calls this: it
+    builds each scenario's LP once at the zero plan, and every capacity
+    evaluation, the operability check, the extensive form and the folded
+    per-scenario optimum (capopt.folded_scenario_lp) start from that
+    template.
     """
     if len(scenario.realizations) != instance.horizon:
         raise ValueError("scenario length does not match horizon")
     if initial not in ("fixed", "free"):
         raise ValueError(f"unknown initial mode {initial!r}")
-    extra = extra_move_cost or {}
     tau = instance.horizon
     net = instance.network
     b = instance.bounds
@@ -135,7 +133,6 @@ def build_mslp(
                     rate = s.execution_cost[lane][t - 1]
                 else:
                     rate = scenario.realizations[t - 1].spot_rates[s.id][lane]
-                rate += extra.get((s.id, t), 0.0)
                 move_cols[(s.id, lane, t)] = add_col(rate, None)
     for i in net.entries:
         for t in range(1, tau + 2):

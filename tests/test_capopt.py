@@ -467,11 +467,33 @@ def test_exact_matches_folded_optimum_on_one_scenario(capacity_instance, demo_sc
             res = optimize_capacity_exact(obj)
         finally:
             obj.close()
-        _, folded = per_scenario_optimum(capacity_instance, sc)
+        _, folded = per_scenario_optimum(obj)
         assert -res.lp_objective == pytest.approx(folded, abs=1e-7)
         assert res.best_objective == pytest.approx(folded, abs=1e-7)
         assert res.total_cost == -res.best_objective
         assert res.gradient_evaluations == 0 and res.function_evaluations == 1
+
+
+def test_exact_reads_its_cost_from_one_solve(capacity_instance, monkeypatch):
+    # The extensive form is the only LP solved: no block is solved again to
+    # price the lowered plan.
+    from drayage import mslp
+
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 20, 0))
+    calls = {"lp": 0, "mslp": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(capopt, "solve_lp", counting("lp", capopt.solve_lp))
+    monkeypatch.setattr(mslp, "solve_lp", counting("lp", mslp.solve_lp))
+    monkeypatch.setattr(capopt, "solve_mslp", counting("mslp", capopt.solve_mslp))
+    res = optimize_capacity_exact(obj)
+    assert calls == {"lp": 1, "mslp": 0}
+    assert res.total_cost == 470.0799999999999
 
 
 @pytest.mark.parametrize("n", [3, 4, 20])

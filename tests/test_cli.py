@@ -75,12 +75,28 @@ def test_gen_instance_validates(tmp_path):
         (["--strategic", "0", "--spot", "0"], "no source"),
         (["--capacity-levels", "-1"], "capacity_levels"),
         (["--cost-sd", "-1"], "cost_sd"),
+        (["--cost-mean", "-20", "--cost-min", "-40"], "cost_min"),
     ],
 )
 def test_gen_instance_bad_shape_exits_two(tmp_path, capsys, flags, key):
     out = tmp_path / "g.json"
     assert run_cli("gen-instance", "--seed", "0", *flags, "--out", str(out)) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_instance_unreachable_cost_floor_exits_two(tmp_path):
+    # With sd 0 every spot low-rate draw is 0.6 * cost_mean = 6, below the
+    # floor cost_min = 8. A child process with a timeout, so a rejection loop
+    # that never ends fails the test instead of hanging the suite.
+    out = tmp_path / "g.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "drayage.cli", "gen-instance", "--seed", "0",
+         "--cost-mean", "10", "--cost-min", "8", "--cost-sd", "0", "--out", str(out)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "mean 6.0 and sd 0.0 reached the floor 8.0" in proc.stderr
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from drayage.capopt import reservation_cost
+from drayage.capopt import reservation_cost, scenario_objective
 from drayage.evaluation import (
     RegretRecord,
     generalization_report,
@@ -54,7 +54,7 @@ def test_summarize_singleton_and_empty():
 
 
 def test_per_scenario_optimum_reference(capacity_instance, demo_scenario):
-    plan, value = per_scenario_optimum(capacity_instance, demo_scenario)
+    plan, value = per_scenario_optimum(scenario_objective(capacity_instance, demo_scenario))
     assert value == pytest.approx(-439.2, abs=1e-9)
     # reported caps equal realized usage, so re-pricing them reproduces value
     rates = {s.id: tuple(s.reservation_rate) for s in capacity_instance.sources}
@@ -70,7 +70,7 @@ def test_micro_grid_matches_exact_optimum():
     for _ in range(3):
         inst = micro_instance(rng, 1, 1, horizon=2, stock_bound=2, action_max=2)
         scen = micro_scenario(rng, inst)
-        _, opt = per_scenario_optimum(inst, scen)
+        _, opt = per_scenario_optimum(scenario_objective(inst, scen))
         rates = {s.id: tuple(s.reservation_rate) for s in inst.sources}
         best = -np.inf
         amax = inst.bounds.action_max
@@ -111,6 +111,24 @@ def test_regret_nonnegative_on_sampled_scenarios(capacity_instance, tuned_plan):
         assert r.regret >= -1e-9
     for r in records:
         assert r.optimal_objective >= r.achieved_objective or math.isnan(r.regret)
+
+
+def test_regret_builds_one_lp_per_scenario(capacity_instance, tuned_plan, monkeypatch):
+    # The optimum and the achieved value share the scenario's template, the
+    # objective's one build_mslp call.
+    from drayage import capopt
+
+    builds = []
+    original = capopt.build_mslp
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(capopt, "build_mslp", counting)
+    scenarios = sample_scenarios(capacity_instance, 5, 31)
+    regret_profile(capacity_instance, tuned_plan, scenarios)
+    assert len(builds) == len(scenarios)
 
 
 def test_inoperable_scenario_yields_nan_regret(capacity_instance, tuned_plan):

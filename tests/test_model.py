@@ -166,6 +166,7 @@ def test_generated_instances_without_spot_serve_every_lane():
         (dict(cost_sd=-1.0), "shape cost_sd is -1.0"),
         (dict(n_carriers=0), "shape n_carriers is 0"),
         (dict(n_bids=0, n_spot=0), "shape has no source"),
+        (dict(cost_min=-1.0), "shape cost_min is -1.0"),
     ],
 )
 def test_bad_generator_shape_names_the_key(bad, message):

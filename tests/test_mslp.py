@@ -4,6 +4,7 @@ independent HiGHS cross-check."""
 import numpy as np
 import pytest
 
+from drayage.capopt import folded_scenario_lp, scenario_objective
 from drayage.dp import solve_scenario
 from drayage.model import CapacityPlan, Scenario
 from drayage.mslp import InfeasibleLP, build_mslp, solve_mslp
@@ -37,24 +38,8 @@ def test_reference_optima(
 def test_joint_capacity_operations_optimum(capacity_instance, demo_scenario):
     # Reservation priced into the move rates over a full-size capacity box
     # collapses the joint (caps, moves) minimization into one LP.
-    amax = capacity_instance.bounds.action_max
-    box = CapacityPlan(
-        capacity={
-            s.id: (amax,) * capacity_instance.horizon
-            for s in capacity_instance.sources
-        }
-    )
-    extra = {
-        (s.id, t): float(s.reservation_rate[t - 1])
-        for s in capacity_instance.sources
-        for t in range(1, capacity_instance.horizon + 1)
-    }
-    sol = solve_mslp(
-        build_mslp(
-            capacity_instance, demo_scenario, box, initial="free",
-            extra_move_cost=extra,
-        )
-    )
+    obj = scenario_objective(capacity_instance, demo_scenario)
+    sol = solve_mslp(folded_scenario_lp(obj))
     assert sol.cost == pytest.approx(439.2, abs=1e-9)
     assert sol.integral
 
