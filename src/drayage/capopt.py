@@ -161,7 +161,8 @@ class CapacityObjective:
 
     def templates(self) -> List[Tuple[MultistageLP, float]]:
         """One zero-plan multistage LP per weighted scenario, with its weight,
-        built once on first use. This is the package's one build_mslp call.
+        built once on first use (sample_objective keeps the ones it built).
+        This is the package's one build_mslp call.
 
         Capacity enters only through the cap rows' right-hand sides, so each
         evaluation fills them in (with_caps_array) instead of rebuilding.
@@ -210,34 +211,32 @@ def scenario_objective(instance: Instance, scenario: Scenario) -> CapacityObject
     return CapacityObjective(instance, weighted_scenarios=((scenario, 1.0),))
 
 
-def operable_scenario(instance: Instance, scenario: Scenario) -> bool:
-    """True when some capacity plan admits a feasible LP for this scenario.
-
-    Capacity enters the LP only through per-source cap rows, so feasibility
-    at the box plan (caps = action_max everywhere) decides feasibility over
-    the whole box: a scenario rejected there is rejected by the hard storage
-    bounds themselves and no plan can operate it.
-    """
-    obj = scenario_objective(instance, scenario)
-    return obj.value_of_caps(obj.box_upper) is not None
-
-
 def sample_objective(
     instance: Instance, scenarios: Sequence[Scenario]
 ) -> CapacityObjective:
     """Uniform-weight expected-LP objective over the operable sub-sample.
 
-    A draw that is infeasible at the box plan is infeasible at every plan,
-    so keeping it would pin the whole objective at the penalty value and
-    erase the argmax. Such draws are dropped (count kept on the returned
-    objective) and the weights renormalized; per-plan infeasibility inside
-    the box still penalizes as usual.
+    Capacity enters a scenario's LP only through its cap rows, so a draw
+    whose template is infeasible at box_upper is infeasible at every plan in
+    the box; keeping it would pin the whole objective at the penalty value
+    and erase the argmax. One objective builds a template per draw; the
+    draws whose template fails at box_upper are dropped (count kept as
+    dropped_scenarios) and the kept templates reweighted to 1/kept, so each
+    draw's LP is built once. Per-plan infeasibility inside the box still
+    penalizes as usual. Raises InfeasibleLP when no draw is operable.
     """
-    kept = tuple(sc for sc in scenarios if operable_scenario(instance, sc))
+    obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, 1.0) for sc in scenarios))
+    box = obj.box_upper
+    kept = [
+        (sc, tpl)
+        for sc, (tpl, _) in zip(scenarios, obj.templates())
+        if _points([(tpl, 1.0)], obj.source_ids, [box])[0] is not None
+    ]
     if not kept:
         raise InfeasibleLP("no operable scenario in the sample")
     w = 1.0 / len(kept)
-    obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, w) for sc in kept))
+    obj.weighted_scenarios = tuple((sc, w) for sc, _ in kept)
+    obj._templates = [(tpl, w) for _, tpl in kept]
     obj.dropped_scenarios = len(scenarios) - len(kept)
     return obj
 
@@ -265,19 +264,17 @@ def objective(plan: CapacityPlan, obj: CapacityObjective) -> float:
 # Quasi-Newton search
 
 
+FD_STEP = 1e-3  # finite-difference step of the search gradient
+GRAD_TOL = 1e-4  # L-BFGS-B projected-gradient threshold
+
+
 @dataclass(frozen=True)
 class OptConfig:
-    fd_step: float = 1e-3
-    tolerance: float = 1e-4  # projected-gradient threshold
     max_iter: int = 60
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ValueError(f"fd_step is {self.fd_step}; need a finite value > 0")
-        if not self.tolerance >= 0:
-            raise ValueError(f"tolerance is {self.tolerance}; need tolerance >= 0")
         if self.max_iter < 1:
             raise ValueError(f"max_iter is {self.max_iter}; need max_iter >= 1")
         if self.restarts < 0:
@@ -334,7 +331,7 @@ class _Search:
         """Central differences, forward only where the backward point has a
         capacity below 0; all points are scored as one batch."""
         self.njev += 1
-        h = self.config.fd_step
+        h = FD_STEP
         ups, dns = [], []
         for k in range(x.size):
             up, dn = x.copy(), x.copy()
@@ -385,7 +382,7 @@ class _Search:
                 options={
                     "maxiter": self.config.max_iter,
                     "ftol": 1e-12,
-                    "gtol": self.config.tolerance,
+                    "gtol": GRAD_TOL,
                 },
             )
             self.iterations += int(res.nit)

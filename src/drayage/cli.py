@@ -182,8 +182,6 @@ def cmd_solve_policy(args) -> int:
 
 def _opt_config(args) -> capopt.OptConfig:
     return capopt.OptConfig(
-        fd_step=args.fd_step,
-        tolerance=args.tolerance,
         max_iter=args.max_iter,
         restarts=args.restarts,
         seed=args.seed,
@@ -209,26 +207,22 @@ def cmd_optimize_capacity(args) -> int:
         start = _load_plan(args.start, instance)
     else:
         start = model.generate_default_plan(args.seed, instance)
-    out = _outdir(args.out)
-    try:
-        start_objective = capopt.objective(start, obj)
-    except mslp.InfeasibleLP:
-        start_objective = None
-
     # raw capacities are solved exactly; the quadratic search is certified
-    # against the exact LP optimum of the same objective
+    # against the exact LP optimum of the same objective. The exact solve
+    # comes first: when no plan in the box operates the scenarios it raises
+    # InfeasibleLP before anything is written.
     try:
-        if args.parameterization == "direct":
-            result = exact = capopt.optimize_capacity_exact(obj)
-        else:
+        result = exact = capopt.optimize_capacity_exact(obj)
+        try:
+            start_objective = capopt.objective(start, obj)
+        except mslp.InfeasibleLP:
+            start_objective = None
+        if args.parameterization == "quadratic":
             result = capopt.optimize_capacity_quadratic(obj, config)
-            try:
-                exact = capopt.optimize_capacity_exact(obj)
-            except mslp.InfeasibleLP:
-                exact = None
     finally:
         obj.close()
-    exact_cost = None if exact is None else exact.lp_objective
+    exact_cost = exact.lp_objective
+    out = _outdir(args.out)
 
     model.save_plan(result.best_plan, os.path.join(out, "best_plan.json"))
     result.trace_to_csv(os.path.join(out, "trace.csv"))
@@ -243,7 +237,7 @@ def cmd_optimize_capacity(args) -> int:
         "gradient_evaluations": result.gradient_evaluations,
         "function_evaluations": result.function_evaluations,
         "exact_total_cost": exact_cost,
-        "optimality_gap": None if exact is None else result.total_cost - exact_cost,
+        "optimality_gap": result.total_cost - exact_cost,
     }
     if start_objective is not None and start_objective != 0:
         summary["improvement_pct"] = (
@@ -257,8 +251,7 @@ def cmd_optimize_capacity(args) -> int:
     else:
         print(f"start total cost: {-start_objective:.4f}")
     print(f"best total cost:  {result.total_cost:.4f}")
-    if exact is not None:
-        print(f"exact LP optimum: {exact_cost:.4f} (gap {summary['optimality_gap']:.4g})")
+    print(f"exact LP optimum: {exact_cost:.4f} (gap {summary['optimality_gap']:.4g})")
     if start_objective is not None and start_objective != 0:
         print(f"improvement: {summary['improvement_pct']:.1f}%")
     print(f"outputs in {out}")
@@ -272,8 +265,10 @@ def cmd_monte_carlo(args) -> int:
     sc = _load_scenario(args.scenario, args.scenario_index, instance)
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    out = _outdir(args.out)
     obj = capopt.scenario_objective(instance, sc)
+    if obj.value_of_caps(obj.box_upper) is None:
+        raise mslp.InfeasibleLP("no capacity plan in the box operates the scenario")
+    out = _outdir(args.out)
     try:
         best_plan, stats = capopt.monte_carlo_search(
             obj,
@@ -408,8 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--start", help="plan JSON the result is compared with (default: seeded plan)"
     )
     q = o.add_argument_group("quadratic search")
-    q.add_argument("--fd-step", type=float, default=1e-3)
-    q.add_argument("--tolerance", type=float, default=1e-4)
     q.add_argument("--max-iter", type=int, default=60)
     q.add_argument("--restarts", type=int, default=8)
     o.add_argument(

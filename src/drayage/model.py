@@ -118,10 +118,6 @@ class Instance:
     initial_state: SystemState
 
     @property
-    def strategic_sources(self) -> Tuple[Source, ...]:
-        return tuple(s for s in self.sources if s.kind == STRATEGIC)
-
-    @property
     def spot_sources(self) -> Tuple[Source, ...]:
         return tuple(s for s in self.sources if s.kind == SPOT)
 

@@ -65,7 +65,6 @@ class MultistageLP:
     splus_cols: Dict[Tuple[int, int], int]
     sminus_cols: Dict[Tuple[int, int], int]
     cap_rows: Dict[Tuple[int, int], int]  # (source, period) -> A_ub row
-    initial: str = "fixed"
 
     def with_caps_array(self, caps: np.ndarray, source_ids: Sequence[int]) -> "MultistageLP":
         """Same LP with the capacity right-hand sides set to caps, an array
@@ -83,7 +82,6 @@ class MSLPSolution:
     moves: Dict[Tuple[int, Lane, int], float]
     states: Tuple[Dict[str, Dict[int, float]], ...]  # index t-1 -> period t
     integral: bool
-    x: np.ndarray
 
 
 def build_mslp(
@@ -234,7 +232,6 @@ def build_mslp(
         splus_cols=splus_cols,
         sminus_cols=sminus_cols,
         cap_rows=cap_rows,
-        initial=initial,
     )
 
 
@@ -276,5 +273,4 @@ def solve_mslp(lp: MultistageLP) -> MSLPSolution:
         moves=moves,
         states=tuple(states),
         integral=integral,
-        x=x,
     )

@@ -25,6 +25,7 @@ from drayage.model import (
     Bounds,
     CapacityPlan,
     CostSpec,
+    ExogenousRealization,
     Instance,
     Network,
     Scenario,
@@ -138,6 +139,19 @@ def micro_instance(
 
 def micro_scenario(rng: np.random.Generator, instance: Instance) -> Scenario:
     return sample_scenarios(instance, 1, int(rng.integers(0, 2**31)))[0]
+
+
+def dry_scenario(instance: Instance) -> Scenario:
+    """No inflow and an outflow of 8 in every period at the first entry and
+    exit. On the reference capacity instance the exit bound is violated under
+    every capacity plan, so the LP rejects this draw even at the box caps."""
+    spot = instance.spot_sources[0]
+    z = ExogenousRealization(
+        inflow={instance.network.entries[0]: 0},
+        outflow={instance.network.exits[0]: 8},
+        spot_rates={spot.id: {spot.lanes[0]: 7.0}},
+    )
+    return Scenario((z,) * instance.horizon)
 
 
 def relaxation_triple(

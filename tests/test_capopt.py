@@ -11,7 +11,6 @@ from drayage.capopt import (
     OptConfig,
     monte_carlo_search,
     objective,
-    operable_scenario,
     optimize_capacity,
     optimize_capacity_exact,
     optimize_capacity_quadratic,
@@ -23,9 +22,11 @@ from drayage.capopt import (
     total_flow,
 )
 from drayage.evaluation import per_scenario_optimum
-from drayage.model import CapacityPlan, ExogenousRealization, Scenario
+from drayage.model import CapacityPlan
 from drayage.mslp import InfeasibleLP
 from drayage.scenario import SampleSet, build_sample_set, sample_scenarios
+
+from helpers import dry_scenario
 
 
 SMALL = OptConfig(restarts=1, max_iter=8, seed=7)
@@ -376,25 +377,20 @@ def test_sample_objective_weights_uniform(capacity_instance):
         obj.close()
 
 
-def _dry_scenario(instance):
-    # zero inflow, max outflow every period: the exit bound is violated under
-    # every capacity plan, so the LP rejects this draw even at box caps
-    spot = instance.spot_sources[0]
-    lane = spot.lanes[0]
-    z = ExogenousRealization(
-        inflow={instance.network.entries[0]: 0},
-        outflow={instance.network.exits[0]: 8},
-        spot_rates={spot.id: {lane: 7.0}},
-        probability=0.0,
-    )
-    return Scenario((z,) * instance.horizon, 0.0)
+def _counting_builds(monkeypatch):
+    builds = []
+    original = capopt.build_mslp
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(capopt, "build_mslp", counting)
+    return builds
 
 
 def test_sample_objective_drops_inoperable_draws(capacity_instance, demo_scenario):
-    dry = _dry_scenario(capacity_instance)
-    assert not operable_scenario(capacity_instance, dry)
-    assert operable_scenario(capacity_instance, demo_scenario)
-
+    dry = dry_scenario(capacity_instance)
     obj = sample_objective(capacity_instance, [demo_scenario, dry])
     try:
         assert obj.dropped_scenarios == 1
@@ -408,6 +404,27 @@ def test_sample_objective_drops_inoperable_draws(capacity_instance, demo_scenari
 
     with pytest.raises(InfeasibleLP):
         sample_objective(capacity_instance, [dry, dry])
+
+
+def test_sample_objective_builds_each_draw_once(capacity_instance, demo_scenario,
+                                                monkeypatch):
+    # operability is read from the objective's own templates, so the
+    # inoperable draw is built once and the kept one is not built again
+    builds = _counting_builds(monkeypatch)
+    obj = sample_objective(capacity_instance, [demo_scenario, dry_scenario(capacity_instance)])
+    try:
+        assert obj.dropped_scenarios == 1
+        assert [w for _, w in obj.weighted_scenarios] == [1.0]
+        assert [w for _, w in obj.templates()] == [1.0]
+    finally:
+        obj.close()
+    assert len(builds) == 2
+
+
+def test_saa_builds_one_lp_per_draw(capacity_instance, monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    optimize_capacity_saa(capacity_instance, 20, 0)
+    assert len(builds) == 20
 
 
 def test_lp_value_independent_of_worker_count(capacity_instance, monkeypatch):
@@ -460,11 +477,11 @@ def test_exact_matches_folded_optimum_on_one_scenario(capacity_instance, demo_sc
     # instead of pricing separate capacity columns; both must give the same
     # optimum.
     for sc in [demo_scenario] + sample_scenarios(capacity_instance, 4, 9):
-        if not operable_scenario(capacity_instance, sc):
-            continue
         obj = scenario_objective(capacity_instance, sc)
         try:
             res = optimize_capacity_exact(obj)
+        except InfeasibleLP:
+            continue
         finally:
             obj.close()
         _, folded = per_scenario_optimum(obj)
@@ -540,7 +557,7 @@ def test_exact_plan_in_box_and_lowered_to_usage(capacity_instance, n):
 
 def test_exact_reports_dropped_scenarios(capacity_instance, demo_scenario):
     mixed = sample_objective(
-        capacity_instance, [demo_scenario, _dry_scenario(capacity_instance)]
+        capacity_instance, [demo_scenario, dry_scenario(capacity_instance)]
     )
     alone = scenario_objective(capacity_instance, demo_scenario)
     try:

@@ -11,8 +11,9 @@ import pytest
 
 import drayage
 from drayage import cli, model
-from drayage.model import ExogenousRealization, Scenario
 from drayage.scenario import save_scenarios
+
+from helpers import dry_scenario
 
 
 def run_cli(*argv):
@@ -298,10 +299,6 @@ def test_optimize_capacity_saa_mode(example_dir):
 @pytest.mark.parametrize(
     "flags,key",
     [
-        (["--parameterization", "quadratic", "--fd-step", "0"], "fd_step"),
-        (["--fd-step", "-0.5"], "fd_step"),
-        (["--fd-step", "nan"], "fd_step"),
-        (["--tolerance", "-1"], "tolerance"),
         (["--max-iter", "0"], "max_iter"),
         (["--restarts", "-2"], "restarts"),
     ],
@@ -317,6 +314,30 @@ def test_optimize_capacity_bad_search_settings_exit_two(
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not (example_dir / "capacity_out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--parameterization", "direct"],
+        ["--parameterization", "quadratic", "--restarts", "0", "--max-iter", "2"],
+    ],
+)
+def test_optimize_capacity_inoperable_scenario_exits_one(
+    example_dir, capacity_instance, capsys, flags
+):
+    # no plan in the box operates the scenario: no penalty is reported as a
+    # cost and nothing is written
+    path = example_dir / "dry.json"
+    save_scenarios([dry_scenario(capacity_instance)], str(path))
+    out = example_dir / "cap_dry"
+    rc = run_cli(
+        "optimize-capacity", "--instance", str(example_dir / "inst.json"),
+        "--scenario", str(path), *flags, "--out", str(out),
+    )
+    assert rc == 1
+    assert "solver error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_capacity_scenario_mode_needs_file(example_dir, monkeypatch):
@@ -353,19 +374,15 @@ def test_monte_carlo_outputs(example_dir):
 
 def test_monte_carlo_inoperable_scenario_exits_one(example_dir, capacity_instance):
     # Exits drain with no inflow ever arriving: every capacity sample fails.
-    dry = ExogenousRealization(
-        inflow={1: 0}, outflow={2: 8}, spot_rates={2: {(1, 2): 7.0}}
-    )
     path = example_dir / "dry.json"
-    save_scenarios(
-        [Scenario(realizations=(dry,) * capacity_instance.horizon)], str(path)
-    )
+    save_scenarios([dry_scenario(capacity_instance)], str(path))
     rc = run_cli(
         "monte-carlo", "--instance", str(example_dir / "inst.json"),
         "--scenario", str(path), "--count", "5", "--seed", "1",
         "--out", str(example_dir / "mc_dry"),
     )
     assert rc == 1
+    assert not (example_dir / "mc_dry").exists()
 
 
 def test_monte_carlo_zero_count_exits_two(example_dir, monkeypatch, capsys):

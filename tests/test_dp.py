@@ -18,12 +18,13 @@ from drayage.dp import (
     terminal_value,
     value_surface,
 )
-from drayage.model import CapacityPlan, ExogenousRealization, Scenario, SystemState
+from drayage.model import CapacityPlan, Scenario, SystemState
 from drayage.scenario import SampleSet, build_sample_set, realization_key
 from drayage import reference
 
 from helpers import (
     all_states,
+    dry_scenario,
     enumerate_policy_value,
     loop_policy_values,
     micro_instance,
@@ -365,12 +366,8 @@ def test_feasible_actions_contiguous(capacity_instance, demo_scenario, tuned_pla
 def test_rollout_off_sample_raises(capacity_instance, demo_scenario, tuned_plan):
     vt, pt = solve_scenario(capacity_instance, demo_scenario, tuned_plan)
     assert pt.action(1, S08) > 0  # plan moves boxes it will not have
-    dry = ExogenousRealization(
-        inflow={1: 0}, outflow={2: 0}, spot_rates={2: {(1, 2): 7.0}}
-    )
-    dry_scenario = Scenario(realizations=(dry,) * capacity_instance.horizon)
     with pytest.raises(UndefinedPolicyState):
-        rollout(capacity_instance, pt, dry_scenario, tuned_plan, S08)
+        rollout(capacity_instance, pt, dry_scenario(capacity_instance), tuned_plan, S08)
 
 
 def test_policy_table_rejects_bad_period(capacity_instance, demo_scenario, tuned_plan):

@@ -17,11 +17,11 @@ from drayage.evaluation import (
     summarize,
     summary_to_csv,
 )
-from drayage.model import CapacityPlan, ExogenousRealization, Scenario
+from drayage.model import CapacityPlan
 from drayage.mslp import InfeasibleLP, build_mslp, solve_mslp
 from drayage.scenario import sample_scenarios
 
-from helpers import micro_instance, micro_scenario
+from helpers import dry_scenario, micro_instance, micro_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +133,7 @@ def test_regret_builds_one_lp_per_scenario(capacity_instance, tuned_plan, monkey
 
 def test_inoperable_scenario_yields_nan_regret(capacity_instance, tuned_plan):
     # No inflow ever arrives but exits drain every period: no plan works.
-    dry = ExogenousRealization(
-        inflow={1: 0}, outflow={2: 8}, spot_rates={2: {(1, 2): 7.0}}
-    )
-    scenario = Scenario(realizations=(dry,) * capacity_instance.horizon)
-    records = regret_profile(capacity_instance, tuned_plan, [scenario])
+    records = regret_profile(capacity_instance, tuned_plan, [dry_scenario(capacity_instance)])
     assert records[0].optimal_objective == -math.inf
     assert records[0].achieved_objective == -math.inf
     assert math.isnan(records[0].regret)
