@@ -21,11 +21,8 @@ under some scenario) evaluate to a large negative penalty with a mild upward
 slope in total capacity, steering the search back toward feasibility.
 """
 
-import math
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,9 +30,9 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .dp import solve_expected
-from .lp import solve_lp
+from .lp import HighsModel, solve_lp
 from .model import CapacityPlan, Instance, Scenario
-from .mslp import InfeasibleLP, MultistageLP, build_mslp, solve_mslp
+from .mslp import InfeasibleLP, MultistageLP, build_mslp
 from .scenario import SampleSet
 
 PENALTY = 1.0e7
@@ -59,52 +56,14 @@ def total_flow(scenario: Scenario) -> float:
     return float(flow)
 
 
-# ---------------------------------------------------------------------------
-# LP evaluation: serial for one plan, forked workers for a batch of plans
-
-_W: Dict = {}
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: the worker count of the batch pool."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _worker_init(templates, source_ids):
-    # the forked worker inherits the parent's templates; nothing is pickled
-    _W["templates"] = templates
-    _W["source_ids"] = source_ids
-
-
 def _sum_in_order(terms: Sequence[float]) -> float:
-    # One left-to-right sum over the scenarios, the same loop in the parent
-    # and in every worker, so pooled and serial values are bit-identical.
+    # One left-to-right sum over the scenarios. The fixed order keeps values
+    # bit-identical across Python versions: from 3.12, sum() of floats uses
+    # compensated summation.
     total = 0.0
     for v in terms:
         total += v
     return total
-
-
-def _points(templates, source_ids, caps_batch) -> List[Optional[float]]:
-    """Weighted value per capacity array; None where a scenario is infeasible."""
-    out: List[Optional[float]] = []
-    for caps in caps_batch:
-        terms = []
-        for tpl, w in templates:
-            try:
-                terms.append(w * (-solve_mslp(tpl.with_caps_array(caps, source_ids)).cost))
-            except InfeasibleLP:
-                terms = None
-                break
-        out.append(None if terms is None else _sum_in_order(terms))
-    return out
-
-
-def _worker_points(caps_batch) -> List[Optional[float]]:
-    return _points(_W["templates"], _W["source_ids"], caps_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +77,10 @@ class CapacityObjective:
     Exactly one of weighted_scenarios (LP-valued) and sample_set (DP-valued)
     is given. Both value the best achievable initial state. Capacity is
     priced at each source's reservation_rate; the box is action_max per
-    source per period. An LP-valued objective solves one plan in this
-    process and splits a batch of plans over a fork pool with one worker per
-    usable CPU (solved here as well on one CPU); close() ends the pool.
+    source per period. An LP-valued objective solves a plan's scenario LPs
+    cold, in this process, on one lp.HighsModel built on first use from the
+    first template (all templates share the instance's constraint matrix);
+    no plan goes through lp.solve_lp or mslp.solve_mslp. close() drops it.
     """
 
     instance: Instance
@@ -128,7 +88,7 @@ class CapacityObjective:
     sample_set: Optional[SampleSet] = None
     dropped_scenarios: int = field(default=0, init=False, repr=False)
     _templates: Optional[List] = field(default=None, init=False, repr=False)
-    _pool: Optional[object] = field(default=None, init=False, repr=False)
+    _model: Optional[HighsModel] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if bool(self.weighted_scenarios) == (self.sample_set is not None):
@@ -175,36 +135,34 @@ class CapacityObjective:
             ]
         return self._templates
 
+    def _lp_value(self, caps: np.ndarray, templates) -> Optional[float]:
+        """Weighted sum of the templates' LP values at caps, solved on the
+        shared model; None when one is infeasible."""
+        if self._model is None:
+            tpl = self.templates()[0][0]
+            self._model = HighsModel(tpl.upper, tpl.A_eq, tpl.A_ub)
+        terms = []
+        for tpl, w in templates:
+            lp = tpl.with_caps_array(caps, self.source_ids)
+            res = self._model.solve(lp.c, lp.b_eq, lp.b_ub)
+            if res.status == "infeasible":
+                return None
+            if res.status != "optimal":
+                raise RuntimeError(f"unexpected LP status {res.status}")
+            terms.append(w * -res.objective)
+        return _sum_in_order(terms)
+
     def value_of_caps(self, caps: np.ndarray) -> Optional[float]:
         """V estimate at a capacity array; None when infeasible."""
         if self.sample_set is None:
-            return _points(self.templates(), self.source_ids, [caps])[0]
+            return self._lp_value(caps, self.templates())
         table, _ = solve_expected(
             self.instance, self.sample_set, _caps_to_plan(self.instance, caps)
         )
         return table.best_initial_state()[1]
 
-    def values_of_caps(self, caps_list: Sequence[np.ndarray]) -> List[Optional[float]]:
-        """value_of_caps of each array; LP batches run on the fork pool."""
-        if self.sample_set is not None:
-            return [self.value_of_caps(caps) for caps in caps_list]
-        workers = _cpu_count()
-        if workers < 2 or len(caps_list) < 2:
-            return _points(self.templates(), self.source_ids, caps_list)
-        if self._pool is None:
-            self._pool = get_context("fork").Pool(
-                workers,
-                initializer=_worker_init,
-                initargs=(self.templates(), self.source_ids),
-            )
-        chunk = max(1, math.ceil(len(caps_list) / (workers * 4)))
-        batches = [caps_list[k : k + chunk] for k in range(0, len(caps_list), chunk)]
-        return [v for part in self._pool.map(_worker_points, batches) for v in part]
-
     def close(self):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool = None
+        self._model = None
 
 
 def scenario_objective(instance: Instance, scenario: Scenario) -> CapacityObjective:
@@ -230,7 +188,7 @@ def sample_objective(
     kept = [
         (sc, tpl)
         for sc, (tpl, _) in zip(scenarios, obj.templates())
-        if _points([(tpl, 1.0)], obj.source_ids, [box])[0] is not None
+        if obj._lp_value(box, [(tpl, 1.0)]) is not None
     ]
     if not kept:
         raise InfeasibleLP("no operable scenario in the sample")
@@ -305,7 +263,7 @@ class _Search:
     """Restarted L-BFGS-B ascent of the penalized objective over a vector x.
 
     to_caps maps x to a capacity array. Every capacity array scored, alone
-    or in a gradient's batch, counts as one function evaluation.
+    or for a gradient, counts as one function evaluation.
     """
 
     obj: CapacityObjective
@@ -315,38 +273,31 @@ class _Search:
     nfev: int = 0
     njev: int = 0
 
-    def score(self, caps_list: Sequence[np.ndarray]) -> List[float]:
-        """Value minus reservation cost per array; the penalty where infeasible."""
-        self.nfev += len(caps_list)
-        res_rates = self.obj.rates_array()
-        out = []
-        for caps, v in zip(caps_list, self.obj.values_of_caps(caps_list)):
-            if v is None:
-                out.append(-PENALTY + PENALTY_SLOPE * float(np.sum(caps)))
-            else:
-                out.append(v - float(np.sum(res_rates * caps)))
-        return out
+    def score(self, caps: np.ndarray) -> float:
+        """Value minus reservation cost; the penalty where infeasible."""
+        self.nfev += 1
+        v = self.obj.value_of_caps(caps)
+        if v is None:
+            return -PENALTY + PENALTY_SLOPE * float(np.sum(caps))
+        return v - float(np.sum(self.obj.rates_array() * caps))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Central differences, forward only where the backward point has a
-        capacity below 0; all points are scored as one batch."""
+        capacity below 0."""
         self.njev += 1
         h = FD_STEP
-        ups, dns = [], []
+        g, f_x = np.empty(x.size), None
         for k in range(x.size):
             up, dn = x.copy(), x.copy()
             up[k] += h
             dn[k] -= h
-            ups.append(self.to_caps(up))
-            dns.append(self.to_caps(dn))
-        central = [bool(np.all(dn >= 0.0)) for dn in dns]
-        at_x = [] if all(central) else [self.to_caps(x)]
-        vals = self.score(ups + [dn for dn, c in zip(dns, central) if c] + at_x)
-        f_dn = iter(vals[x.size :])
-        return np.array([
-            (f_up - next(f_dn)) / (2 * h) if c else (f_up - vals[-1]) / h
-            for f_up, c in zip(vals[: x.size], central)
-        ])
+            f_up, dn_caps = self.score(self.to_caps(up)), self.to_caps(dn)
+            if np.all(dn_caps >= 0.0):
+                g[k] = (f_up - self.score(dn_caps)) / (2 * h)
+            else:
+                f_x = self.score(self.to_caps(x)) if f_x is None else f_x
+                g[k] = (f_up - f_x) / h
+        return g
 
     def run(self, x0: np.ndarray, draw, bounds):
         """L-BFGS-B from x0 and from config.restarts starts draw(rng) makes.
@@ -362,7 +313,7 @@ class _Search:
             last = {"f": None, "g": np.zeros(x_start.size)}
 
             def fun(x):
-                last["f"] = self.score([self.to_caps(x)])[0]
+                last["f"] = self.score(self.to_caps(x))
                 return -last["f"]
 
             def jac(x):
@@ -427,7 +378,7 @@ def optimize_capacity(
     cand_caps = best_x.reshape(shape)
     candidates = [(best_f, cand_caps)]
     rounded = np.clip(np.rint(cand_caps), 0.0, upper)
-    f_rounded = search.score([rounded])[0]
+    f_rounded = search.score(rounded)
     candidates.append((f_rounded, rounded))
     cur, cur_f = rounded.copy(), f_rounded
     for _ in range(200):
@@ -439,7 +390,7 @@ def optimize_capacity(
                 trial[k] += step
                 if trial[k] < 0 or trial[k] > upper.ravel()[k]:
                     continue
-                tf = search.score([trial.reshape(shape)])[0]
+                tf = search.score(trial.reshape(shape))
                 if tf > cur_f + 1e-9:
                     cur_f, flat = tf, trial
                     improved = True
@@ -450,7 +401,7 @@ def optimize_capacity(
         best_trace = best_trace + [(len(best_trace), cur_f, 0.0)]
     candidates.append((cur_f, cur))
 
-    f_start = search.score([start_caps])[0]
+    f_start = search.score(start_caps)
     candidates.append((f_start, start_caps))  # never regress below the start
     best_f, best_caps = max(candidates, key=lambda kv: kv[0])
     return search.result(best_caps, best_f, best_trace)
@@ -482,24 +433,21 @@ def monte_carlo_search(
 
     costs = np.empty(count)
     feasible = np.zeros(count, dtype=bool)
-    chunk = 4096
     with open(samples_out, "w") if samples_out is not None else nullcontext() as writer:
         if writer is not None:
             cols = [
                 f"x_{sid}_{t}" for sid in obj.source_ids for t in range(1, inst.horizon + 1)
             ]
             writer.write("sample_id," + ",".join(cols) + ",feasible,total_cost\n")
-        for lo in range(0, count, chunk):
-            batch = [samples[k].astype(float) for k in range(lo, min(lo + chunk, count))]
-            for off, v in enumerate(obj.values_of_caps(batch)):
-                k = lo + off
-                if v is not None:
-                    feasible[k] = True
-                    costs[k] = -(v - float(np.sum(res_rates * samples[k])))
-                if writer is not None:
-                    flat = ",".join(str(int(c)) for c in samples[k].ravel())
-                    val = repr(float(costs[k])) if v is not None else ""
-                    writer.write(f"{k},{flat},{int(v is not None)},{val}\n")
+        for k in range(count):
+            v = obj.value_of_caps(samples[k].astype(float))
+            if v is not None:
+                feasible[k] = True
+                costs[k] = -(v - float(np.sum(res_rates * samples[k])))
+            if writer is not None:
+                flat = ",".join(str(int(c)) for c in samples[k].ravel())
+                val = repr(float(costs[k])) if v is not None else ""
+                writer.write(f"{k},{flat},{int(v is not None)},{val}\n")
 
     feas_costs = costs[feasible]
     if feas_costs.size == 0:

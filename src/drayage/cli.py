@@ -211,16 +211,13 @@ def cmd_optimize_capacity(args) -> int:
     # against the exact LP optimum of the same objective. The exact solve
     # comes first: when no plan in the box operates the scenarios it raises
     # InfeasibleLP before anything is written.
+    result = exact = capopt.optimize_capacity_exact(obj)
     try:
-        result = exact = capopt.optimize_capacity_exact(obj)
-        try:
-            start_objective = capopt.objective(start, obj)
-        except mslp.InfeasibleLP:
-            start_objective = None
-        if args.parameterization == "quadratic":
-            result = capopt.optimize_capacity_quadratic(obj, config)
-    finally:
-        obj.close()
+        start_objective = capopt.objective(start, obj)
+    except mslp.InfeasibleLP:
+        start_objective = None
+    if args.parameterization == "quadratic":
+        result = capopt.optimize_capacity_quadratic(obj, config)
     exact_cost = exact.lp_objective
     out = _outdir(args.out)
 
@@ -236,6 +233,7 @@ def cmd_optimize_capacity(args) -> int:
         "iterations": result.iterations,
         "gradient_evaluations": result.gradient_evaluations,
         "function_evaluations": result.function_evaluations,
+        "dropped_scenarios": obj.dropped_scenarios,
         "exact_total_cost": exact_cost,
         "optimality_gap": result.total_cost - exact_cost,
     }
@@ -246,6 +244,11 @@ def cmd_optimize_capacity(args) -> int:
     with open(os.path.join(out, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
+    if obj.dropped_scenarios:
+        print(
+            f"dropped {obj.dropped_scenarios} of {args.samples} draws: "
+            "no plan in the box operates them"
+        )
     if start_objective is None:
         print("start plan infeasible for the objective's scenarios")
     else:
@@ -269,15 +272,12 @@ def cmd_monte_carlo(args) -> int:
     if obj.value_of_caps(obj.box_upper) is None:
         raise mslp.InfeasibleLP("no capacity plan in the box operates the scenario")
     out = _outdir(args.out)
-    try:
-        best_plan, stats = capopt.monte_carlo_search(
-            obj,
-            args.count,
-            args.seed,
-            samples_out=os.path.join(out, "samples.csv"),
-        )
-    finally:
-        obj.close()
+    best_plan, stats = capopt.monte_carlo_search(
+        obj,
+        args.count,
+        args.seed,
+        samples_out=os.path.join(out, "samples.csv"),
+    )
     evaluation.summary_to_csv(
         {
             "total_cost": stats["total_cost"],

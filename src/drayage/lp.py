@@ -2,20 +2,26 @@
 
 Solves   min c'x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  0 <= x <= upper
 
-with scipy's `linprog(method="highs")`. It serves the per-scenario
-multistage LP (mslp.solve_mslp) and the extensive-form capacity LP
-(capopt.optimize_capacity_exact); rows may be dense arrays or scipy sparse
-matrices. The tiny per-period allocation LP has its own dense tableau in
-alloc, where linprog's per-call overhead would cost more than the solve.
+with HiGHS's dual simplex (Huangfu & Hall 2018) through scipy's bundled
+binding, with the row layout and options of scipy's method "highs", so
+results equal scipy's bit for bit. HighsModel keeps one constraint matrix
+for many costs and right-hand sides (one per capacity objective); solve_lp
+solves one LP once (mslp.solve_mslp, capopt.optimize_capacity_exact). The
+per-period allocation LP has its own dense tableau in alloc.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize._highspy import _core  # private: scipy's HiGHS binding
 
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+_STATUS = {
+    _core.HighsModelStatus.kOptimal: "optimal",
+    _core.HighsModelStatus.kInfeasible: "infeasible",
+    _core.HighsModelStatus.kUnbounded: "unbounded",
+}
 
 
 @dataclass
@@ -26,21 +32,62 @@ class LPResult:
     iterations: int  # HiGHS simplex / IPM iterations
 
 
-def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, upper=None) -> LPResult:
-    """Minimize c'x subject to equalities, inequalities and bounds [0, upper].
+class HighsModel:
+    """One HiGHS LP with a fixed column box [0, upper] and constraint matrix
+    (rows: A_ub's, then A_eq's; dense, sparse or None).
 
-    upper may contain np.inf (None: no upper bounds). x is clipped into the
-    box; the objective is HiGHS's optimal value, which differs from c'x at
-    the clipped point only by round-off. Any HiGHS outcome other than an
-    optimum, infeasibility or unboundedness (an iteration limit, numerical
-    trouble) raises RuntimeError.
+    Every solve passes the model anew, which clears all solver state, so it
+    is cold and its result does not depend on earlier solves. (Warm starts,
+    or costs changed in place, moved values in the last bits.)
     """
+
+    def __init__(self, upper, A_eq=None, A_ub=None):
+        self._upper = upper = np.asarray(upper, dtype=float)
+        self._n_ub = 0 if A_ub is None else A_ub.shape[0]
+        blocks = [A for A in (A_ub, A_eq) if A is not None]
+        if any(sparse.issparse(A) for A in blocks):
+            A = sparse.vstack([sparse.coo_array(A, dtype=float) for A in blocks])
+        else:  # dense rows stack and convert in a quarter of the time
+            A = np.vstack([np.asarray(A, float) for A in blocks] or [np.zeros((0, upper.size))])
+        A = sparse.csc_array(A)
+        self._lp = lp = _core.HighsLp()
+        lp.num_row_, lp.num_col_ = A.shape
+        mat = lp.a_matrix_
+        mat.num_row_, mat.num_col_ = A.shape
+        mat.format_ = _core.MatrixFormat.kColwise
+        mat.start_, mat.index_, mat.value_ = A.indptr, A.indices, A.data
+        lp.col_lower_, lp.col_upper_ = np.zeros(A.shape[1]), self._upper
+        self._highs = h = _core._Highs()
+        for key, value in (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1)):
+            h.setOptionValue(key, value)  # scipy's settings; strategy 1: dual simplex
+
+    def solve(self, c, b_eq=None, b_ub=None) -> LPResult:
+        """Minimize c'x for these right-hand sides: x clipped into the box,
+        HiGHS's optimal value. Any outcome other than an optimum,
+        infeasibility or unboundedness (a limit, "unbounded or infeasible",
+        numerical trouble) raises RuntimeError."""
+        eq = np.empty(0) if b_eq is None else b_eq
+        lp, h = self._lp, self._highs
+        lp.col_cost_ = np.asarray(c, dtype=float)
+        lp.row_lower_ = np.concatenate([np.full(self._n_ub, -np.inf), eq])
+        lp.row_upper_ = np.concatenate([np.empty(0) if b_ub is None else b_ub, eq])
+        h.passModel(lp)
+        h.run()
+        status = h.getModelStatus()
+        info = h.getInfo()
+        iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+        if status not in _STATUS:
+            raise RuntimeError(f"HiGHS stopped with model status {status.name}")
+        if status != _core.HighsModelStatus.kOptimal:
+            return LPResult(_STATUS[status], None, None, iterations)
+        x = np.clip(np.asarray(h.getSolution().col_value), 0.0, self._upper)
+        return LPResult("optimal", x, float(info.objective_function_value), iterations)
+
+
+def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, upper=None) -> LPResult:
+    """Minimize c'x subject to equalities, inequalities and bounds [0, upper]
+    with one HighsModel, solved once. upper may contain np.inf (None: no
+    upper bounds)."""
     c = np.asarray(c, dtype=float)
-    upper = np.full(c.size, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    bounds = np.column_stack([np.zeros(c.size), upper])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status not in _STATUS:
-        raise RuntimeError(f"HiGHS stopped with status {res.status}: {res.message}")
-    if res.status != 0:
-        return LPResult(_STATUS[res.status], None, None, int(res.nit))
-    return LPResult("optimal", np.clip(res.x, 0.0, upper), float(res.fun), int(res.nit))
+    upper = np.full(c.size, np.inf) if upper is None else upper
+    return HighsModel(upper, A_eq, A_ub).solve(c, b_eq, b_ub)

@@ -4,8 +4,9 @@ Continuous relaxation of the per-scenario control problem: moves are real,
 state balance holds as equalities with hard bounds (no clamping), and the
 exit stock is split into nonnegative parts splus - sminus. Used as the
 differentiable surrogate for capacity search and as a relaxation cross-check
-on the DP. solve_mslp solves it with HiGHS through lp.solve_lp, the same
-solver capopt.optimize_capacity_exact uses for the stacked blocks.
+on the DP. solve_mslp solves it with HiGHS through lp.solve_lp, as
+capopt.optimize_capacity_exact does the stacked blocks; capacity plans are
+valued on a CapacityObjective's own lp.HighsModel instead.
 
 The relaxation bounds the DP only along unclamped trajectories. The DP
 transition (alloc.transition) clamps stocks into their bounds, dropping entry

@@ -346,8 +346,8 @@ def test_saa_rejects_zero_scenarios(capacity_instance):
 def test_quadratic_search_smoke(capacity_instance, demo_scenario):
     obj = scenario_objective(capacity_instance, demo_scenario)
     calls = []
-    values_of_caps = obj.values_of_caps
-    obj.values_of_caps = lambda caps_list: calls.extend(caps_list) or values_of_caps(caps_list)
+    value_of_caps = obj.value_of_caps
+    obj.value_of_caps = lambda caps: calls.append(caps) or value_of_caps(caps)
     try:
         res = optimize_capacity_quadratic(obj, SMALL)
         assert np.isfinite(res.best_objective)
@@ -427,30 +427,41 @@ def test_saa_builds_one_lp_per_draw(capacity_instance, monkeypatch):
     assert len(builds) == 20
 
 
-def test_lp_value_independent_of_worker_count(capacity_instance, monkeypatch):
-    # a batch over two forked workers equals the serial values bit for bit
-    monkeypatch.setattr(capopt, "_cpu_count", lambda: 2)
+def test_lp_values_equal_direct_linprog_bit_for_bit(capacity_instance):
+    # every plan value is a cold solve: the same in any order, and equal to
+    # the weighted sum of direct linprog costs, feasible or not
+    from scipy.optimize import linprog
+
     obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 60, 0))
     rng = np.random.default_rng(3)
-    caps = [rng.uniform(3.0, 10.0, size=(2, 4)) for _ in range(8)]
+    caps = [rng.uniform(lo, 10.0, size=(2, 4)) for lo in (0.0, 3.0) * 6]
+    caps += [rng.uniform(0.0, 2.0, size=(2, 4)) for _ in range(4)]
+    order = rng.permutation(len(caps))
     try:
-        pooled = obj.values_of_caps(caps)
-        assert obj._pool is not None
-        values = [obj.value_of_caps(c) for c in caps]
+        forward = [obj.value_of_caps(c) for c in caps]
+        shuffled = dict(zip(order, (obj.value_of_caps(caps[k]) for k in order)))
+        templates = obj.templates()
     finally:
         obj.close()
-    assert pooled == values
-    assert sum(v is not None for v in values) >= 4
+    assert forward == [shuffled[k] for k in range(len(caps))]
 
-
-def test_single_plan_value_starts_no_pool(capacity_instance, monkeypatch):
-    monkeypatch.setattr(capopt, "_cpu_count", lambda: 2)
-    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 60, 0))
-    try:
-        assert obj.value_of_caps(np.full((2, 4), 8.0)) is not None
-        assert obj._pool is None
-    finally:
-        obj.close()
+    direct = []
+    for c in caps:
+        total = 0.0
+        for tpl, w in templates:
+            lp = tpl.with_caps_array(c, obj.source_ids)
+            res = linprog(
+                lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                bounds=np.column_stack([np.zeros(lp.c.size), lp.upper]), method="highs",
+            )
+            if res.status == 2:
+                total = None
+                break
+            assert res.status == 0
+            total += w * -res.fun
+        direct.append(total)
+    assert forward == direct
+    assert 4 <= sum(v is not None for v in forward) < len(caps)
 
 
 def test_serial_objectives_keep_their_own_scenarios(capacity_instance):
@@ -494,10 +505,10 @@ def test_exact_matches_folded_optimum_on_one_scenario(capacity_instance, demo_sc
 def test_exact_reads_its_cost_from_one_solve(capacity_instance, monkeypatch):
     # The extensive form is the only LP solved: no block is solved again to
     # price the lowered plan.
-    from drayage import mslp
+    from drayage import lp, mslp
 
     obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 20, 0))
-    calls = {"lp": 0, "mslp": 0}
+    calls = {"lp": 0, "model": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -507,9 +518,9 @@ def test_exact_reads_its_cost_from_one_solve(capacity_instance, monkeypatch):
 
     monkeypatch.setattr(capopt, "solve_lp", counting("lp", capopt.solve_lp))
     monkeypatch.setattr(mslp, "solve_lp", counting("lp", mslp.solve_lp))
-    monkeypatch.setattr(capopt, "solve_mslp", counting("mslp", capopt.solve_mslp))
+    monkeypatch.setattr(lp.HighsModel, "solve", counting("model", lp.HighsModel.solve))
     res = optimize_capacity_exact(obj)
-    assert calls == {"lp": 1, "mslp": 0}
+    assert calls == {"lp": 1, "model": 1}
     assert res.total_cost == 470.0799999999999
 
 

@@ -248,6 +248,7 @@ def test_optimize_capacity_scenario_mode(example_dir):
     assert summary["optimality_gap"] == pytest.approx(0.0, abs=1e-7)
     assert summary["gradient_evaluations"] == 0
     assert summary["function_evaluations"] == 1
+    assert summary["dropped_scenarios"] == 0
     plan = model.load_plan(str(out / "best_plan.json"))
     assert set(plan.capacity) == {1, 2}
     assert (out / "trace.csv").exists()
@@ -294,6 +295,19 @@ def test_optimize_capacity_saa_mode(example_dir):
     assert summary["best_total_cost"] == pytest.approx(
         summary["exact_total_cost"], abs=1e-7
     )
+
+
+def test_optimize_capacity_reports_dropped_draws(example_dir, capsys):
+    # of the two draws at seed 19, no plan in the box operates one
+    out = example_dir / "saa_dropped"
+    rc = run_cli(
+        "optimize-capacity", "--instance", str(example_dir / "inst.json"),
+        "--mode", "saa", "--samples", "2", "--seed", "19", "--out", str(out),
+    )
+    assert rc == 0
+    with open(out / "summary.json") as f:
+        assert json.load(f)["dropped_scenarios"] == 1
+    assert "dropped 1 of 2 draws" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
