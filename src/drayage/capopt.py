@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .dp import solve_expected
-from .lp import HighsModel, solve_lp
+from .lp import HighsModel, LPResult, solve_lp
 from .model import CapacityPlan, Instance, Scenario
 from .mslp import InfeasibleLP, MultistageLP, build_mslp
 from .scenario import SampleSet
@@ -77,10 +77,11 @@ class CapacityObjective:
     Exactly one of weighted_scenarios (LP-valued) and sample_set (DP-valued)
     is given. Both value the best achievable initial state. Capacity is
     priced at each source's reservation_rate; the box is action_max per
-    source per period. An LP-valued objective solves a plan's scenario LPs
-    cold, in this process, on one lp.HighsModel built on first use from the
-    first template (all templates share the instance's constraint matrix);
-    no plan goes through lp.solve_lp or mslp.solve_mslp. close() drops it.
+    source per period. An LP-valued objective solves every scenario LP it
+    is asked for (plan values, operability, the regret optimum) cold, in
+    this process, on one lp.HighsModel built on first use from the first
+    template, whose matrix every template shares; nothing goes through
+    lp.solve_lp or mslp.solve_mslp. close() drops the model.
     """
 
     instance: Instance
@@ -126,36 +127,46 @@ class CapacityObjective:
 
         Capacity enters only through the cap rows' right-hand sides, so each
         evaluation fills them in (with_caps_array) instead of rebuilding.
+        Only c, b_eq and b_ub depend on the scenario: every template shares
+        the first one's matrices, box and maps, so one model serves them all.
         """
         if self._templates is None:
             zero = _caps_to_plan(self.instance, np.zeros_like(self.box_upper))
-            self._templates = [
-                (build_mslp(self.instance, sc, zero, initial="free"), w)
-                for sc, w in self.weighted_scenarios
-            ]
+            self._templates = []
+            for sc, w in self.weighted_scenarios:
+                lp = build_mslp(self.instance, sc, zero, initial="free")
+                if self._templates:
+                    lp = replace(self._templates[0][0], c=lp.c, b_eq=lp.b_eq, b_ub=lp.b_ub)
+                self._templates.append((lp, w))
         return self._templates
 
-    def _lp_value(self, caps: np.ndarray, templates) -> Optional[float]:
-        """Weighted sum of the templates' LP values at caps, solved on the
-        shared model; None when one is infeasible."""
+    def solve_at(self, tpl: MultistageLP, caps: np.ndarray, c=None) -> LPResult:
+        """A template at caps, with costs c (default its own), solved cold on
+        the shared model; RuntimeError unless optimal or infeasible."""
         if self._model is None:
-            tpl = self.templates()[0][0]
-            self._model = HighsModel(tpl.upper, tpl.A_eq, tpl.A_ub)
+            first = self.templates()[0][0]
+            self._model = HighsModel(first.upper, first.A_eq, first.A_ub)
+        lp = tpl.with_caps_array(caps, self.source_ids)
+        res = self._model.solve(lp.c if c is None else c, lp.b_eq, lp.b_ub)
+        if res.status not in ("optimal", "infeasible"):
+            raise RuntimeError(f"unexpected LP status {res.status}")
+        return res
+
+    def lp_value(self, caps: np.ndarray, templates) -> Optional[float]:
+        """Weighted sum of these templates' LP values at caps; None when one
+        is infeasible."""
         terms = []
         for tpl, w in templates:
-            lp = tpl.with_caps_array(caps, self.source_ids)
-            res = self._model.solve(lp.c, lp.b_eq, lp.b_ub)
+            res = self.solve_at(tpl, caps)
             if res.status == "infeasible":
                 return None
-            if res.status != "optimal":
-                raise RuntimeError(f"unexpected LP status {res.status}")
             terms.append(w * -res.objective)
         return _sum_in_order(terms)
 
     def value_of_caps(self, caps: np.ndarray) -> Optional[float]:
         """V estimate at a capacity array; None when infeasible."""
         if self.sample_set is None:
-            return self._lp_value(caps, self.templates())
+            return self.lp_value(caps, self.templates())
         table, _ = solve_expected(
             self.instance, self.sample_set, _caps_to_plan(self.instance, caps)
         )
@@ -188,7 +199,7 @@ def sample_objective(
     kept = [
         (sc, tpl)
         for sc, (tpl, _) in zip(scenarios, obj.templates())
-        if obj._lp_value(box, [(tpl, 1.0)]) is not None
+        if obj.lp_value(box, [(tpl, 1.0)]) is not None
     ]
     if not kept:
         raise InfeasibleLP("no operable scenario in the sample")
@@ -531,12 +542,10 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
     if obj.sample_set is not None:
         raise ValueError("the exact LP needs an LP-valued objective")
     inst = obj.instance
-    tau = inst.horizon
-    keys = [(sid, t) for sid in obj.source_ids for t in range(1, tau + 1)]
-    nx = len(keys)
     blocks = obj.templates()
-    # the row layout depends on the instance only, so it is the same in every block
-    rows = [blocks[0][0].cap_rows[key] for key in keys]
+    # the blocks share one row layout (CapacityObjective.templates)
+    rows = blocks[0][0].cap_row_index(obj.source_ids)
+    nx = len(rows)
     couple = sparse.csr_matrix(
         (-np.ones(nx), (rows, np.arange(nx))), shape=(blocks[0][0].A_ub.shape[0], nx)
     )
@@ -574,11 +583,11 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
     offset = nx
     for lp, w in blocks:
         x_b = res.x[offset : offset + lp.c.size]
-        usage = np.maximum(usage, lp.A_ub[rows] @ x_b)
+        usage = np.maximum(usage, lp.cap_usage(x_b, obj.source_ids))
         operations += w * float(lp.c @ x_b)
         offset += lp.c.size
     caps = np.where(rates >= 0.0, np.clip(usage, 0.0, box), res.x[:nx])
-    plan = _caps_to_plan(inst, caps.reshape(len(obj.source_ids), tau))
+    plan = _caps_to_plan(inst, caps.reshape(obj.box_upper.shape))
     total = reservation_cost(plan, obj.rates) + operations
     return OptimizationResult(
         best_plan=plan,
@@ -591,27 +600,6 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
         lp_objective=res.objective,
         dropped_scenarios=obj.dropped_scenarios,
     )
-
-
-def folded_scenario_lp(obj: CapacityObjective) -> MultistageLP:
-    """Joint capacity-and-operations LP of a one-scenario LP objective.
-
-    The template at the box caps with the reservation rates added to the
-    move costs: with rates >= 0 the best reservation is the usage, so its
-    optimum is the joint minimum. It is optimize_capacity_exact's one-block
-    extensive form with the capacity columns folded away, kept because
-    regret profiles solve one per scenario and the extensive form was 1.7x
-    slower there.
-    """
-    if len(obj.weighted_scenarios) != 1:
-        raise ValueError("the folded LP needs a one-scenario LP-valued objective")
-    (template, _), = obj.templates()
-    lp = template.with_caps_array(obj.box_upper, obj.source_ids)
-    rates = obj.rates
-    c = lp.c.copy()
-    for (sid, _lane, t), col in lp.move_cols.items():
-        c[col] += rates[sid][t - 1]
-    return replace(lp, c=c)
 
 
 def optimize_capacity_saa(

@@ -325,25 +325,31 @@ def cmd_regret(args) -> int:
     report = evaluation.generalization_report(
         rec_in, rec_out, path=os.path.join(out, "generalization.csv")
     )
-    finite_in = [r.regret for r in rec_in if np.isfinite(r.regret)]
-    finite_out = [r.regret for r in rec_out if np.isfinite(r.regret)]
+    # generalization_report has raised unless both samples hold a finite regret
     summary = {
         "spearman": report["spearman"],
         "median_abs_diagonal_deviation": report["median_abs_diagonal_deviation"],
         "skipped_nonfinite": report["skipped_nonfinite"],
-        "in_sample": evaluation.summarize(finite_in) if finite_in else None,
-        "out_sample": evaluation.summarize(finite_out) if finite_out else None,
+        "in_sample": evaluation.summarize([r.regret for r in rec_in if np.isfinite(r.regret)]),
+        "out_sample": evaluation.summarize([r.regret for r in rec_out if np.isfinite(r.regret)]),
+        # regret NaN: no plan in the box operates the draw; +inf: only the shared plan fails
+        "inoperable": {
+            key: {"no_plan": sum(1 for r in recs if np.isnan(r.regret)),
+                  "shared_plan_only": sum(1 for r in recs if r.regret == np.inf)}
+            for key, recs in (("in_sample", rec_in), ("out_sample", rec_out))
+        },
     }
     with open(os.path.join(out, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
+    n_in, n_out = summary["inoperable"]["in_sample"], summary["inoperable"]["out_sample"]
+    if any(n_in.values()) or any(n_out.values()):
+        print("inoperable draws (no plan / shared plan only): "
+              f"in-sample {n_in['no_plan']} / {n_in['shared_plan_only']}, "
+              f"out-of-sample {n_out['no_plan']} / {n_out['shared_plan_only']}")
     for tag, block in (("in-sample", summary["in_sample"]),
                        ("out-of-sample", summary["out_sample"])):
-        if block is None:
-            print(f"{tag} regret: no operable scenarios")
-        else:
-            print(f"{tag} regret: median {block['median']:.2f}  "
-                  f"mean {block['mean']:.2f}")
+        print(f"{tag} regret: median {block['median']:.2f}  mean {block['mean']:.2f}")
     print(f"quantile spearman: {report['spearman']:.4f}")
     print(f"outputs in {out}")
     return EXIT_OK

@@ -1,28 +1,24 @@
 """Regret profiles, generalization diagnostics, and summary statistics.
 
-Each scenario of a regret profile gets one one-scenario CapacityObjective,
-so its multistage LP is built once, from the objective's template. The
-achieved value is capopt.objective at the shared plan. The per-scenario
+A regret profile is one LP-valued CapacityObjective over all its scenarios:
+each scenario's multistage LP is built once, as the objective's template,
+and both numbers of a record are solved on the objective's one HiGHS model.
+The achieved value is the template at the shared plan. The per-scenario
 optimum is exact: the same template at the box caps, with the reservation
-rates folded into the move costs (capopt.folded_scenario_lp), collapses the
-joint (capacity, operations) minimum to one LP. This keeps the dominance
-property regret >= 0 exact up to LP tolerance, which a finite-difference
+rates folded into the move costs, collapses the joint (capacity,
+operations) minimum to one LP. This keeps the dominance property
+regret >= 0 exact up to LP tolerance, which a finite-difference
 quasi-Newton search cannot guarantee on a piecewise-linear landscape.
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capopt import (CapacityObjective, _caps_to_plan, folded_scenario_lp, objective,
-                     scenario_objective)
+from .capopt import CapacityObjective, _caps_to_plan, reservation_cost
 from .model import CapacityPlan, Instance, Scenario
-from .mslp import InfeasibleLP, solve_mslp
-
-REGRET_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -53,25 +49,25 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
 # Per-scenario optimum
 
 
-def per_scenario_optimum(obj: CapacityObjective) -> Tuple[CapacityPlan, float]:
-    """Best capacity plan and objective for a one-scenario LP objective.
+def per_scenario_optimum(obj: CapacityObjective, k: int = 0) -> Tuple[CapacityPlan, float]:
+    """Best capacity plan and objective for scenario k of an LP objective alone.
 
-    One solve of folded_scenario_lp; the plan reserves what the optimum
-    moves. When even the box plan cannot operate the scenario, no plan can,
-    and the result is the box plan with objective -inf.
+    Template k at the box caps with the reservation rates added to the move
+    costs, solved on the objective's model: with rates >= 0 the best
+    reservation is the usage, so this is optimize_capacity_exact's one-block
+    extensive form with the capacity columns folded away. The plan reserves
+    what the optimum uses. When even the box plan cannot operate the
+    scenario, no plan can, and the result is the box plan with objective -inf.
     """
-    try:
-        sol = solve_mslp(folded_scenario_lp(obj))
-    except InfeasibleLP:
-        return _caps_to_plan(obj.instance, obj.box_upper), -math.inf
-    used = defaultdict(float)
-    for (sid, _lane, t), v in sol.moves.items():
-        used[sid, t] += v
-    capacity = {
-        sid: tuple(float(used[sid, t]) for t in range(1, obj.instance.horizon + 1))
-        for sid in obj.source_ids
-    }
-    return CapacityPlan(capacity=capacity), -sol.cost
+    tpl, _ = obj.templates()[k]
+    box = obj.box_upper
+    # each move column sits in exactly one cap row, so this adds its rate
+    c = tpl.c + obj.rates_array().ravel() @ tpl.A_ub[tpl.cap_row_index(obj.source_ids)]
+    res = obj.solve_at(tpl, box, c)
+    if res.status == "infeasible":
+        return _caps_to_plan(obj.instance, box), -math.inf
+    usage = tpl.cap_usage(res.x, obj.source_ids)
+    return _caps_to_plan(obj.instance, usage.reshape(box.shape)), -res.objective
 
 
 # ---------------------------------------------------------------------------
@@ -85,25 +81,22 @@ def regret_profile(
 ) -> List[RegretRecord]:
     """One record per scenario: per-scenario optimum minus shared-plan value.
 
-    A scenario the shared plan cannot operate gets achieved = -inf and
-    regret = +inf; downstream reports skip non-finite regrets.
+    A scenario only the shared plan cannot operate gets achieved = -inf and
+    regret = +inf; one no plan can operate (a cap above action_max is
+    redundant, so the box is the best plan) gets optimal = achieved = -inf
+    and regret NaN, with no achieved solve. Reports skip both.
     """
+    if not scenarios:
+        return []
+    obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, 1.0) for sc in scenarios))
+    caps = shared_plan.as_array(obj.source_ids)
+    reserved = reservation_cost(shared_plan, obj.rates)
     records = []
-    for sid, sc in enumerate(scenarios):
-        obj = scenario_objective(instance, sc)
-        _, opt_value = per_scenario_optimum(obj)
-        try:
-            achieved = objective(shared_plan, obj)
-        except InfeasibleLP:
-            achieved = -math.inf
-        records.append(
-            RegretRecord(
-                scenario_id=sid,
-                optimal_objective=opt_value,
-                achieved_objective=achieved,
-                regret=opt_value - achieved,
-            )
-        )
+    for k in range(len(scenarios)):
+        _, opt_value = per_scenario_optimum(obj, k)
+        value = None if opt_value == -math.inf else obj.lp_value(caps, [obj.templates()[k]])
+        achieved = -math.inf if value is None else value - reserved
+        records.append(RegretRecord(k, opt_value, achieved, opt_value - achieved))
     return records
 
 

@@ -5,9 +5,9 @@ Solves   min c'x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  0 <= x <= upper
 with HiGHS's dual simplex (Huangfu & Hall 2018) through scipy's bundled
 binding, with the row layout and options of scipy's method "highs", so
 results equal scipy's bit for bit. HighsModel keeps one constraint matrix
-for many costs and right-hand sides (one per capacity objective); solve_lp
-solves one LP once (mslp.solve_mslp, capopt.optimize_capacity_exact). The
-per-period allocation LP has its own dense tableau in alloc.
+for many costs and right-hand sides (one per capacity objective, for its
+plans and regret records); solve_lp solves one LP once (the extensive form,
+mslp.solve_mslp). The per-period allocation LP has its own tableau in alloc.
 """
 
 from dataclasses import dataclass

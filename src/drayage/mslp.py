@@ -5,8 +5,8 @@ state balance holds as equalities with hard bounds (no clamping), and the
 exit stock is split into nonnegative parts splus - sminus. Used as the
 differentiable surrogate for capacity search and as a relaxation cross-check
 on the DP. solve_mslp solves it with HiGHS through lp.solve_lp, as
-capopt.optimize_capacity_exact does the stacked blocks; capacity plans are
-valued on a CapacityObjective's own lp.HighsModel instead.
+capopt.optimize_capacity_exact does the stacked blocks; capacity plans and
+regret records are solved on a CapacityObjective's lp.HighsModel instead.
 
 The relaxation bounds the DP only along unclamped trajectories. The DP
 transition (alloc.transition) clamps stocks into their bounds, dropping entry
@@ -67,14 +67,21 @@ class MultistageLP:
     sminus_cols: Dict[Tuple[int, int], int]
     cap_rows: Dict[Tuple[int, int], int]  # (source, period) -> A_ub row
 
+    def cap_row_index(self, source_ids: Sequence[int]) -> List[int]:
+        """The cap rows of A_ub, source by source, period by period."""
+        return [self.cap_rows[(sid, t)] for sid in source_ids for t in range(1, self.horizon + 1)]
+
     def with_caps_array(self, caps: np.ndarray, source_ids: Sequence[int]) -> "MultistageLP":
         """Same LP with the capacity right-hand sides set to caps, an array
         shaped (len(source_ids), horizon) (cheap re-solve)."""
         b = self.b_ub.copy()
-        for k, sid in enumerate(source_ids):
-            for t in range(1, self.horizon + 1):
-                b[self.cap_rows[(sid, t)]] = float(caps[k, t - 1])
+        b[self.cap_row_index(source_ids)] = np.ravel(caps)
         return dataclasses.replace(self, b_ub=b)
+
+    def cap_usage(self, x: np.ndarray, source_ids: Sequence[int]) -> np.ndarray:
+        """Capacity the solution x uses: the cap rows' activity, flat in
+        cap_row_index order."""
+        return self.A_ub[self.cap_row_index(source_ids)] @ x
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,9 @@ def build_mslp(
 
     In the package, only capopt.CapacityObjective.templates calls this: it
     builds each scenario's LP once at the zero plan, and every capacity
-    evaluation, the operability check, the extensive form and the folded
-    per-scenario optimum (capopt.folded_scenario_lp) start from that
-    template.
+    evaluation, the operability check, the extensive form and the regret
+    record's optimum and achieved value (evaluation.regret_profile) start
+    from that template. Only c, b_eq and b_ub depend on the scenario.
     """
     if len(scenario.realizations) != instance.horizon:
         raise ValueError("scenario length does not match horizon")

@@ -437,6 +437,29 @@ def test_regret_outputs(example_dir):
     assert (out / "scenarios_out.json").exists()
 
 
+def test_regret_reports_inoperable_draws(example_dir, capsys):
+    # Of the two in-sample draws at seed 19 no plan in the box operates one
+    # (regret NaN); of the two out-of-sample draws at seed 2 only this thin
+    # plan fails one (regret +inf).
+    plan = example_dir / "thin_plan.json"
+    model.save_plan(model.CapacityPlan({1: (0.0, 6.0, 0.0, 0.0), 2: (0.0,) * 4}), str(plan))
+    out = example_dir / "reg"
+    rc = run_cli(
+        "regret", "--instance", str(example_dir / "inst.json"), "--shared-plan", str(plan),
+        "--samples", "2", "--in-seed", "19", "--out-seed", "2", "--out", str(out),
+    )
+    assert rc == 0
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
+    assert summary["inoperable"] == {
+        "in_sample": {"no_plan": 1, "shared_plan_only": 0},
+        "out_sample": {"no_plan": 0, "shared_plan_only": 1},
+    }
+    assert summary["skipped_nonfinite"] == 2
+    assert ("inoperable draws (no plan / shared plan only): "
+            "in-sample 1 / 0, out-of-sample 0 / 1") in capsys.readouterr().out
+
+
 def test_regret_zero_samples_exits_two(example_dir, monkeypatch, capsys):
     monkeypatch.chdir(example_dir)
     rc = run_cli(

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from drayage.capopt import reservation_cost, scenario_objective
+from drayage.capopt import objective, reservation_cost, sample_objective, scenario_objective
 from drayage.evaluation import (
     RegretRecord,
     generalization_report,
@@ -115,20 +115,36 @@ def test_regret_nonnegative_on_sampled_scenarios(capacity_instance, tuned_plan):
 
 def test_regret_builds_one_lp_per_scenario(capacity_instance, tuned_plan, monkeypatch):
     # The optimum and the achieved value share the scenario's template, the
-    # objective's one build_mslp call.
-    from drayage import capopt
+    # objective's one build_mslp call, and the profile's one HiGHS model.
+    from drayage import capopt, lp
 
-    builds = []
-    original = capopt.build_mslp
+    builds, models = [], []
+    build, init = capopt.build_mslp, lp.HighsModel.__init__
 
-    def counting(*args, **kwargs):
+    def counting_build(*args, **kwargs):
         builds.append(1)
-        return original(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(capopt, "build_mslp", counting)
+    def counting_init(self, *args, **kwargs):
+        models.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(capopt, "build_mslp", counting_build)
+    monkeypatch.setattr(lp.HighsModel, "__init__", counting_init)
+    assert regret_profile(capacity_instance, tuned_plan, []) == []
+    assert builds == [] and models == []
     scenarios = sample_scenarios(capacity_instance, 5, 31)
-    regret_profile(capacity_instance, tuned_plan, scenarios)
+    records = regret_profile(capacity_instance, tuned_plan, scenarios)
     assert len(builds) == len(scenarios)
+    assert len(models) == 1
+    monkeypatch.undo()
+    for sc, r in zip(scenarios, records):
+        alone = objective(tuned_plan, scenario_objective(capacity_instance, sc))
+        assert repr(r.achieved_objective) == repr(alone)
+    # every template of an objective shares the first one's matrices
+    templates = [tpl for tpl, _ in sample_objective(capacity_instance, scenarios).templates()]
+    assert len(templates) == len(scenarios)
+    assert all(t.A_ub is templates[0].A_ub and t.A_eq is templates[0].A_eq for t in templates)
 
 
 def test_inoperable_scenario_yields_nan_regret(capacity_instance, tuned_plan):

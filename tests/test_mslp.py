@@ -4,10 +4,11 @@ independent HiGHS cross-check."""
 import numpy as np
 import pytest
 
-from drayage.capopt import folded_scenario_lp, scenario_objective
+from drayage.capopt import scenario_objective
 from drayage.dp import solve_scenario
+from drayage.evaluation import per_scenario_optimum
 from drayage.model import CapacityPlan, Scenario
-from drayage.mslp import InfeasibleLP, build_mslp, solve_mslp
+from drayage.mslp import INTEGRALITY_TOL, InfeasibleLP, build_mslp, solve_mslp
 
 from helpers import relaxation_triple
 
@@ -38,10 +39,10 @@ def test_reference_optima(
 def test_joint_capacity_operations_optimum(capacity_instance, demo_scenario):
     # Reservation priced into the move rates over a full-size capacity box
     # collapses the joint (caps, moves) minimization into one LP.
-    obj = scenario_objective(capacity_instance, demo_scenario)
-    sol = solve_mslp(folded_scenario_lp(obj))
-    assert sol.cost == pytest.approx(439.2, abs=1e-9)
-    assert sol.integral
+    plan, value = per_scenario_optimum(scenario_objective(capacity_instance, demo_scenario))
+    assert value == pytest.approx(-439.2, abs=1e-9)
+    caps = np.array([plan.capacity[s.id] for s in capacity_instance.sources])
+    assert np.all(np.abs(caps - np.round(caps)) <= INTEGRALITY_TOL)
 
 
 def test_fixed_initial_never_cheaper_than_free(
