@@ -322,16 +322,21 @@ def cmd_regret(args) -> int:
         [("in", r) for r in rec_in] + [("out", r) for r in rec_out],
         os.path.join(out, "regret.csv"),
     )
-    report = evaluation.generalization_report(
-        rec_in, rec_out, path=os.path.join(out, "generalization.csv")
-    )
-    # generalization_report has raised unless both samples hold a finite regret
+    finite = [[r.regret for r in recs if np.isfinite(r.regret)] for recs in (rec_in, rec_out)]
+    try:
+        report = evaluation.generalization_report(
+            rec_in, rec_out, path=os.path.join(out, "generalization.csv")
+        )
+    except ValueError as e:  # a sample without a finite regret: keep its counts
+        report, failure = {}, e
+    else:
+        failure = None
     summary = {
-        "spearman": report["spearman"],
-        "median_abs_diagonal_deviation": report["median_abs_diagonal_deviation"],
-        "skipped_nonfinite": report["skipped_nonfinite"],
-        "in_sample": evaluation.summarize([r.regret for r in rec_in if np.isfinite(r.regret)]),
-        "out_sample": evaluation.summarize([r.regret for r in rec_out if np.isfinite(r.regret)]),
+        "spearman": report.get("spearman"),
+        "median_abs_diagonal_deviation": report.get("median_abs_diagonal_deviation"),
+        "skipped_nonfinite": len(rec_in) + len(rec_out) - len(finite[0]) - len(finite[1]),
+        "in_sample": evaluation.summarize(finite[0]) if finite[0] else None,
+        "out_sample": evaluation.summarize(finite[1]) if finite[1] else None,
         # regret NaN: no plan in the box operates the draw; +inf: only the shared plan fails
         "inoperable": {
             key: {"no_plan": sum(1 for r in recs if np.isnan(r.regret)),
@@ -347,6 +352,8 @@ def cmd_regret(args) -> int:
         print("inoperable draws (no plan / shared plan only): "
               f"in-sample {n_in['no_plan']} / {n_in['shared_plan_only']}, "
               f"out-of-sample {n_out['no_plan']} / {n_out['shared_plan_only']}")
+    if failure is not None:
+        raise failure
     for tag, block in (("in-sample", summary["in_sample"]),
                        ("out-of-sample", summary["out_sample"])):
         print(f"{tag} regret: median {block['median']:.2f}  mean {block['mean']:.2f}")

@@ -19,10 +19,16 @@ and z, the successor is clip arithmetic). Networks fill it from allocation
 solves memoized per period on (a, min(avail, a), min(space, a), spot rates):
 no lane carries more than a, so larger bounds never bind, solve_allocation
 solves exactly that clipped problem, and all states sharing it share one
-solve. rollout, which follows one possibly off-sample path, solves directly.
+solve. rollout reads each step's allocation through the same memo, keyed the
+same way, so single-lane and network rollouts take one path.
+
+solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
+evaluate_policy and rollout reuse that kernel, memo included, when they are
+called with the instance and plan it was built for, and build a new one
+otherwise; solve_scenario's policies carry none.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,9 +164,18 @@ class ValueTable:
 
 @dataclass
 class PolicyTable:
+    """Action per period and state.
+
+    ``kernel`` is the stage-table kernel of the solve_expected call that made
+    the policy (None otherwise). It keeps that call's allocation memo alive
+    for evaluate_policy and rollout to read: about 450 B per entry, 534
+    entries on the network-policy benchmark instance.
+    """
+
     horizon: int
     indexer: StateIndexer
     actions: np.ndarray  # shape (horizon, n_states), int
+    kernel: Optional["_StageTables"] = field(default=None, repr=False, compare=False)
 
     def action(self, period: int, state: SystemState) -> int:
         if not 1 <= period <= self.horizon:
@@ -332,7 +347,8 @@ class _StageTables:
     """The Bellman kernel (see the module docstring) for one instance and plan.
 
     ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation) and
-    ``next[a, s]``; network allocations are memoized across calls.
+    ``next[a, s]``; ``allocation(t, a, state, z)`` returns one state's
+    allocation. Network tables and allocations share one memo across calls.
     """
 
     def __init__(self, instance: Instance, plan: CapacityPlan):
@@ -345,7 +361,7 @@ class _StageTables:
         ne = len(idx.entry_ids)
         self.entry = digits[:, :ne]
         self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
-        self._memo: Dict[Tuple, Tuple[float, ...]] = {}
+        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
 
     def holding(self) -> np.ndarray:
         """``holding_cost`` of every state, summed in the same order."""
@@ -411,7 +427,7 @@ class _StageTables:
                 np.minimum(bounds[states], a), axis=0, return_inverse=True
             )
             sols = np.array(
-                [self._solve(t, a, row, rates, costs, src_caps) for row in clipped.tolist()]
+                [self._solve(t, a, row, rates, costs, src_caps)[0] for row in clipped.tolist()]
             )[inv.reshape(-1)]
             ok = np.isfinite(sols[:, 0])
             alive, sols = states[ok], sols[ok]
@@ -423,8 +439,20 @@ class _StageTables:
             nxt[a, alive] = np.ravel_multi_index(tuple(digits.T), idx.shape)
         return cost, nxt
 
-    def _solve(self, t, a, row, rates, costs, src_caps) -> Tuple[float, ...]:
-        """(cost, moves out of each entry, moves into each exit); cost inf if infeasible."""
+    def allocation(self, t: int, a: int, state: SystemState, z: ExogenousRealization):
+        """solve_allocation of a units at ``state`` under z in period t, through the memo."""
+        idx, b = self.indexer, self.instance.bounds
+        row = [min(state.entry_stock[i] + z.inflow[i], a) for i in idx.entry_ids]
+        row += [min(b.exit_max[j] - state.exit_stock[j], a) for j in idx.exit_ids]
+        caps = {k: float(v) for k, v in plan_caps_at(self.plan, t).items()}
+        rates = realization_key(z, self.instance)[2]
+        return self._solve(t, a, row, rates, lane_costs(self.instance, z, t), caps)[1]
+
+    def _solve(self, t, a, row, rates, costs, src_caps):
+        """((cost, moves out of each entry, moves into each exit), Allocation).
+
+        The cost is inf and the allocation INFEASIBLE when none exists.
+        """
         key = (t, a, tuple(row), rates)
         hit = self._memo.get(key)
         if hit is None:
@@ -440,15 +468,15 @@ class _StageTables:
                 )
             )
             if sol is INFEASIBLE:
-                hit = (np.inf,) + (0.0,) * len(row)
+                flows = (np.inf,) + (0.0,) * len(row)
             else:
                 out, into = lane_flows(sol.lane_totals())
-                hit = (
+                flows = (
                     (sol.cost,)
                     + tuple(out.get(i, 0.0) for i in idx.entry_ids)
                     + tuple(into.get(j, 0.0) for j in idx.exit_ids)
                 )
-            self._memo[key] = hit
+            hit = self._memo[key] = (flows, sol)
         return hit
 
 
@@ -480,7 +508,8 @@ def _sweep(instance, per_period, plan):
     realization of the period (feasibility is monotone in the action, so the
     kept set is {0..A*}). Single-lane sweeps take the first maximum; network
     sweeps move to a larger action only on a gain above 1e-12, so LP
-    round-off never decides a tie.
+    round-off never decides a tie. Returns the value and policy tables and
+    the kernel that filled them.
     """
     _check_periods(instance, per_period)
     kernel = _StageTables(instance, plan)
@@ -514,10 +543,7 @@ def _sweep(instance, per_period, plan):
         values[t - 1] = -hold + best_v
         actions[t - 1] = best_a
 
-    return (
-        ValueTable(tau, indexer, values),
-        PolicyTable(tau, indexer, actions),
-    )
+    return ValueTable(tau, indexer, values), PolicyTable(tau, indexer, actions), kernel
 
 
 def solve_scenario(
@@ -529,7 +555,7 @@ def solve_scenario(
     if len(scenario.realizations) != instance.horizon:
         raise ValueError("scenario length does not match horizon")
     per_period = [[(z, 1.0)] for z in scenario.realizations]
-    return _sweep(instance, per_period, plan)
+    return _sweep(instance, per_period, plan)[:2]
 
 
 def solve_expected(
@@ -540,9 +566,21 @@ def solve_expected(
     """Weighted-sample Bellman recursion (exact when sample enumerates).
 
     An action is kept only if the allocation LP is feasible under every
-    realization sampled at that period.
+    realization sampled at that period. The policy keeps the sweep's kernel,
+    so evaluate_policy and rollout under the same instance and plan solve no
+    allocation the sweep already solved.
     """
-    return _sweep(instance, _sample_periods(sample), plan)
+    values, policy, kernel = _sweep(instance, _sample_periods(sample), plan)
+    policy.kernel = kernel
+    return values, policy
+
+
+def _policy_kernel(policy: PolicyTable, instance: Instance, plan: CapacityPlan) -> _StageTables:
+    """The policy's own kernel if it was built for this instance and plan, else a new one."""
+    kernel = policy.kernel
+    if kernel is not None and kernel.instance == instance and kernel.plan == plan:
+        return kernel
+    return _StageTables(instance, plan)
 
 
 def evaluate_policy(
@@ -553,13 +591,16 @@ def evaluate_policy(
 ) -> ValueTable:
     """Value of a FIXED policy under the sample weights (no maximization).
 
-    Reads the stage tables at the policy's actions. Raises
-    UndefinedPolicyState when an action is not allocatable under some
+    Reads the stage tables at the policy's actions. On a network those come
+    from the allocation memo of the policy's kernel when the policy was
+    solved by solve_expected for this instance and plan (on the policy's own
+    sample no allocation is solved again); otherwise from a new kernel.
+    Raises UndefinedPolicyState when an action is not allocatable under some
     realization of its period.
     """
     per_period = _sample_periods(sample)
     _check_periods(instance, per_period)
-    kernel = _StageTables(instance, plan)
+    kernel = _policy_kernel(policy, instance, plan)
     indexer = kernel.indexer
     tau, n = instance.horizon, indexer.n_states
     if policy.actions.shape != (tau, n):
@@ -602,20 +643,23 @@ def rollout(
 ) -> Trajectory:
     """Execute the policy along a scenario; total = costs - terminal value.
 
-    Raises UndefinedPolicyState when the recorded action is not allocatable
-    under this scenario's realization (possible off-sample).
+    Each step's allocation is read through the kernel's memo, as in
+    evaluate_policy: the policy's own kernel when solve_expected built it for
+    this instance and plan (so an on-sample network step solves nothing),
+    else a new kernel. Raises UndefinedPolicyState when the recorded action
+    is not allocatable under this scenario's realization (possible
+    off-sample).
     """
     if len(scenario.realizations) != instance.horizon:
         raise ValueError("scenario length does not match horizon")
+    kernel = _policy_kernel(policy, instance, plan)
     state = start
     steps = []
     total = 0.0
     for t in range(1, instance.horizon + 1):
         z = scenario.realizations[t - 1]
-        caps = plan_caps_at(plan, t)
         a = policy.action(t, state)
-        prob = build_problem(state, a, z, caps, instance, period=t)
-        sol = solve_allocation(prob)
+        sol = kernel.allocation(t, a, state, z)
         if sol is INFEASIBLE:
             raise UndefinedPolicyState(
                 f"policy action {a} infeasible at period {t} state {state}"

@@ -347,3 +347,25 @@ def loop_policy_values(instance, policy, sample, plan, gamma: float = 1.0) -> np
                 total += w * (-sol.cost + gamma * values[t, indexer.index_of(nxt)])
             values[t - 1, si] = total
     return values
+
+
+def direct_rollout(instance, policy, scenario, plan, start):
+    """A rollout that solves every step's allocation directly.
+
+    The per-step loop rollout ran before it read the stage-table memo, kept
+    as the reference: the trajectories must agree bit for bit (``repr``).
+    """
+    from drayage.alloc import transition
+    from drayage.dp import Trajectory, TrajectoryStep
+
+    state, steps, total = start, [], 0.0
+    for t, z in enumerate(scenario.realizations, start=1):
+        a = policy.action(t, state)
+        sol = solve_allocation(build_problem(state, a, z, plan_caps_at(plan, t), instance, t))
+        assert sol is not INFEASIBLE
+        imm = holding_cost(state, instance.costs) + sol.cost
+        nxt = transition(state, sol.lane_totals(), z, instance.bounds)
+        steps.append(TrajectoryStep(t, state, a, sol.lane_totals(), imm, nxt))
+        total += imm
+        state = nxt
+    return Trajectory(tuple(steps), total - terminal_value(state, instance.costs))

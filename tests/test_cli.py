@@ -460,6 +460,35 @@ def test_regret_reports_inoperable_draws(example_dir, capsys):
             "in-sample 1 / 0, out-of-sample 0 / 1") in capsys.readouterr().out
 
 
+def test_regret_without_finite_regret_keeps_its_counts(example_dir, capsys):
+    # Under an all-zero plan two of the three in-sample draws at seed 0 keep a
+    # finite regret and no out-of-sample draw does, so no comparison exists.
+    plan = example_dir / "zero_plan.json"
+    model.save_plan(model.CapacityPlan({1: (0.0,) * 4, 2: (0.0,) * 4}), str(plan))
+    out = example_dir / "reg"
+    rc = run_cli(
+        "regret", "--instance", str(example_dir / "inst.json"), "--shared-plan", str(plan),
+        "--samples", "3", "--out", str(out),
+    )
+    assert rc == 2
+    with open(out / "summary.json") as f:
+        summary = json.load(f)
+    assert summary["inoperable"] == {
+        "in_sample": {"no_plan": 0, "shared_plan_only": 1},
+        "out_sample": {"no_plan": 0, "shared_plan_only": 3},
+    }
+    assert summary["skipped_nonfinite"] == 4
+    assert summary["spearman"] is None
+    assert summary["median_abs_diagonal_deviation"] is None
+    assert summary["out_sample"] is None
+    assert summary["in_sample"]["min"] == 174.64 and summary["in_sample"]["max"] == 256.0
+    assert not (out / "generalization.csv").exists()
+    captured = capsys.readouterr()
+    assert "no finite regrets to compare" in captured.err
+    assert ("inoperable draws (no plan / shared plan only): "
+            "in-sample 0 / 1, out-of-sample 0 / 3") in captured.out
+
+
 def test_regret_zero_samples_exits_two(example_dir, monkeypatch, capsys):
     monkeypatch.chdir(example_dir)
     rc = run_cli(

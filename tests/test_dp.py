@@ -1,6 +1,7 @@
 """Backward-induction solver: pinned values, oracles, and structural checks."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +19,20 @@ from drayage.dp import (
     terminal_value,
     value_surface,
 )
-from drayage.model import CapacityPlan, Scenario, SystemState
+from drayage.model import (
+    STRATEGIC,
+    CapacityPlan,
+    Scenario,
+    SystemState,
+    generate_default_plan,
+    generate_instance,
+)
 from drayage.scenario import SampleSet, build_sample_set, realization_key
 from drayage import reference
 
 from helpers import (
     all_states,
+    direct_rollout,
     dry_scenario,
     enumerate_policy_value,
     loop_policy_values,
@@ -264,8 +273,24 @@ def test_evaluate_policy_rejects_bad_samples(capacity_instance, tuned_plan):
         evaluate_policy(capacity_instance, pt, short, tuned_plan)
 
 
+def _generated_network():
+    """Generated 2 entries x 2 exits, levels 2, 3 iid draws per period."""
+    shape = dict(n_entries=2, n_exits=2, n_bids=2, n_spot=1, horizon=2,
+                 cost_mean=12.0, cost_sd=4.0, cost_min=2.0, capacity_levels=2)
+    inst = generate_instance(0, shape)
+    return inst, build_sample_set(inst, 3, 0, mode="iid"), generate_default_plan(0, inst)
+
+
+def _sample_paths(sample, count, seed):
+    """Scenarios made of one sampled realization per period."""
+    rng = np.random.default_rng(seed)
+    return [
+        Scenario(tuple(zs[int(rng.integers(len(zs)))] for zs in sample.realizations))
+        for _ in range(count)
+    ]
+
+
 def test_network_sweep_solves_each_clipped_problem_at_most_once(monkeypatch):
-    inst, sample, plan = _network_case()
     calls = []
     real = alloc.tableau_simplex
 
@@ -274,24 +299,64 @@ def test_network_sweep_solves_each_clipped_problem_at_most_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(alloc, "tableau_simplex", counting)
-    solve_expected(inst, sample, plan)
+    for inst, sample, plan in (_network_case(), _generated_network()):
+        calls.clear()
+        _, pt = solve_expected(inst, sample, plan)
 
-    distinct = set()
-    b = inst.bounds
-    for t in range(1, inst.horizon + 1):
-        for z in sample.realizations[t - 1]:
-            for state in StateIndexer.for_instance(inst).all_states():
-                avail = [state.entry_stock[i] + z.inflow[i] for i in inst.network.entries]
-                space = [b.exit_max[j] - state.exit_stock[j] for j in inst.network.exits]
-                for a in range(1, b.action_max + 1):
-                    distinct.add((
-                        t,
-                        a,
-                        tuple(min(v, a) for v in avail),
-                        tuple(min(v, a) for v in space),
-                        realization_key(z, inst),
-                    ))
-    assert 0 < len(calls) <= len(distinct)
+        distinct = set()
+        b = inst.bounds
+        for t in range(1, inst.horizon + 1):
+            for z in sample.realizations[t - 1]:
+                for state in StateIndexer.for_instance(inst).all_states():
+                    avail = [state.entry_stock[i] + z.inflow[i] for i in inst.network.entries]
+                    space = [b.exit_max[j] - state.exit_stock[j] for j in inst.network.exits]
+                    for a in range(1, b.action_max + 1):
+                        distinct.add((
+                            t,
+                            a,
+                            tuple(min(v, a) for v in avail),
+                            tuple(min(v, a) for v in space),
+                            realization_key(z, inst),
+                        ))
+        assert 0 < len(calls) <= len(distinct)
+
+        # evaluation and on-sample rollouts read the sweep's memo: no solve
+        calls.clear()
+        ev = evaluate_policy(inst, pt, sample, plan)
+        paths = _sample_paths(sample, 8, 5)
+        trajs = [rollout(inst, pt, sc, plan, inst.initial_state) for sc in paths]
+        assert calls == []
+        bare = PolicyTable(pt.horizon, pt.indexer, pt.actions)
+        assert ev.values.tobytes() == evaluate_policy(inst, bare, sample, plan).values.tobytes()
+        for sc, traj in zip(paths, trajs):
+            assert repr(traj) == repr(direct_rollout(inst, pt, sc, plan, inst.initial_state))
+
+
+def test_policy_kernel_serves_only_its_own_instance_and_plan():
+    inst, sample, plan = _network_case()
+    _, pt = solve_expected(inst, sample, plan)
+    assert pt.kernel is not None and "kernel" not in repr(pt)
+    bare = PolicyTable(pt.horizon, pt.indexer, pt.actions)
+    assert bare == pt  # the kernel is not part of the policy's identity
+    assert solve_scenario(inst, _sample_paths(sample, 1, 0)[0], plan)[1].kernel is None
+
+    # more capacity and dearer strategic rates keep every action allocatable
+    wider = CapacityPlan({k: tuple(c + 1 for c in v) for k, v in plan.capacity.items()})
+    dearer = replace(inst, sources=tuple(
+        replace(s, execution_cost={lane: tuple(3.0 * r + 1.0 for r in rates)
+                                   for lane, rates in s.execution_cost.items()})
+        if s.kind == STRATEGIC else s
+        for s in inst.sources
+    ))
+    own = evaluate_policy(inst, pt, sample, plan).values
+    for other_inst, other_plan in ((inst, wider), (dearer, plan)):
+        got = evaluate_policy(other_inst, pt, sample, other_plan).values
+        assert got.tobytes() == evaluate_policy(other_inst, bare, sample, other_plan).values.tobytes()
+        assert not np.array_equal(got, own)
+        for sc in _sample_paths(sample, 4, 1):
+            assert repr(rollout(other_inst, pt, sc, other_plan, inst.initial_state)) == repr(
+                direct_rollout(other_inst, pt, sc, other_plan, inst.initial_state)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +433,11 @@ def test_rollout_off_sample_raises(capacity_instance, demo_scenario, tuned_plan)
     assert pt.action(1, S08) > 0  # plan moves boxes it will not have
     with pytest.raises(UndefinedPolicyState):
         rollout(capacity_instance, pt, dry_scenario(capacity_instance), tuned_plan, S08)
+    # the same through the kernel a solve_expected policy carries
+    _, pe = solve_expected(capacity_instance, scenario_sample_set(demo_scenario), tuned_plan)
+    assert pe.kernel is not None and pe.action(1, S08) > 0
+    with pytest.raises(UndefinedPolicyState):
+        rollout(capacity_instance, pe, dry_scenario(capacity_instance), tuned_plan, S08)
 
 
 def test_policy_table_rejects_bad_period(capacity_instance, demo_scenario, tuned_plan):
