@@ -168,9 +168,7 @@ def cmd_solve_policy(args) -> int:
     }
     if traj is not None:
         summary["rollout_total_cost"] = traj.total_cost
-    with open(os.path.join(out, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    model.write_json(os.path.join(out, "summary.json"), summary)
     print(f"value at initial state: {v_init:.4f} (cost {-v_init:.4f})")
     print(
         f"best initial state {best_state.entry_stock}/{best_state.exit_stock}: "
@@ -241,9 +239,7 @@ def cmd_optimize_capacity(args) -> int:
         summary["improvement_pct"] = (
             100.0 * (result.best_objective - start_objective) / abs(start_objective)
         )
-    with open(os.path.join(out, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    model.write_json(os.path.join(out, "summary.json"), summary)
     if obj.dropped_scenarios:
         print(
             f"dropped {obj.dropped_scenarios} of {args.samples} draws: "
@@ -344,9 +340,7 @@ def cmd_regret(args) -> int:
             for key, recs in (("in_sample", rec_in), ("out_sample", rec_out))
         },
     }
-    with open(os.path.join(out, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    model.write_json(os.path.join(out, "summary.json"), summary)
     n_in, n_out = summary["inoperable"]["in_sample"], summary["inoperable"]["out_sample"]
     if any(n_in.values()) or any(n_out.values()):
         print("inoperable draws (no plan / shared plan only): "

@@ -13,14 +13,16 @@ table over (action a, state s): cost[a, s], the transport cost of moving a
 units at s (inf when no allocation exists), and next[a, s], the index of the
 state reached. Each table is consumed as soon as it is built. The sweeps take
 a weighted sum over z and a maximum over the actions allocatable under every
-z; evaluate_policy gathers at the policy's actions. Single-entry single-exit
-instances fill the table in closed form (the cost depends only on the action
-and z, the successor is clip arithmetic). Networks fill it from allocation
-solves memoized per period on (a, min(avail, a), min(space, a), spot rates):
-no lane carries more than a, so larger bounds never bind, solve_allocation
-solves exactly that clipped problem, and all states sharing it share one
-solve. rollout reads each step's allocation through the same memo, keyed the
-same way, so single-lane and network rollouts take one path.
+z; evaluate_policy gathers at the policy's actions. Every table reads its
+allocations from solve_allocation calls memoized per period on (a,
+min(avail, a), min(space, a), spot rates): no lane carries more than a, so
+larger bounds never bind, solve_allocation solves exactly that clipped
+problem, and all states sharing it share one solve. Single-entry
+single-exit instances need one solve per action, at unclipped bounds (a,
+a): the cost depends only on the action and z, so it is broadcast over the
+states, whose own feasibility and successors are clip arithmetic. rollout
+reads each step's allocation through the same memo, keyed the same way, so
+every network shape takes one path and an on-sample step solves nothing.
 
 solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
 evaluate_policy and rollout reuse that kernel, memo included, when they are
@@ -29,7 +31,7 @@ otherwise; solve_scenario's policies carry none.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,11 +44,9 @@ from .alloc import (
     lane_flows,
     plan_caps_at,
     solve_allocation,
-    split_volume,
     transition,
 )
 from .model import (
-    STRATEGIC,
     CapacityPlan,
     CostSpec,
     ExogenousRealization,
@@ -169,7 +169,8 @@ class PolicyTable:
     ``kernel`` is the stage-table kernel of the solve_expected call that made
     the policy (None otherwise). It keeps that call's allocation memo alive
     for evaluate_policy and rollout to read: about 450 B per entry, 534
-    entries on the network-policy benchmark instance.
+    entries on the network-policy benchmark instance and 88 on a bundled
+    single-lane example (4 periods, 2 spot rates, 11 actions).
     """
 
     horizon: int
@@ -312,43 +313,16 @@ def _terminal_row(instance: Instance, indexer: StateIndexer) -> np.ndarray:
     return row
 
 
-def _single_lane_ids(instance: Instance):
-    if len(instance.network.entries) == 1 and len(instance.network.exits) == 1:
-        return instance.network.entries[0], instance.network.exits[0]
-    return None
-
-
-def _lane_cost_table(
-    instance: Instance, z: ExogenousRealization, caps: Dict[int, float], period: int
-) -> np.ndarray:
-    """Transport cost per action for the single-lane case; inf = beyond caps."""
-    lane = instance.network.lanes[0]
-    ids, cap_list, rate_list = [], [], []
-    for s in instance.sources:
-        if lane not in s.lanes:
-            continue
-        ids.append(s.id)
-        cap_list.append(float(caps.get(s.id, 0.0)))
-        if s.kind == STRATEGIC:
-            rate_list.append(float(s.execution_cost[lane][period - 1]))
-        else:
-            rate_list.append(float(z.spot_rates[s.id][lane]))
-    amax = instance.bounds.action_max
-    out = np.full(amax + 1, np.inf)
-    for a in range(amax + 1):
-        res = split_volume(float(a), cap_list, rate_list)
-        if res is None:
-            break
-        out[a] = res[0]
-    return out
-
-
 class _StageTables:
     """The Bellman kernel (see the module docstring) for one instance and plan.
 
     ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation) and
     ``next[a, s]``; ``allocation(t, a, state, z)`` returns one state's
-    allocation. Network tables and allocations share one memo across calls.
+    allocation. Tables and allocations share one memo across calls, for
+    every network shape: a single-lane kernel holds one entry per period,
+    distinct spot rate and action (88 on a bundled single-lane example).
+    solve_allocation orders sources by id, as the instances here list them,
+    so single-lane costs equal a cheapest-first split in instance order.
     """
 
     def __init__(self, instance: Instance, plan: CapacityPlan):
@@ -356,7 +330,9 @@ class _StageTables:
         self.plan = plan
         self.indexer = idx = StateIndexer.for_instance(instance)
         self.n_actions = instance.bounds.action_max + 1
-        self.lane = _single_lane_ids(instance)
+        net = instance.network
+        one_lane = len(net.entries) == len(net.exits) == 1
+        self.lane = (net.entries[0], net.exits[0]) if one_lane else None
         digits = np.array(np.unravel_index(np.arange(idx.n_states), idx.shape)).T
         ne = len(idx.entry_ids)
         self.entry = digits[:, :ne]
@@ -382,16 +358,25 @@ class _StageTables:
         With ``actions`` (one per state), a network table is filled only at
         those entries; the rest stay infeasible.
         """
-        caps = plan_caps_at(self.plan, t)
+        stage = self._stage(t, z)
         if self.lane is not None:
-            return self._lane_table(t, z, caps)
-        return self._network_table(t, z, caps, actions)
+            return self._lane_table(t, z, stage)
+        return self._network_table(t, z, stage, actions)
 
-    def _lane_table(self, t, z, caps):
+    def _stage(self, t: int, z: ExogenousRealization):
+        """The memo's inputs for period t under z: (spot rates, lane costs, source caps)."""
+        caps = {k: float(v) for k, v in plan_caps_at(self.plan, t).items()}
+        return realization_key(z, self.instance)[2], lane_costs(self.instance, z, t), caps
+
+    def _lane_table(self, t, z, stage):
         i, j = self.lane
         b = self.instance.bounds
         back = b.exit_backorder_max[j]
-        cost = _lane_cost_table(self.instance, z, caps, t)[:, None]
+        # bounds of at least a never bind: the key (a, a) serves every state with
+        # that much stock and space, and `feasible` masks the others
+        cost = np.array(
+            [self._solve(t, a, (a, a), stage)[0][0] for a in range(self.n_actions)]
+        )[:, None]
         a = np.arange(self.n_actions)[:, None]
         e, s = self.entry[:, 0], self.exit[:, 0]
         e_next = np.clip(e - a + z.inflow[i], 0, b.entry_max[i])
@@ -400,7 +385,7 @@ class _StageTables:
         nxt = e_next * self.indexer.exit_sizes[0] + s_next
         return np.where(feasible, cost, np.inf), nxt
 
-    def _network_table(self, t, z, caps, actions):
+    def _network_table(self, t, z, stage, actions):
         inst, idx = self.instance, self.indexer
         b = inst.bounds
         ne = len(idx.entry_ids)
@@ -410,9 +395,6 @@ class _StageTables:
         x_max = np.array([b.exit_max[j] for j in idx.exit_ids])
         back = np.array(idx.exit_offsets)
         bounds = np.hstack([self.entry + q, x_max - self.exit])  # avail | space
-        costs = lane_costs(inst, z, t)
-        src_caps = {k: float(v) for k, v in caps.items()}
-        rates = realization_key(z, inst)[2]
 
         n = idx.n_states
         cost = np.full((self.n_actions, n), np.inf)
@@ -427,7 +409,7 @@ class _StageTables:
                 np.minimum(bounds[states], a), axis=0, return_inverse=True
             )
             sols = np.array(
-                [self._solve(t, a, row, rates, costs, src_caps)[0] for row in clipped.tolist()]
+                [self._solve(t, a, row, stage)[0] for row in clipped.tolist()]
             )[inv.reshape(-1)]
             ok = np.isfinite(sols[:, 0])
             alive, sols = states[ok], sols[ok]
@@ -444,15 +426,14 @@ class _StageTables:
         idx, b = self.indexer, self.instance.bounds
         row = [min(state.entry_stock[i] + z.inflow[i], a) for i in idx.entry_ids]
         row += [min(b.exit_max[j] - state.exit_stock[j], a) for j in idx.exit_ids]
-        caps = {k: float(v) for k, v in plan_caps_at(self.plan, t).items()}
-        rates = realization_key(z, self.instance)[2]
-        return self._solve(t, a, row, rates, lane_costs(self.instance, z, t), caps)[1]
+        return self._solve(t, a, row, self._stage(t, z))[1]
 
-    def _solve(self, t, a, row, rates, costs, src_caps):
+    def _solve(self, t, a, row, stage):
         """((cost, moves out of each entry, moves into each exit), Allocation).
 
         The cost is inf and the allocation INFEASIBLE when none exists.
         """
+        rates, costs, src_caps = stage
         key = (t, a, tuple(row), rates)
         hit = self._memo.get(key)
         if hit is None:
@@ -591,10 +572,10 @@ def evaluate_policy(
 ) -> ValueTable:
     """Value of a FIXED policy under the sample weights (no maximization).
 
-    Reads the stage tables at the policy's actions. On a network those come
-    from the allocation memo of the policy's kernel when the policy was
-    solved by solve_expected for this instance and plan (on the policy's own
-    sample no allocation is solved again); otherwise from a new kernel.
+    Reads the stage tables at the policy's actions. Those come from the
+    allocation memo of the policy's kernel when the policy was solved by
+    solve_expected for this instance and plan (on the policy's own sample no
+    allocation is solved again); otherwise from a new kernel.
     Raises UndefinedPolicyState when an action is not allocatable under some
     realization of its period.
     """
@@ -645,7 +626,7 @@ def rollout(
 
     Each step's allocation is read through the kernel's memo, as in
     evaluate_policy: the policy's own kernel when solve_expected built it for
-    this instance and plan (so an on-sample network step solves nothing),
+    this instance and plan (so an on-sample step solves nothing),
     else a new kernel. Raises UndefinedPolicyState when the recorded action
     is not allocatable under this scenario's realization (possible
     off-sample).

@@ -44,12 +44,8 @@ class HighsModel:
     def __init__(self, upper, A_eq=None, A_ub=None):
         self._upper = upper = np.asarray(upper, dtype=float)
         self._n_ub = 0 if A_ub is None else A_ub.shape[0]
-        blocks = [A for A in (A_ub, A_eq) if A is not None]
-        if any(sparse.issparse(A) for A in blocks):
-            A = sparse.vstack([sparse.coo_array(A, dtype=float) for A in blocks])
-        else:  # dense rows stack and convert in a quarter of the time
-            A = np.vstack([np.asarray(A, float) for A in blocks] or [np.zeros((0, upper.size))])
-        A = sparse.csc_array(A)
+        blocks = [sparse.coo_array(A, dtype=float) for A in (A_ub, A_eq) if A is not None]
+        A = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, upper.size))
         self._lp = lp = _core.HighsLp()
         lp.num_row_, lp.num_col_ = A.shape
         mat = lp.a_matrix_

@@ -62,16 +62,8 @@ class CostSpec:
 class UncertaintySpec:
     inflow_dist: Dict[int, Dict[int, float]]
     outflow_dist: Dict[int, Dict[int, float]]
-    # Shared per spot source; optional per-lane overrides.
+    # One marginal per spot source, drawn independently on each of its lanes.
     spot_rate_dist: Dict[int, Dict[float, float]]
-    spot_rate_dist_per_lane: Optional[Dict[int, Dict[Lane, Dict[float, float]]]] = None
-
-    def lane_rate_dist(self, source_id: int, lane: Lane) -> Dict[float, float]:
-        if self.spot_rate_dist_per_lane:
-            per = self.spot_rate_dist_per_lane.get(source_id)
-            if per and lane in per:
-                return per[lane]
-        return self.spot_rate_dist[source_id]
 
 
 @dataclass(frozen=True)
@@ -297,8 +289,7 @@ def exogenous_support_size(instance: Instance) -> int:
     for j in instance.network.exits:
         n *= len(u.outflow_dist[j])
     for s in instance.spot_sources:
-        for lane in s.lanes:
-            n *= len(u.lane_rate_dist(s.id, lane))
+        n *= len(u.spot_rate_dist[s.id]) ** len(s.lanes)
     return n
 
 
@@ -517,14 +508,6 @@ def instance_to_dict(instance: Instance) -> Dict:
             "exit": {str(k): v for k, v in instance.initial_state.exit_stock.items()},
         },
     }
-    if instance.uncertainty.spot_rate_dist_per_lane:
-        d["uncertainty"]["spot_rates_per_lane"] = {
-            str(k): {
-                _lane_key(lane): {str(val): p for val, p in dist.items()}
-                for lane, dist in lanes.items()
-            }
-            for k, lanes in instance.uncertainty.spot_rate_dist_per_lane.items()
-        }
     for s in instance.sources:
         rec = {
             "id": s.id,
@@ -579,15 +562,9 @@ def instance_from_dict(d: Dict) -> Instance:
         terminal_slopes=tuple(float(x) for x in c["terminal_slopes"]),
     )
     u = d["uncertainty"]
-    per_lane = None
     if "spot_rates_per_lane" in u:
-        per_lane = {
-            int(k): {
-                _parse_lane(lk): {float(val): float(p) for val, p in dist.items()}
-                for lk, dist in lanes.items()
-            }
-            for k, lanes in u["spot_rates_per_lane"].items()
-        }
+        raise ValueError("uncertainty.spot_rates_per_lane is not supported: every spot lane "
+                         "draws from its source's uncertainty.spot_rates marginal")
     uncertainty = UncertaintySpec(
         inflow_dist={
             int(i): {int(val): float(p) for val, p in dist.items()}
@@ -601,7 +578,6 @@ def instance_from_dict(d: Dict) -> Instance:
             int(k): {float(val): float(p) for val, p in dist.items()}
             for k, dist in u["spot_rates"].items()
         },
-        spot_rate_dist_per_lane=per_lane,
     )
     st = d["initial_state"]
     state = SystemState(
@@ -611,10 +587,15 @@ def instance_from_dict(d: Dict) -> Instance:
     return Instance(net, tuple(sources), bounds, costs, uncertainty, tau, state)
 
 
-def save_instance(instance: Instance, path: str) -> None:
+def write_json(path: str, doc) -> None:
+    """Write doc as JSON: indent 2, sorted keys, trailing newline."""
     with open(path, "w") as f:
-        json.dump(instance_to_dict(instance), f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def save_instance(instance: Instance, path: str) -> None:
+    write_json(path, instance_to_dict(instance))
 
 
 def load_instance(path: str) -> Instance:
@@ -635,9 +616,7 @@ def plan_from_dict(d: Dict) -> CapacityPlan:
 
 
 def save_plan(plan: CapacityPlan, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(plan_to_dict(plan), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, plan_to_dict(plan))
 
 
 def load_plan(path: str) -> CapacityPlan:

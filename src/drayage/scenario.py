@@ -14,7 +14,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import ExogenousRealization, Instance, Lane, Scenario
+from .model import (
+    ExogenousRealization,
+    Instance,
+    Lane,
+    Scenario,
+    exogenous_support_size,
+    write_json,
+)
 
 SUPPORT_CAP = 10**6
 
@@ -34,9 +41,9 @@ def _components(instance: Instance) -> List[Tuple[str, object, List, List[float]
         vals = sorted(u.outflow_dist[j])
         comps.append(("d", j, vals, [u.outflow_dist[j][v] for v in vals]))
     for s in instance.spot_sources:
+        dist = u.spot_rate_dist[s.id]
+        vals = sorted(dist)
         for lane in s.lanes:
-            dist = u.lane_rate_dist(s.id, lane)
-            vals = sorted(dist)
             comps.append(("w", (s.id, lane), vals, [dist[v] for v in vals]))
     return comps
 
@@ -64,12 +71,10 @@ def enumerate_support(
     Probabilities are products of the component marginals and sum to 1.
     Raises SupportTooLarge when the product of support sizes exceeds cap.
     """
-    comps = _components(instance)
-    size = 1
-    for _, _, vals, _ in comps:
-        size *= len(vals)
+    size = exogenous_support_size(instance)
     if size > cap:
         raise SupportTooLarge(f"support size {size} exceeds cap {cap}")
+    comps = _components(instance)
     out = []
     for combo in itertools.product(*[list(zip(c[2], c[3])) for c in comps]):
         values = [v for v, _ in combo]
@@ -90,7 +95,7 @@ def realization_probability(z: ExogenousRealization, instance: Instance) -> floa
         p *= u.outflow_dist[j].get(z.outflow[j], 0.0)
     for s in instance.spot_sources:
         for lane in s.lanes:
-            p *= u.lane_rate_dist(s.id, lane).get(z.spot_rates[s.id][lane], 0.0)
+            p *= u.spot_rate_dist[s.id].get(z.spot_rates[s.id][lane], 0.0)
     return p
 
 
@@ -250,9 +255,7 @@ def save_scenarios(scenarios: Sequence[Scenario], path: str, seed: int = 0) -> N
             for s in scenarios
         ],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def load_scenarios(path: str) -> List[Scenario]:

@@ -181,6 +181,18 @@ def test_solve_policy_corrupt_instance(tmp_path):
     assert rc == 2
 
 
+def test_solve_policy_rejects_per_lane_spot_rates(example_dir, monkeypatch, capsys):
+    doc = json.loads((example_dir / "inst.json").read_text())
+    doc["uncertainty"]["spot_rates_per_lane"] = {"2": {"1-2": {"5.0": 0.6}}}
+    (example_dir / "per_lane.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(example_dir)
+    rc = run_cli("solve-policy", "--instance", "per_lane.json", "--sample-mode", "iid",
+                 "--samples", "5")
+    assert rc == 2
+    assert "uncertainty.spot_rates_per_lane" in capsys.readouterr().err
+    assert not (example_dir / "policy_out").exists()
+
+
 def test_solve_policy_wrong_plan_shape(example_dir, tmp_path):
     plan_path = tmp_path / "short_plan.json"
     plan_path.write_text(json.dumps({"capacity": {"1": [4, 4], "2": [4, 4]}}))

@@ -290,16 +290,22 @@ def _sample_paths(sample, count, seed):
     ]
 
 
-def test_network_sweep_solves_each_clipped_problem_at_most_once(monkeypatch):
+def test_network_sweep_solves_each_clipped_problem_at_most_once(
+    monkeypatch, capacity_instance, baseline_plan
+):
     calls = []
-    real = alloc.tableau_simplex
+    real = alloc.solve_allocation
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(alloc, "tableau_simplex", counting)
-    for inst, sample, plan in (_network_case(), _generated_network()):
+    monkeypatch.setattr("drayage.dp.solve_allocation", counting)
+    one_lane = [
+        (capacity_instance, build_sample_set(capacity_instance, n, 0, mode=mode), baseline_plan)
+        for mode, n in (("enumerate", 0), ("iid", 20))
+    ]
+    for inst, sample, plan in [_network_case(), _generated_network()] + one_lane:
         calls.clear()
         _, pt = solve_expected(inst, sample, plan)
 
@@ -310,7 +316,7 @@ def test_network_sweep_solves_each_clipped_problem_at_most_once(monkeypatch):
                 for state in StateIndexer.for_instance(inst).all_states():
                     avail = [state.entry_stock[i] + z.inflow[i] for i in inst.network.entries]
                     space = [b.exit_max[j] - state.exit_stock[j] for j in inst.network.exits]
-                    for a in range(1, b.action_max + 1):
+                    for a in range(b.action_max + 1):
                         distinct.add((
                             t,
                             a,
@@ -323,7 +329,7 @@ def test_network_sweep_solves_each_clipped_problem_at_most_once(monkeypatch):
         # evaluation and on-sample rollouts read the sweep's memo: no solve
         calls.clear()
         ev = evaluate_policy(inst, pt, sample, plan)
-        paths = _sample_paths(sample, 8, 5)
+        paths = _sample_paths(sample, 20, 5)
         trajs = [rollout(inst, pt, sc, plan, inst.initial_state) for sc in paths]
         assert calls == []
         bare = PolicyTable(pt.horizon, pt.indexer, pt.actions)

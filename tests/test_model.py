@@ -104,6 +104,14 @@ def test_instance_dict_round_trip(capacity_instance):
     assert instance_to_dict(instance_from_dict(doc)) == doc
 
 
+def test_per_lane_spot_rates_are_rejected(capacity_instance):
+    # one marginal per spot source; a per-lane override would be read with other rates
+    doc = instance_to_dict(capacity_instance)
+    doc["uncertainty"]["spot_rates_per_lane"] = {"2": {"1-2": {"5.0": 0.6}}}
+    with pytest.raises(ValueError, match="uncertainty.spot_rates_per_lane"):
+        instance_from_dict(doc)
+
+
 def test_plan_round_trip(tmp_path, tuned_plan):
     path = tmp_path / "plan.json"
     save_plan(tuned_plan, str(path))
