@@ -1,15 +1,19 @@
-"""Per-period immediate-cost allocation and state transition.
+"""Per-period allocation, its rates, and the state transition.
+
+lane_costs is the one rule for a source's $/TEU on a lane in a period; the
+DP's allocation problems and mslp.build_mslp both price moves with it.
 
 The allocation problem distributes a total move volume A_t across (source,
 lane) pairs at minimal cost subject to: total volume matches A_t, per-source
 capacity, per-entry availability (current stock plus inflow), per-exit space
 (storage bound minus current stock), and nonnegativity. Infeasibility is a
 signal: the action A_t is excluded from the feasible action set rather than
-penalized. Single-lane problems have a closed form (split_volume), the rest
-a dense tableau (tableau_simplex): at a handful of variables and thousands of
-solves per DP sweep it beats HiGHS (lp.solve_lp) on per-call overhead, and
-its fixed pivot rule decides which cost-tied allocation, and so which next
-state, the DP sees.
+penalized; the DP's stage tables (dp._StageTables) decide that set.
+Single-lane problems have a closed form (split_volume), the rest a dense
+tableau (tableau_simplex). Its fixed pivot rule decides which cost-tied
+allocation, and so which next state, the DP sees; that, not speed, is why
+it stays (one reused lp.HighsModel solves these LPs faster, at other
+vertices).
 
 The state transition applies the per-lane move totals and the realized
 inflows/outflows, clamping to the stock bounds. Excess inflow above an entry
@@ -296,21 +300,6 @@ def build_problem(
         entry_available=avail,
         exit_space=space,
     )
-
-
-def immediate_cost(
-    state: SystemState,
-    action: float,
-    realization: ExogenousRealization,
-    caps: Dict[int, float],
-    instance: Instance,
-    period: int = 1,
-):
-    """holding_cost(state) + minimal transport cost, or INFEASIBLE."""
-    alloc = solve_allocation(build_problem(state, action, realization, caps, instance, period))
-    if alloc is INFEASIBLE:
-        return INFEASIBLE
-    return holding_cost(state, instance.costs) + alloc.cost
 
 
 def lane_flows(

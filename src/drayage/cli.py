@@ -64,8 +64,9 @@ def _load_scenario(path: str, index: int, instance: model.Instance) -> model.Sce
     if not 0 <= index < len(scenarios):
         raise UsageError(f"scenario index {index} out of range 0..{len(scenarios) - 1}")
     sc = scenarios[index]
-    if len(sc.realizations) != instance.horizon:
-        raise UsageError("scenario length does not match instance horizon")
+    violations = scen.validate_scenario(sc, instance)
+    if violations:
+        raise UsageError(f"invalid scenario {index}: " + "; ".join(violations))
     return sc
 
 

@@ -11,16 +11,19 @@ better); solvers therefore maximize. Three entry points share one kernel:
 The kernel builds, for each period t and distinct realization z, a stage
 table over (action a, state s): cost[a, s], the transport cost of moving a
 units at s (inf when no allocation exists), and next[a, s], the index of the
-state reached. Each table is consumed as soon as it is built. The sweeps take
-a weighted sum over z and a maximum over the actions allocatable under every
-z; evaluate_policy gathers at the policy's actions. Every table reads its
-allocations from solve_allocation calls memoized per period on (a,
-min(avail, a), min(space, a), spot rates): no lane carries more than a, so
-larger bounds never bind, solve_allocation solves exactly that clipped
-problem, and all states sharing it share one solve. Single-entry
-single-exit instances need one solve per action, at unclipped bounds (a,
-a): the cost depends only on the action and z, so it is broadcast over the
-states, whose own feasibility and successors are clip arithmetic. rollout
+state reached. The finite entries of a state's column are its feasible
+actions under z, {0..A*}; nothing else in the package decides that set. Each
+table is consumed as soon as it is built. The sweeps take a weighted sum over
+z and a maximum over the actions allocatable under every z, with one tie
+rule for every network shape; evaluate_policy gathers at the policy's
+actions. Every table reads its allocations from solve_allocation calls
+memoized per period on (a, min(avail, a), min(space, a), spot rates): no
+lane carries more than a, so larger bounds never bind, solve_allocation
+solves exactly that clipped problem, and all states sharing it share one
+solve. Single-entry single-exit instances need one solve per action, at
+unclipped bounds (a, a): the cost depends only on the action and z, so it
+is broadcast over the states, whose own feasibility and successors are clip
+arithmetic. rollout
 reads each step's allocation through the same memo, keyed the same way, so
 every network shape takes one path and an on-sample step solves nothing.
 
@@ -38,7 +41,6 @@ import numpy as np
 from .alloc import (
     INFEASIBLE,
     AllocationProblem,
-    build_problem,
     holding_cost,
     lane_costs,
     lane_flows,
@@ -262,31 +264,6 @@ def terminal_value(state: SystemState, costs: CostSpec) -> float:
     return -float(np.dot(slopes, parts))
 
 
-def _max_feasible_action(state, realization, caps, instance) -> int:
-    """Largest feasible total volume; the feasible set is {0..result}.
-
-    Scaling any feasible flow down stays feasible, so feasibility is monotone
-    in the total and one upward scan suffices.
-    """
-    best = 0
-    for a in range(1, instance.bounds.action_max + 1):
-        prob = build_problem(state, a, realization, caps, instance)
-        if solve_allocation(prob) is INFEASIBLE:
-            break
-        best = a
-    return best
-
-
-def feasible_actions(
-    state: SystemState,
-    realization: ExogenousRealization,
-    caps: Dict[int, float],
-    instance: Instance,
-) -> List[int]:
-    """Ordered action set {0..A*} under the allocation LP at this state."""
-    return list(range(_max_feasible_action(state, realization, caps, instance) + 1))
-
-
 # ---------------------------------------------------------------------------
 # Stage tables
 
@@ -316,13 +293,16 @@ def _terminal_row(instance: Instance, indexer: StateIndexer) -> np.ndarray:
 class _StageTables:
     """The Bellman kernel (see the module docstring) for one instance and plan.
 
-    ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation) and
+    ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation, so the
+    finite part of column s is the state's feasible action set) and
     ``next[a, s]``; ``allocation(t, a, state, z)`` returns one state's
-    allocation. Tables and allocations share one memo across calls, for
-    every network shape: a single-lane kernel holds one entry per period,
-    distinct spot rate and action (88 on a bundled single-lane example).
-    solve_allocation orders sources by id, as the instances here list them,
-    so single-lane costs equal a cheapest-first split in instance order.
+    allocation. ``lane`` is the (entry, exit) pair of a single-lane instance
+    (None on networks) and selects the table's arithmetic. Tables and
+    allocations share one memo across calls, for every network shape: a
+    single-lane kernel holds one entry per period, distinct spot rate and
+    action (88 on a bundled single-lane example). solve_allocation orders
+    sources by id, as the instances here list them, so single-lane costs
+    equal a cheapest-first split in instance order.
     """
 
     def __init__(self, instance: Instance, plan: CapacityPlan):
@@ -487,10 +467,10 @@ def _sweep(instance, per_period, plan):
 
     An action is kept at a state only if it is allocatable under every
     realization of the period (feasibility is monotone in the action, so the
-    kept set is {0..A*}). Single-lane sweeps take the first maximum; network
-    sweeps move to a larger action only on a gain above 1e-12, so LP
-    round-off never decides a tie. Returns the value and policy tables and
-    the kernel that filled them.
+    kept set is {0..A*}). The scan over the kept actions moves to a larger
+    one only on a gain above 1e-12: exact ties keep the smallest action, and
+    LP round-off never decides a tie. Returns the value and policy tables
+    and the kernel that filled them.
     """
     _check_periods(instance, per_period)
     kernel = _StageTables(instance, plan)
@@ -510,17 +490,12 @@ def _sweep(instance, per_period, plan):
             ok &= finite
             acc += w * (-np.where(finite, cost, 0.0) + values[t][nxt])
         ok = np.logical_and.accumulate(ok, axis=0)
-        if kernel.lane is not None:
-            acc = np.where(ok, acc, -np.inf)
-            best_a = np.argmax(acc, axis=0)  # first max = smallest action
-            best_v = np.take_along_axis(acc, best_a[None], 0)[0]
-        else:
-            best_v = np.full(n, -np.inf)
-            best_a = np.zeros(n, dtype=int)
-            for a in range(n_act):
-                better = ok[a] & (acc[a] > best_v + 1e-12)
-                best_v = np.where(better, acc[a], best_v)
-                best_a[better] = a
+        best_v = np.full(n, -np.inf)
+        best_a = np.zeros(n, dtype=int)
+        for a in range(n_act):
+            better = ok[a] & (acc[a] > best_v + 1e-12)
+            best_v = np.where(better, acc[a], best_v)
+            best_a[better] = a
         values[t - 1] = -hold + best_v
         actions[t - 1] = best_a
 

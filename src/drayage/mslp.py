@@ -14,6 +14,10 @@ overflow and backorders beyond the bound free of charge, while the LP keeps
 the bounds as hard constraints. Where the DP's optimal path clamps, the LP
 can be infeasible or its cost can exceed the DP cost.
 
+Moves are priced by alloc.lane_costs, as the DP prices them. Only c, b_eq
+and b_ub depend on the scenario, and each move column has a single 1 among
+the cap rows, in its source-period's row.
+
 Costs are minimized here; callers that want the value convention negate.
 """
 
@@ -23,14 +27,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .alloc import lane_costs
 from .lp import solve_lp
-from .model import (
-    STRATEGIC,
-    CapacityPlan,
-    Instance,
-    Lane,
-    Scenario,
-)
+from .model import CapacityPlan, Instance, Lane, Scenario
 
 INTEGRALITY_TOL = 1e-7
 
@@ -119,41 +118,47 @@ def build_mslp(
     b = instance.bounds
     costs = instance.costs
     a_entry, a_plus, a_minus = _terminal_slope_maps(instance)
+    periods = range(1, tau + 1)
+    stages = range(1, tau + 2)  # the stocks run one period past the horizon
 
     cvec: List[float] = []
     upper: List[float] = []
-    move_cols: Dict[Tuple[int, Lane, int], int] = {}
-    entry_cols: Dict[Tuple[int, int], int] = {}
-    splus_cols: Dict[Tuple[int, int], int] = {}
-    sminus_cols: Dict[Tuple[int, int], int] = {}
 
-    def add_col(cost, ub):
-        cvec.append(float(cost))
-        upper.append(np.inf if ub is None else float(ub))
-        return len(cvec) - 1
+    def add_cols(keys, cost, ub) -> Dict:
+        """One column per key, appended in key order; returns key -> column."""
+        start = len(cvec)
+        cvec.extend(map(float, cost))
+        upper.extend(map(float, ub))
+        return dict(zip(keys, range(start, len(cvec))))
 
-    for s in instance.sources:
-        for lane in sorted(s.lanes):
-            for t in range(1, tau + 1):
-                if s.kind == STRATEGIC:
-                    rate = s.execution_cost[lane][t - 1]
-                else:
-                    rate = scenario.realizations[t - 1].spot_rates[s.id][lane]
-                move_cols[(s.id, lane, t)] = add_col(rate, None)
-    for i in net.entries:
-        for t in range(1, tau + 2):
-            cost = costs.entry_holding[i] if t <= tau else a_entry[i]
-            entry_cols[(i, t)] = add_col(cost, b.entry_max[i])
-    for j in net.exits:
-        for t in range(1, tau + 2):
-            cost = costs.exit_holding[j] if t <= tau else a_plus[j]
-            splus_cols[(j, t)] = add_col(cost, b.exit_max[j])
-    for j in net.exits:
-        for t in range(1, tau + 2):
-            cost = costs.exit_backorder[j] if t <= tau else a_minus[j]
-            sminus_cols[(j, t)] = add_col(cost, b.exit_backorder_max[j])
+    rates = [lane_costs(instance, z, t) for t, z in zip(periods, scenario.realizations)]
+    keys = [(s.id, lane, t) for s in instance.sources for lane in sorted(s.lanes) for t in periods]
+    move_cols = add_cols(
+        keys, [rates[t - 1][(sid, lane)] for sid, lane, t in keys], [np.inf] * len(keys)
+    )
 
-    n = len(cvec)
+    def stock_cols(locs, holding, terminal, bound):
+        keys = [(k, t) for k in locs for t in stages]
+        cost = [holding[k] if t <= tau else terminal[k] for k, t in keys]
+        return add_cols(keys, cost, [bound[k] for k, _ in keys])
+
+    entry_cols = stock_cols(net.entries, costs.entry_holding, a_entry, b.entry_max)
+    splus_cols = stock_cols(net.exits, costs.exit_holding, a_plus, b.exit_max)
+    sminus_cols = stock_cols(net.exits, costs.exit_backorder, a_minus, b.exit_backorder_max)
+
+    # the move columns of each period out of each entry and into each exit
+    out_of: Dict[Tuple[int, int], List[int]] = {(t, i): [] for t in periods for i in net.entries}
+    into: Dict[Tuple[int, int], List[int]] = {(t, j): [] for t in periods for j in net.exits}
+    for (_, (i, j), t), col in move_cols.items():
+        out_of[(t, i)].append(col)
+        into[(t, j)].append(col)
+
+    def with_moves(row: Dict[int, float], cols: List[int], coef: float) -> Dict[int, float]:
+        """row with coef set on the move columns cols."""
+        for col in cols:
+            row[col] = coef
+        return row
+
     eq_rows: List[Tuple[Dict[int, float], float]] = []
     ub_rows: List[Tuple[Dict[int, float], float]] = []
 
@@ -166,15 +171,11 @@ def build_mslp(
             eq_rows.append(({splus_cols[(j, 1)]: 1.0}, float(max(v, 0))))
             eq_rows.append(({sminus_cols[(j, 1)]: 1.0}, float(-min(v, 0))))
 
-    for t in range(1, tau + 1):
-        z = scenario.realizations[t - 1]
+    for t, z in zip(periods, scenario.realizations):
         # entry balance: e[i,t+1] - e[i,t] + outbound moves = inflow
         for i in net.entries:
             row = {entry_cols[(i, t + 1)]: 1.0, entry_cols[(i, t)]: -1.0}
-            for (sid, lane, tt), col in move_cols.items():
-                if tt == t and lane[0] == i:
-                    row[col] = row.get(col, 0.0) + 1.0
-            eq_rows.append((row, float(z.inflow[i])))
+            eq_rows.append((with_moves(row, out_of[(t, i)], 1.0), float(z.inflow[i])))
         # exit balance: (sp - sm)[t+1] - (sp - sm)[t] - inbound moves = -outflow
         for j in net.exits:
             row = {
@@ -183,41 +184,31 @@ def build_mslp(
                 splus_cols[(j, t)]: -1.0,
                 sminus_cols[(j, t)]: 1.0,
             }
-            for (sid, lane, tt), col in move_cols.items():
-                if tt == t and lane[1] == j:
-                    row[col] = row.get(col, 0.0) - 1.0
-            eq_rows.append((row, float(-z.outflow[j])))
+            eq_rows.append((with_moves(row, into[(t, j)], -1.0), float(-z.outflow[j])))
 
     cap_rows: Dict[Tuple[int, int], int] = {}
     for s in instance.sources:
-        for t in range(1, tau + 1):
-            row = {}
-            for lane in sorted(s.lanes):
-                row[move_cols[(s.id, lane, t)]] = 1.0
+        for t in periods:
             cap_rows[(s.id, t)] = len(ub_rows)
+            row = {move_cols[(s.id, lane, t)]: 1.0 for lane in sorted(s.lanes)}
             ub_rows.append((row, float(plan.capacity[s.id][t - 1])))
-    for t in range(1, tau + 1):
-        z = scenario.realizations[t - 1]
+    for t, z in zip(periods, scenario.realizations):
         # availability: outbound moves <= e[i,t] + inflow
         for i in net.entries:
-            row = {entry_cols[(i, t)]: -1.0}
-            for (sid, lane, tt), col in move_cols.items():
-                if tt == t and lane[0] == i:
-                    row[col] = row.get(col, 0.0) + 1.0
+            row = with_moves({entry_cols[(i, t)]: -1.0}, out_of[(t, i)], 1.0)
             ub_rows.append((row, float(z.inflow[i])))
         # space before outflow: inbound moves + (sp - sm)[t] <= exit bound
         for j in net.exits:
             row = {splus_cols[(j, t)]: 1.0, sminus_cols[(j, t)]: -1.0}
-            for (sid, lane, tt), col in move_cols.items():
-                if tt == t and lane[1] == j:
-                    row[col] = row.get(col, 0.0) + 1.0
-            ub_rows.append((row, float(b.exit_max[j])))
+            ub_rows.append((with_moves(row, into[(t, j)], 1.0), float(b.exit_max[j])))
         # the scalar action grid caps total volume per period
-        row = {col: 1.0 for (sid, lane, tt), col in move_cols.items() if tt == t}
+        row = {}
+        for i in net.entries:
+            with_moves(row, out_of[(t, i)], 1.0)
         ub_rows.append((row, float(b.action_max)))
 
     def densify(rows):
-        A = np.zeros((len(rows), n))
+        A = np.zeros((len(rows), len(cvec)))
         rhs = np.zeros(len(rows))
         for r, (row, v) in enumerate(rows):
             for col, coef in row.items():
@@ -255,30 +246,13 @@ def solve_mslp(lp: MultistageLP) -> MSLPSolution:
     x = res.x
     moves = {key: float(x[col]) for key, col in lp.move_cols.items()}
     integral = all(abs(v - round(v)) <= INTEGRALITY_TOL for v in moves.values())
-    states = []
-    for t in range(1, lp.horizon + 2):
-        states.append(
-            {
-                "entry": {
-                    i: float(x[col])
-                    for (i, tt), col in lp.entry_cols.items()
-                    if tt == t
-                },
-                "exit_plus": {
-                    j: float(x[col])
-                    for (j, tt), col in lp.splus_cols.items()
-                    if tt == t
-                },
-                "exit_minus": {
-                    j: float(x[col])
-                    for (j, tt), col in lp.sminus_cols.items()
-                    if tt == t
-                },
-            }
-        )
-    return MSLPSolution(
-        cost=float(res.objective),
-        moves=moves,
-        states=tuple(states),
-        integral=integral,
+
+    def stocks(cols, t):
+        return {k: float(x[col]) for (k, tt), col in cols.items() if tt == t}
+
+    states = tuple(
+        {"entry": stocks(lp.entry_cols, t), "exit_plus": stocks(lp.splus_cols, t),
+         "exit_minus": stocks(lp.sminus_cols, t)}
+        for t in range(1, lp.horizon + 2)
     )
+    return MSLPSolution(cost=float(res.objective), moves=moves, states=states, integral=integral)

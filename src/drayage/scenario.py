@@ -19,6 +19,8 @@ from .model import (
     Instance,
     Lane,
     Scenario,
+    _lane_key,
+    _parse_lane,
     exogenous_support_size,
     write_json,
 )
@@ -48,11 +50,18 @@ def _components(instance: Instance) -> List[Tuple[str, object, List, List[float]
     return comps
 
 
-def _assemble(instance: Instance, comps, values, probability) -> ExogenousRealization:
+def _assemble(comps, drawn) -> ExogenousRealization:
+    """The realization of one (value, probability) pair per component.
+
+    Its probability is the product of the pairs' probabilities, taken in
+    component order as realization_probability takes it.
+    """
     inflow: Dict[int, int] = {}
     outflow: Dict[int, int] = {}
     rates: Dict[int, Dict[Lane, float]] = {}
-    for (kind, key, _, _), v in zip(comps, values):
+    probability = 1.0
+    for (kind, key, _, _), (v, p) in zip(comps, drawn):
+        probability *= p
         if kind == "q":
             inflow[key] = v
         elif kind == "d":
@@ -77,11 +86,8 @@ def enumerate_support(
     comps = _components(instance)
     out = []
     for combo in itertools.product(*[list(zip(c[2], c[3])) for c in comps]):
-        values = [v for v, _ in combo]
-        p = 1.0
-        for _, q in combo:
-            p *= q
-        out.append((_assemble(instance, comps, values, p), p))
+        z = _assemble(comps, combo)
+        out.append((z, z.probability))
     return out
 
 
@@ -126,22 +132,14 @@ def _draw_periods(
     Per period, every component draws its count values in turn; the RNG call
     order is part of every seeded sample.
     """
+    comps = _components(instance)
     per_period = []
     for _ in range(instance.horizon):
-        comps = _components(instance)
         cols = []
         for _, _, vals, probs in comps:
             idx = rng.choice(len(vals), size=count, p=np.asarray(probs) / sum(probs))
-            cols.append([vals[k] for k in idx])
-        zs = []
-        for n in range(count):
-            z = _assemble(instance, comps, [col[n] for col in cols], 0.0)
-            zs.append(
-                ExogenousRealization(
-                    z.inflow, z.outflow, z.spot_rates, realization_probability(z, instance)
-                )
-            )
-        per_period.append(zs)
+            cols.append([(vals[k], probs[k]) for k in idx])
+        per_period.append([_assemble(comps, drawn) for drawn in zip(*cols)])
     return per_period
 
 
@@ -220,27 +218,64 @@ def _realization_to_dict(z: ExogenousRealization) -> Dict:
         "inflow": {str(k): v for k, v in z.inflow.items()},
         "outflow": {str(k): v for k, v in z.outflow.items()},
         "spot_rates": {
-            str(sid): {f"{i}-{j}": r for (i, j), r in lanes.items()}
+            str(sid): {_lane_key(lane): r for lane, r in lanes.items()}
             for sid, lanes in z.spot_rates.items()
         },
         "probability": z.probability,
     }
 
 
+def _flows(d: Dict, field: str) -> Dict[int, int]:
+    """A flow map of a realization record; a non-integral flow raises ValueError."""
+    out = {}
+    for k, v in d[field].items():
+        if not float(v).is_integer():
+            raise ValueError(f"{field}[{k}] is {v!r}; flows are whole containers")
+        out[int(k)] = int(v)
+    return out
+
+
 def _realization_from_dict(d: Dict) -> ExogenousRealization:
-    rates = {}
-    for sid, lanes in d["spot_rates"].items():
-        parsed = {}
-        for key, r in lanes.items():
-            a, b = key.split("-")
-            parsed[(int(a), int(b))] = float(r)
-        rates[int(sid)] = parsed
     return ExogenousRealization(
-        inflow={int(k): int(v) for k, v in d["inflow"].items()},
-        outflow={int(k): int(v) for k, v in d["outflow"].items()},
-        spot_rates=rates,
+        inflow=_flows(d, "inflow"),
+        outflow=_flows(d, "outflow"),
+        spot_rates={
+            int(sid): {_parse_lane(key): float(r) for key, r in lanes.items()}
+            for sid, lanes in d["spot_rates"].items()
+        },
         probability=float(d.get("probability", 1.0)),
     )
+
+
+def validate_scenario(scenario: Scenario, instance: Instance) -> List[str]:
+    """Return violation messages (empty list iff the scenario fits the instance).
+
+    Every period needs a flow >= 0 at exactly the instance's entries and
+    exits, and a finite rate >= 0 for every lane of every spot source. The
+    values need not lie in the instance's support.
+    """
+    v: List[str] = []
+    if len(scenario.realizations) != instance.horizon:
+        v.append(
+            f"scenario has {len(scenario.realizations)} periods; "
+            f"instance horizon is {instance.horizon}"
+        )
+    net = instance.network
+    for t, z in enumerate(scenario.realizations, start=1):
+        for field, flows, locs in (("inflow", z.inflow, net.entries),
+                                   ("outflow", z.outflow, net.exits)):
+            if set(flows) != set(locs):
+                v.append(f"period {t} {field}: locations {sorted(flows)}, "
+                         f"instance has {sorted(locs)}")
+            v.extend(f"period {t} {field}[{k}] is {f}; need >= 0"
+                     for k, f in flows.items() if f < 0)
+        for s in instance.spot_sources:
+            for lane in s.lanes:
+                r = z.spot_rates.get(s.id, {}).get(lane)
+                if r is None or not (np.isfinite(r) and r >= 0):
+                    v.append(f"period {t} spot_rates[{s.id}][{_lane_key(lane)}] is {r}; "
+                             "need a finite rate >= 0")
+    return v
 
 
 def save_scenarios(scenarios: Sequence[Scenario], path: str, seed: int = 0) -> None:

@@ -254,7 +254,7 @@ def enumerate_policy_value(
     gamma: float = 1.0,
 ) -> float:
     """Exhaustive action-sequence recursion, independent of the dp sweep."""
-    from drayage.alloc import immediate_cost, transition
+    from drayage.alloc import transition
 
     if period > instance.horizon:
         return terminal_value(state, instance.costs)

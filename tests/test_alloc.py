@@ -11,7 +11,6 @@ from drayage.alloc import (
     AllocationProblem,
     build_problem,
     holding_cost,
-    immediate_cost,
     plan_caps_at,
     solve_allocation,
     split_volume,
@@ -201,15 +200,17 @@ def test_zero_action_cost_is_holding_only(capacity_instance, tuned_plan, demo_sc
     state = capacity_instance.initial_state
     caps = plan_caps_at(tuned_plan, 1)
     z = demo_scenario.realizations[0]
-    got = immediate_cost(state, 0, z, caps, capacity_instance, period=1)
-    assert got == holding_cost(state, capacity_instance.costs)
+    got = solve_allocation(build_problem(state, 0, z, caps, capacity_instance, period=1))
+    assert got.cost == 0.0  # the stage cost is holding_cost(state) alone
+    assert all(m == 0.0 for m in got.moves.values())
 
 
 def test_infeasible_action_marker(capacity_instance, demo_scenario):
     state = SystemState({1: 0}, {2: 10})  # exit full: no space for any move
     caps = {1: 10.0, 2: 10.0}
     z = demo_scenario.realizations[0]
-    assert immediate_cost(state, 1, z, caps, capacity_instance) is INFEASIBLE
+    prob = build_problem(state, 1, z, caps, capacity_instance)
+    assert solve_allocation(prob) is INFEASIBLE
 
 
 def test_transition_applies_flows_and_moves(capacity_instance, demo_scenario):

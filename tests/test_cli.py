@@ -236,6 +236,51 @@ def test_scenario_index_out_of_range(example_dir, monkeypatch):
     assert not (example_dir / "policy_out").exists()
 
 
+def _set_inflow(value):
+    def edit(z):
+        z["inflow"]["1"] = value
+    return edit
+
+
+def _set_spot_rate(z):
+    z["spot_rates"]["2"]["1-2"] = float("nan")
+
+
+def _drop_spot_rate(z):
+    del z["spot_rates"]["2"]["1-2"]
+
+
+def _add_entry(z):
+    z["inflow"]["7"] = 3
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (_set_inflow(2.5), "inflow[1]"),
+        (_set_inflow(-4), "inflow[1]"),
+        (_set_spot_rate, "spot_rates[2][1-2]"),
+        (_drop_spot_rate, "spot_rates[2][1-2]"),
+        (_add_entry, "[1, 7]"),
+    ],
+    ids=["fractional-inflow", "negative-inflow", "nan-spot-rate", "missing-spot-rate",
+         "unknown-entry"],
+)
+@pytest.mark.parametrize("command", ["solve-policy", "optimize-capacity", "monte-carlo"])
+def test_scenario_not_fitting_instance_exits_two(
+    example_dir, monkeypatch, capsys, command, edit, field
+):
+    doc = json.loads((example_dir / "scenario.json").read_text())
+    edit(doc["scenarios"][0]["realizations"][1])
+    (example_dir / "bad_scenario.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(example_dir)
+    rc = run_cli(command, "--instance", "inst.json", "--scenario", "bad_scenario.json",
+                 "--out", "bad_out")
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (example_dir / "bad_out").exists()
+
+
 # ---------------------------------------------------------------------------
 # optimize-capacity
 

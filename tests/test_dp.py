@@ -11,8 +11,8 @@ from drayage.dp import (
     PolicyTable,
     StateIndexer,
     UndefinedPolicyState,
+    _StageTables,
     evaluate_policy,
-    feasible_actions,
     rollout,
     solve_expected,
     solve_scenario,
@@ -425,11 +425,9 @@ def test_values_monotone_in_capacity(capacity_instance, demo_scenario, baseline_
 
 
 def test_feasible_actions_contiguous(capacity_instance, demo_scenario, tuned_plan):
-    from drayage.alloc import plan_caps_at
-
-    z = demo_scenario.realizations[0]
-    caps = plan_caps_at(tuned_plan, 1)
-    acts = feasible_actions(S08, z, caps, capacity_instance)
+    kernel = _StageTables(capacity_instance, tuned_plan)
+    cost, _ = kernel.table(1, demo_scenario.realizations[0])
+    acts = np.flatnonzero(np.isfinite(cost[:, kernel.indexer.index_of(S08)])).tolist()
     assert acts == list(range(len(acts)))
     assert acts[0] == 0
 

@@ -7,8 +7,16 @@ import pytest
 from drayage.capopt import scenario_objective
 from drayage.dp import solve_scenario
 from drayage.evaluation import per_scenario_optimum
-from drayage.model import CapacityPlan, Scenario
+from drayage import reference
+from drayage.model import (
+    CapacityPlan,
+    ExogenousRealization,
+    Scenario,
+    generate_default_plan,
+    generate_instance,
+)
 from drayage.mslp import INTEGRALITY_TOL, InfeasibleLP, build_mslp, solve_mslp
+from drayage.scenario import sample_scenarios
 
 from helpers import relaxation_triple
 
@@ -217,6 +225,66 @@ def test_with_plan_reprices_capacity_rows(
     direct = build_mslp(capacity_instance, demo_scenario, tuned_plan)
     assert np.array_equal(retargeted.b_ub, direct.b_ub)
     assert solve_mslp(retargeted).cost == pytest.approx(403.52, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Layout shared by the capacity objective, its templates and the regret fold
+
+
+def _layout_instance(shape):
+    if shape is None:
+        return reference.example_instance("capacity")
+    n_entries, n_exits = shape
+    return generate_instance(3, dict(
+        n_entries=n_entries, n_exits=n_exits, n_bids=2, n_spot=1, horizon=3,
+        cost_mean=20.0, cost_sd=5.0, cost_min=1.0, capacity_levels=4,
+    ))
+
+
+def _shifted(scenario):
+    """Every flow and spot rate one higher: other costs and right-hand sides."""
+    return Scenario(tuple(
+        ExogenousRealization(
+            {k: v + 1 for k, v in z.inflow.items()},
+            {k: v + 1 for k, v in z.outflow.items()},
+            {sid: {lane: r + 1.0 for lane, r in lanes.items()}
+             for sid, lanes in z.spot_rates.items()},
+            z.probability,
+        )
+        for z in scenario.realizations
+    ))
+
+
+@pytest.mark.parametrize("initial", ["fixed", "free"])
+@pytest.mark.parametrize("shape", [None, (2, 1), (1, 2), (2, 2)],
+                         ids=["capacity", "2x1", "1x2", "2x2"])
+def test_cap_rows_and_shared_layout(shape, initial):
+    inst = _layout_instance(shape)
+    scen = sample_scenarios(inst, 1, 0)[0]
+    plan = generate_default_plan(0, inst)
+    lp = build_mslp(inst, scen, plan, initial=initial)
+    sids = [s.id for s in inst.sources]
+    tau = inst.horizon
+    # each move column meets exactly one cap row, its own source-period's, with a 1
+    cap_index = np.array(lp.cap_row_index(sids))
+    for (sid, _, t), col in lp.move_cols.items():
+        hit = cap_index[np.flatnonzero(lp.A_ub[cap_index, col])]
+        assert hit.tolist() == [lp.cap_rows[(sid, t)]]
+        assert lp.A_ub[lp.cap_rows[(sid, t)], col] == 1.0
+    # cap_usage is the per-(source, period) sum of the move columns
+    x = np.random.Generator(np.random.Philox(0)).uniform(0.0, 5.0, lp.c.size)
+    usage = np.zeros((len(sids), tau))
+    for (sid, _, t), col in lp.move_cols.items():
+        usage[sids.index(sid), t - 1] += x[col]
+    assert np.allclose(lp.cap_usage(x, sids), usage.ravel(), rtol=0.0, atol=1e-12)
+    # another scenario changes only the costs and the right-hand sides
+    other = build_mslp(inst, _shifted(scen), plan, initial=initial)
+    for name in ("A_eq", "A_ub", "upper"):
+        assert np.array_equal(getattr(lp, name), getattr(other, name))
+    for name in ("move_cols", "entry_cols", "splus_cols", "sminus_cols", "cap_rows"):
+        assert getattr(lp, name) == getattr(other, name)
+    for name in ("c", "b_eq", "b_ub"):
+        assert not np.array_equal(getattr(lp, name), getattr(other, name))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drayage.alloc import (
+    INFEASIBLE,
     holding_cost,
     solve_allocation,
     build_problem,
@@ -14,7 +15,7 @@ from drayage.alloc import (
     transition,
 )
 from drayage.capopt import quadratic_parameterization, reservation_cost
-from drayage.dp import StateIndexer, feasible_actions, terminal_value
+from drayage.dp import StateIndexer, _StageTables, terminal_value
 from drayage.evaluation import summarize
 from drayage.model import CapacityPlan, ExogenousRealization, SystemState
 from drayage.scenario import realization_probability
@@ -271,17 +272,18 @@ def test_reservation_cost_additive(a1, a2, b1, b2):
        st.integers(min_value=0, max_value=10),
        st.integers(min_value=0, max_value=10))
 def test_feasible_actions_contiguous_from_zero(e, x, q, d, r, c1, c2):
+    # the sweep's feasible set at a state is the finite part of its stage-table column
     z = realization(q, d, r)
     caps = {1: float(c1), 2: float(c2)}
-    acts = feasible_actions(state(e, x), z, caps, CAP)
+    plan = CapacityPlan(capacity={k: (v,) * CAP.horizon for k, v in caps.items()})
+    cost, _ = _StageTables(CAP, plan).table(1, z)
+    finite = np.isfinite(cost[:, IDX.index_of(state(e, x))])
+    acts = np.flatnonzero(finite).tolist()
     assert acts == list(range(len(acts)))
     assert len(acts) >= 1  # doing nothing is always allowed
-    top = acts[-1]
-    if top < CAP.bounds.action_max:
-        prob = build_problem(state(e, x), top + 1, z, caps, CAP)
-        from drayage.alloc import INFEASIBLE
-
-        assert solve_allocation(prob) is INFEASIBLE
+    for a, ok in enumerate(finite):
+        prob = build_problem(state(e, x), a, z, caps, CAP)
+        assert ok == (solve_allocation(prob) is not INFEASIBLE)
 
 
 @MANY
