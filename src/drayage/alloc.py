@@ -285,7 +285,9 @@ def build_problem(
     instance: Instance,
     period: int = 1,
 ) -> AllocationProblem:
-    """Assemble the allocation problem for one period (1-based)."""
+    """Assemble the allocation problem for one period (1-based): the
+    state-level reference the tests check the DP's stage tables against (the
+    package itself has no caller)."""
     avail = {
         i: state.entry_stock[i] + realization.inflow[i] for i in instance.network.entries
     }

@@ -5,9 +5,10 @@ Objectives (CapacityObjective):
               scenario_objective for one scenario, sample_objective for a sample
   DP-valued   value of the sample-average Bellman recursion over a SampleSet
 
-An LP-valued objective has an exact optimum: optimize_capacity_exact solves
-the capacity choice and every scenario's operations as one extensive-form
-LP. It is the SAA path (optimize_capacity_saa, ``--mode saa``).
+An LP-valued objective is one LP layout plus a row of costs and right-hand
+sides per scenario. Its exact optimum (optimize_capacity_exact, the SAA path:
+optimize_capacity_saa, ``--mode saa``) is one extensive-form LP over the
+capacity choice and every scenario's operations.
 
 The quasi-Newton searches run scipy's L-BFGS-B on central-difference
 gradients, over raw capacities (optimize_capacity) or per-source quadratic
@@ -22,7 +23,7 @@ slope in total capacity, steering the search back toward feasibility.
 """
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,8 +33,8 @@ from scipy.optimize import minimize
 from .dp import solve_expected
 from .lp import HighsModel, LPResult, solve_lp
 from .model import CapacityPlan, Instance, Scenario
-from .mslp import InfeasibleLP, MultistageLP, build_mslp
-from .scenario import SampleSet
+from .mslp import InfeasibleLP, build_mslp
+from .scenario import SampleSet, sample_scenarios
 
 PENALTY = 1.0e7
 PENALTY_SLOPE = 10.0  # reward per TEU of total capacity inside the penalty
@@ -77,10 +78,16 @@ class CapacityObjective:
     Exactly one of weighted_scenarios (LP-valued) and sample_set (DP-valued)
     is given. Both value the best achievable initial state. Capacity is
     priced at each source's reservation_rate; the box is action_max per
-    source per period. An LP-valued objective solves every scenario LP it
-    is asked for (plan values, operability, the regret optimum) cold, in
-    this process, on one lp.HighsModel built on first use from the first
-    template, whose matrix every template shares; nothing goes through
+    source per period.
+
+    An LP-valued objective has fixed recourse (Van Slyke & Wets 1969): only
+    the costs and right-hand sides of a draw's multistage LP depend on the
+    draw. It keeps one layout, the first draw's zero-plan MultistageLP, and
+    arrays costs, b_eq and b_ub whose row k is draw k's (weight weights[k]).
+    A plan writes its capacities into a copy of a b_ub row at cap_index
+    (cap_matrix: those rows of A_ub). Every LP it is asked for (plan values,
+    operability, the regret optimum) is solved cold, in this process, on one
+    lp.HighsModel of the layout built on first use; nothing goes through
     lp.solve_lp or mslp.solve_mslp. close() drops the model.
     """
 
@@ -88,12 +95,25 @@ class CapacityObjective:
     weighted_scenarios: Tuple[Tuple[Scenario, float], ...] = ()
     sample_set: Optional[SampleSet] = None
     dropped_scenarios: int = field(default=0, init=False, repr=False)
-    _templates: Optional[List] = field(default=None, init=False, repr=False)
     _model: Optional[HighsModel] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if bool(self.weighted_scenarios) == (self.sample_set is not None):
             raise ValueError("give exactly one of weighted_scenarios and sample_set")
+        if self.sample_set is not None:
+            return
+        # one build per draw; of every draw but the first, only the rows are kept
+        zero = _caps_to_plan(self.instance, np.zeros_like(self.box_upper))
+        rows = []
+        for sc, _ in self.weighted_scenarios:
+            lp = build_mslp(self.instance, sc, zero, initial="free")
+            if not rows:
+                self.layout = lp
+            rows.append((lp.c, lp.b_eq, lp.b_ub))
+        self.costs, self.b_eq, self.b_ub = (np.array(col) for col in zip(*rows))
+        self.weights = [float(w) for _, w in self.weighted_scenarios]
+        self.cap_index = self.layout.cap_row_index(self.source_ids)
+        self.cap_matrix = self.layout.A_ub[self.cap_index]
 
     @property
     def source_ids(self) -> List[int]:
@@ -120,57 +140,45 @@ class CapacityObjective:
             sum(w * total_flow(sc) for sc, w in self.weighted_scenarios) or 1.0
         )
 
-    def templates(self) -> List[Tuple[MultistageLP, float]]:
-        """One zero-plan multistage LP per weighted scenario, with its weight,
-        built once on first use (sample_objective keeps the ones it built).
-        This is the package's one build_mslp call.
-
-        Capacity enters only through the cap rows' right-hand sides, so each
-        evaluation fills them in (with_caps_array) instead of rebuilding.
-        Only c, b_eq and b_ub depend on the scenario: every template shares
-        the first one's matrices, box and maps, so one model serves them all.
-        """
-        if self._templates is None:
-            zero = _caps_to_plan(self.instance, np.zeros_like(self.box_upper))
-            self._templates = []
-            for sc, w in self.weighted_scenarios:
-                lp = build_mslp(self.instance, sc, zero, initial="free")
-                if self._templates:
-                    lp = replace(self._templates[0][0], c=lp.c, b_eq=lp.b_eq, b_ub=lp.b_ub)
-                self._templates.append((lp, w))
-        return self._templates
-
-    def solve_at(self, tpl: MultistageLP, caps: np.ndarray, c=None) -> LPResult:
-        """A template at caps, with costs c (default its own), solved cold on
-        the shared model; RuntimeError unless optimal or infeasible."""
+    def solve_at(self, k: int, caps: np.ndarray, c=None) -> LPResult:
+        """Draw k at caps, with costs c (default its own row), solved cold on
+        the layout's model; RuntimeError unless optimal or infeasible."""
         if self._model is None:
-            first = self.templates()[0][0]
-            self._model = HighsModel(first.upper, first.A_eq, first.A_ub)
-        lp = tpl.with_caps_array(caps, self.source_ids)
-        res = self._model.solve(lp.c if c is None else c, lp.b_eq, lp.b_ub)
+            self._model = HighsModel(self.layout.upper, self.layout.A_eq, self.layout.A_ub)
+        b_ub = self.b_ub[k].copy()
+        b_ub[self.cap_index] = np.ravel(caps)
+        res = self._model.solve(self.costs[k] if c is None else c, self.b_eq[k], b_ub)
         if res.status not in ("optimal", "infeasible"):
             raise RuntimeError(f"unexpected LP status {res.status}")
         return res
 
-    def lp_value(self, caps: np.ndarray, templates) -> Optional[float]:
-        """Weighted sum of these templates' LP values at caps; None when one
-        is infeasible."""
+    def lp_value(self, caps: np.ndarray, draws: Sequence[int]) -> Optional[float]:
+        """Weighted sum of these draws' LP values at caps; None when one is
+        infeasible."""
         terms = []
-        for tpl, w in templates:
-            res = self.solve_at(tpl, caps)
+        for k in draws:
+            res = self.solve_at(k, caps)
             if res.status == "infeasible":
                 return None
-            terms.append(w * -res.objective)
+            terms.append(self.weights[k] * -res.objective)
         return _sum_in_order(terms)
 
     def value_of_caps(self, caps: np.ndarray) -> Optional[float]:
         """V estimate at a capacity array; None when infeasible."""
         if self.sample_set is None:
-            return self.lp_value(caps, self.templates())
+            return self.lp_value(caps, range(len(self.weights)))
         table, _ = solve_expected(
             self.instance, self.sample_set, _caps_to_plan(self.instance, caps)
         )
         return table.best_initial_state()[1]
+
+    def _keep(self, draws: List[int]) -> None:
+        """Keep only these draws, reweighted uniformly; count the rest as dropped."""
+        w = 1.0 / len(draws)
+        self.dropped_scenarios = len(self.weights) - len(draws)
+        self.weighted_scenarios = tuple((self.weighted_scenarios[k][0], w) for k in draws)
+        self.weights = [w] * len(draws)
+        self.costs, self.b_eq, self.b_ub = (a[draws] for a in (self.costs, self.b_eq, self.b_ub))
 
     def close(self):
         self._model = None
@@ -185,28 +193,20 @@ def sample_objective(
 ) -> CapacityObjective:
     """Uniform-weight expected-LP objective over the operable sub-sample.
 
-    Capacity enters a scenario's LP only through its cap rows, so a draw
-    whose template is infeasible at box_upper is infeasible at every plan in
-    the box; keeping it would pin the whole objective at the penalty value
-    and erase the argmax. One objective builds a template per draw; the
-    draws whose template fails at box_upper are dropped (count kept as
-    dropped_scenarios) and the kept templates reweighted to 1/kept, so each
-    draw's LP is built once. Per-plan infeasibility inside the box still
+    Capacity enters a draw's LP only through its cap rows, so a draw that is
+    infeasible at box_upper is infeasible at every plan in the box; keeping
+    it would pin the whole objective at the penalty value and erase the
+    argmax. The objective builds each draw's LP once; the draws that fail at
+    box_upper are dropped (count kept as dropped_scenarios) and the kept
+    rows reweighted to 1/kept. Per-plan infeasibility inside the box still
     penalizes as usual. Raises InfeasibleLP when no draw is operable.
     """
     obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, 1.0) for sc in scenarios))
     box = obj.box_upper
-    kept = [
-        (sc, tpl)
-        for sc, (tpl, _) in zip(scenarios, obj.templates())
-        if obj.lp_value(box, [(tpl, 1.0)]) is not None
-    ]
+    kept = [k for k in range(len(scenarios)) if obj.lp_value(box, [k]) is not None]
     if not kept:
         raise InfeasibleLP("no operable scenario in the sample")
-    w = 1.0 / len(kept)
-    obj.weighted_scenarios = tuple((sc, w) for sc, _ in kept)
-    obj._templates = [(tpl, w) for _, tpl in kept]
-    obj.dropped_scenarios = len(scenarios) - len(kept)
+    obj._keep(kept)
     return obj
 
 
@@ -541,37 +541,24 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
     """
     if obj.sample_set is not None:
         raise ValueError("the exact LP needs an LP-valued objective")
-    inst = obj.instance
-    blocks = obj.templates()
-    # the blocks share one row layout (CapacityObjective.templates)
-    rows = blocks[0][0].cap_row_index(obj.source_ids)
-    nx = len(rows)
+    layout, n = obj.layout, len(obj.weights)
+    nx = len(obj.cap_index)
     couple = sparse.csr_matrix(
-        (-np.ones(nx), (rows, np.arange(nx))), shape=(blocks[0][0].A_ub.shape[0], nx)
+        (-np.ones(nx), (obj.cap_index, np.arange(nx))), shape=(layout.A_ub.shape[0], nx)
     )
     A_ub = sparse.hstack(
-        [
-            sparse.vstack([couple] * len(blocks)),
-            sparse.block_diag([lp.A_ub for lp, _ in blocks]),
-        ],
-        format="csr",
+        [sparse.vstack([couple] * n), sparse.block_diag([layout.A_ub] * n)], format="csr"
     )
-    n_eq = sum(lp.A_eq.shape[0] for lp, _ in blocks)
     A_eq = sparse.hstack(
-        [
-            sparse.csr_matrix((n_eq, nx)),
-            sparse.block_diag([lp.A_eq for lp, _ in blocks]),
-        ],
+        [sparse.csr_matrix((n * layout.A_eq.shape[0], nx)), sparse.block_diag([layout.A_eq] * n)],
         format="csr",
     )
     rates = obj.rates_array().ravel()
     box = obj.box_upper.ravel()
-    upper = np.concatenate([box] + [lp.upper for lp, _ in blocks])
+    upper = np.concatenate([box] + [layout.upper] * n)
     res = solve_lp(
-        np.concatenate([rates] + [w * lp.c for lp, w in blocks]),
-        A_eq, np.concatenate([lp.b_eq for lp, _ in blocks]),
-        A_ub, np.concatenate([lp.b_ub for lp, _ in blocks]),
-        upper,
+        np.concatenate([rates] + [w * c for w, c in zip(obj.weights, obj.costs)]),
+        A_eq, obj.b_eq.ravel(), A_ub, obj.b_ub.ravel(), upper,
     )
     if res.status == "infeasible":
         raise InfeasibleLP("no capacity plan in the box operates every scenario")
@@ -580,14 +567,11 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
 
     usage = np.zeros(nx)
     operations = 0.0
-    offset = nx
-    for lp, w in blocks:
-        x_b = res.x[offset : offset + lp.c.size]
-        usage = np.maximum(usage, lp.cap_usage(x_b, obj.source_ids))
-        operations += w * float(lp.c @ x_b)
-        offset += lp.c.size
+    for w, c, x_b in zip(obj.weights, obj.costs, res.x[nx:].reshape(n, -1)):
+        usage = np.maximum(usage, obj.cap_matrix @ x_b)
+        operations += w * float(c @ x_b)
     caps = np.where(rates >= 0.0, np.clip(usage, 0.0, box), res.x[:nx])
-    plan = _caps_to_plan(inst, caps.reshape(obj.box_upper.shape))
+    plan = _caps_to_plan(obj.instance, caps.reshape(obj.box_upper.shape))
     total = reservation_cost(plan, obj.rates) + operations
     return OptimizationResult(
         best_plan=plan,
@@ -615,8 +599,6 @@ def optimize_capacity_saa(
     accepted for the callers that pass one and is not read: the exact solve
     has no search settings.
     """
-    from .scenario import sample_scenarios
-
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
     scenarios = sample_scenarios(instance, n_scenarios, seed)

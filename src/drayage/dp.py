@@ -189,21 +189,22 @@ class PolicyTable:
         _table_to_csv(path, self, self.actions, "action", range(1, self.horizon + 1))
 
 
-def _state_columns(indexer: StateIndexer, idx: int) -> Tuple[str, str]:
-    st = indexer.state_of(idx)
-    entry = "|".join(str(st.entry_stock[i]) for i in indexer.entry_ids)
-    exit_ = "|".join(str(st.exit_stock[j]) for j in indexer.exit_ids)
-    return entry, exit_
+def _stock_columns(state: SystemState) -> Tuple[str, str]:
+    """A state's entry and exit CSV columns: multi-location stocks are
+    |-joined in sorted-id order, the order of CostSpec.terminal_slopes."""
+    return tuple(
+        "|".join(str(v) for _, v in sorted(stock.items()))
+        for stock in (state.entry_stock, state.exit_stock)
+    )
 
 
 def _table_to_csv(path, table, data, value_name, periods) -> None:
-    # multi-location stocks are |-joined inside the entry/exit columns
     with open(path, "w") as f:
         f.write(f"t,entry,exit,{value_name}\n")
         cast = int if np.issubdtype(data.dtype, np.integer) else float
         for row, t in enumerate(periods):
             for idx in range(table.indexer.n_states):
-                entry, exit_ = _state_columns(table.indexer, idx)
+                entry, exit_ = _stock_columns(table.indexer.state_of(idx))
                 f.write(f"{t},{entry},{exit_},{cast(data[row, idx])!r}\n")
 
 
@@ -226,14 +227,8 @@ class Trajectory:
         with open(path, "w") as f:
             f.write("t,entry,exit,action,immediate_cost,next_entry,next_exit\n")
             for s in self.steps:
-                e = "|".join(str(v) for _, v in sorted(s.state.entry_stock.items()))
-                x = "|".join(str(v) for _, v in sorted(s.state.exit_stock.items()))
-                ne = "|".join(
-                    str(v) for _, v in sorted(s.next_state.entry_stock.items())
-                )
-                nx = "|".join(
-                    str(v) for _, v in sorted(s.next_state.exit_stock.items())
-                )
+                e, x = _stock_columns(s.state)
+                ne, nx = _stock_columns(s.next_state)
                 f.write(
                     f"{s.period},{e},{x},{s.action},"
                     f"{float(s.immediate_cost)!r},{ne},{nx}\n"

@@ -1,12 +1,12 @@
 """Regret profiles, generalization diagnostics, and summary statistics.
 
 A regret profile is one LP-valued CapacityObjective over all its scenarios:
-each scenario's multistage LP is built once, as the objective's template,
-and both numbers of a record are solved on the objective's one HiGHS model.
-The achieved value is the template at the shared plan. The per-scenario
-optimum is exact: the same template at the box caps, with the reservation
-rates folded into the move costs, collapses the joint (capacity,
-operations) minimum to one LP. This keeps the dominance property
+each scenario's multistage LP is built once, into the objective's rows, and
+both numbers of a record are solved on the objective's one HiGHS model.
+The achieved value is the scenario's row at the shared plan. The
+per-scenario optimum is exact: the same row at the box caps, with the
+reservation rates folded into the move costs, collapses the joint
+(capacity, operations) minimum to one LP. This keeps the dominance property
 regret >= 0 exact up to LP tolerance, which a finite-difference
 quasi-Newton search cannot guarantee on a piecewise-linear landscape.
 """
@@ -52,21 +52,20 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
 def per_scenario_optimum(obj: CapacityObjective, k: int = 0) -> Tuple[CapacityPlan, float]:
     """Best capacity plan and objective for scenario k of an LP objective alone.
 
-    Template k at the box caps with the reservation rates added to the move
+    Draw k at the box caps with the reservation rates added to the move
     costs, solved on the objective's model: with rates >= 0 the best
     reservation is the usage, so this is optimize_capacity_exact's one-block
     extensive form with the capacity columns folded away. The plan reserves
     what the optimum uses. When even the box plan cannot operate the
     scenario, no plan can, and the result is the box plan with objective -inf.
     """
-    tpl, _ = obj.templates()[k]
     box = obj.box_upper
     # each move column sits in exactly one cap row, so this adds its rate
-    c = tpl.c + obj.rates_array().ravel() @ tpl.A_ub[tpl.cap_row_index(obj.source_ids)]
-    res = obj.solve_at(tpl, box, c)
+    c = obj.costs[k] + obj.rates_array().ravel() @ obj.cap_matrix
+    res = obj.solve_at(k, box, c)
     if res.status == "infeasible":
         return _caps_to_plan(obj.instance, box), -math.inf
-    usage = tpl.cap_usage(res.x, obj.source_ids)
+    usage = obj.cap_matrix @ res.x
     return _caps_to_plan(obj.instance, usage.reshape(box.shape)), -res.objective
 
 
@@ -94,7 +93,7 @@ def regret_profile(
     records = []
     for k in range(len(scenarios)):
         _, opt_value = per_scenario_optimum(obj, k)
-        value = None if opt_value == -math.inf else obj.lp_value(caps, [obj.templates()[k]])
+        value = None if opt_value == -math.inf else obj.lp_value(caps, [k])
         achieved = -math.inf if value is None else value - reserved
         records.append(RegretRecord(k, opt_value, achieved, opt_value - achieved))
     return records

@@ -6,7 +6,8 @@ exit stock is split into nonnegative parts splus - sminus. Used as the
 differentiable surrogate for capacity search and as a relaxation cross-check
 on the DP. solve_mslp solves it with HiGHS through lp.solve_lp, as
 capopt.optimize_capacity_exact does the stacked blocks; capacity plans and
-regret records are solved on a CapacityObjective's lp.HighsModel instead.
+regret records are solved on a CapacityObjective's lp.HighsModel instead,
+one layout with a row of costs and right-hand sides per scenario.
 
 The relaxation bounds the DP only along unclamped trajectories. The DP
 transition (alloc.transition) clamps stocks into their bounds, dropping entry
@@ -21,7 +22,6 @@ the cap rows, in its source-period's row.
 Costs are minimized here; callers that want the value convention negate.
 """
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -70,18 +70,6 @@ class MultistageLP:
         """The cap rows of A_ub, source by source, period by period."""
         return [self.cap_rows[(sid, t)] for sid in source_ids for t in range(1, self.horizon + 1)]
 
-    def with_caps_array(self, caps: np.ndarray, source_ids: Sequence[int]) -> "MultistageLP":
-        """Same LP with the capacity right-hand sides set to caps, an array
-        shaped (len(source_ids), horizon) (cheap re-solve)."""
-        b = self.b_ub.copy()
-        b[self.cap_row_index(source_ids)] = np.ravel(caps)
-        return dataclasses.replace(self, b_ub=b)
-
-    def cap_usage(self, x: np.ndarray, source_ids: Sequence[int]) -> np.ndarray:
-        """Capacity the solution x uses: the cap rows' activity, flat in
-        cap_row_index order."""
-        return self.A_ub[self.cap_row_index(source_ids)] @ x
-
 
 @dataclass(frozen=True)
 class MSLPSolution:
@@ -103,11 +91,12 @@ def build_mslp(
     equality rows; "free" leaves it a decision within bounds, realizing the
     best-initial-state value in one solve.
 
-    In the package, only capopt.CapacityObjective.templates calls this: it
-    builds each scenario's LP once at the zero plan, and every capacity
-    evaluation, the operability check, the extensive form and the regret
-    record's optimum and achieved value (evaluation.regret_profile) start
-    from that template. Only c, b_eq and b_ub depend on the scenario.
+    In the package, only capopt.CapacityObjective calls this: it builds
+    each scenario's LP once, at the zero plan with a free initial state,
+    keeps the first as its layout and of every one only c, b_eq and b_ub,
+    the parts that depend on the scenario. Every capacity evaluation, the
+    operability check, the extensive form and the regret record's optimum
+    and achieved value (evaluation.regret_profile) start from those rows.
     """
     if len(scenario.realizations) != instance.horizon:
         raise ValueError("scenario length does not match horizon")

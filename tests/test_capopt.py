@@ -23,7 +23,7 @@ from drayage.capopt import (
 )
 from drayage.evaluation import per_scenario_optimum
 from drayage.model import CapacityPlan
-from drayage.mslp import InfeasibleLP
+from drayage.mslp import InfeasibleLP, build_mslp
 from drayage.scenario import SampleSet, build_sample_set, sample_scenarios
 
 from helpers import dry_scenario
@@ -408,17 +408,40 @@ def test_sample_objective_drops_inoperable_draws(capacity_instance, demo_scenari
 
 def test_sample_objective_builds_each_draw_once(capacity_instance, demo_scenario,
                                                 monkeypatch):
-    # operability is read from the objective's own templates, so the
-    # inoperable draw is built once and the kept one is not built again
+    # operability is read from the objective's own rows, so the inoperable
+    # draw is built once and the kept one is not built again
     builds = _counting_builds(monkeypatch)
     obj = sample_objective(capacity_instance, [demo_scenario, dry_scenario(capacity_instance)])
     try:
         assert obj.dropped_scenarios == 1
         assert [w for _, w in obj.weighted_scenarios] == [1.0]
-        assert [w for _, w in obj.templates()] == [1.0]
+        assert obj.weights == [1.0]
+        assert len(obj.costs) == len(obj.b_eq) == len(obj.b_ub) == 1
     finally:
         obj.close()
     assert len(builds) == 2
+
+
+def test_sample_objective_rows_match_kept_draws(capacity_instance, demo_scenario):
+    # after a drop, row k of the costs and right-hand sides is kept draw k's
+    # own LP, and every draw has the layout's matrices and box
+    dry = dry_scenario(capacity_instance)
+    other = sample_scenarios(capacity_instance, 1, 5)[0]
+    obj = sample_objective(capacity_instance, [demo_scenario, dry, other])
+    obj.close()
+    assert obj.dropped_scenarios == 1
+    assert [sc for sc, _ in obj.weighted_scenarios] == [demo_scenario, other]
+    assert obj.weights == [0.5, 0.5]
+    zero = CapacityPlan({s.id: (0.0,) * 4 for s in capacity_instance.sources})
+    lps = [build_mslp(capacity_instance, sc, zero, initial="free")
+           for sc in (demo_scenario, other, dry)]
+    for k, lp in enumerate(lps[:2]):
+        for rows, own in ((obj.costs, lp.c), (obj.b_eq, lp.b_eq), (obj.b_ub, lp.b_ub)):
+            assert np.array_equal(rows[k], own)
+    assert not np.array_equal(obj.b_eq[0], obj.b_eq[1])
+    for lp in lps:
+        for name in ("A_eq", "A_ub", "upper"):
+            assert np.array_equal(getattr(obj.layout, name), getattr(lp, name))
 
 
 def test_saa_builds_one_lp_per_draw(capacity_instance, monkeypatch):
@@ -440,19 +463,20 @@ def test_lp_values_equal_direct_linprog_bit_for_bit(capacity_instance):
     try:
         forward = [obj.value_of_caps(c) for c in caps]
         shuffled = dict(zip(order, (obj.value_of_caps(caps[k]) for k in order)))
-        templates = obj.templates()
     finally:
         obj.close()
     assert forward == [shuffled[k] for k in range(len(caps))]
 
+    layout = obj.layout
     direct = []
     for c in caps:
         total = 0.0
-        for tpl, w in templates:
-            lp = tpl.with_caps_array(c, obj.source_ids)
+        for k, w in enumerate(obj.weights):
+            b_ub = obj.b_ub[k].copy()
+            b_ub[obj.cap_index] = c.ravel()
             res = linprog(
-                lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                bounds=np.column_stack([np.zeros(lp.c.size), lp.upper]), method="highs",
+                obj.costs[k], A_ub=layout.A_ub, b_ub=b_ub, A_eq=layout.A_eq, b_eq=obj.b_eq[k],
+                bounds=np.column_stack([np.zeros(layout.c.size), layout.upper]), method="highs",
             )
             if res.status == 2:
                 total = None

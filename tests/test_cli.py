@@ -11,7 +11,7 @@ import pytest
 
 import drayage
 from drayage import cli, model
-from drayage.scenario import save_scenarios
+from drayage.scenario import sample_scenarios, save_scenarios
 
 from helpers import dry_scenario
 
@@ -127,6 +127,32 @@ def test_solve_policy_scenario_outputs(example_dir):
     with open(out / "trajectory.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 4
+
+
+def test_state_labels_agree_across_csv_files(tmp_path):
+    # entries listed out of id order: every CSV joins stocks in sorted-id order
+    path = tmp_path / "inst.json"
+    assert run_cli("gen-instance", "--seed", "0", "--entries", "2", "--exits", "1",
+                   "--strategic", "2", "--spot", "1", "--capacity-levels", "2",
+                   "--horizon", "2", "--out", str(path)) == 0
+    raw = json.loads(path.read_text())
+    raw["network"]["entries"] = [2, 1]
+    raw["initial_state"]["entry"] = {"1": 2, "2": 0}
+    path.write_text(json.dumps(raw))
+    inst = model.load_instance(str(path))
+    assert model.validate_instance(inst) == []
+    save_scenarios(sample_scenarios(inst, 1, 0), str(tmp_path / "scen.json"))
+    out = tmp_path / "run"
+    assert run_cli("solve-policy", "--instance", str(path),
+                   "--scenario", str(tmp_path / "scen.json"), "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "trajectory.csv") as f:
+        first = next(csv.DictReader(f))
+    assert (first["entry"], first["exit"]) == ("2|0", "0")
+    with open(out / "value.csv") as f:
+        values = {(r["entry"], r["exit"]): float(r["value"])
+                  for r in csv.DictReader(f) if r["t"] == "1"}
+    assert values[("2|0", "0")] == summary["value_at_initial_state"]
 
 
 def test_solve_policy_enumerate_mode(example_dir):

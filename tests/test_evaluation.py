@@ -114,7 +114,7 @@ def test_regret_nonnegative_on_sampled_scenarios(capacity_instance, tuned_plan):
 
 
 def test_regret_builds_one_lp_per_scenario(capacity_instance, tuned_plan, monkeypatch):
-    # The optimum and the achieved value share the scenario's template, the
+    # The optimum and the achieved value share the scenario's row, from the
     # objective's one build_mslp call, and the profile's one HiGHS model.
     from drayage import capopt, lp
 
@@ -141,10 +141,14 @@ def test_regret_builds_one_lp_per_scenario(capacity_instance, tuned_plan, monkey
     for sc, r in zip(scenarios, records):
         alone = objective(tuned_plan, scenario_objective(capacity_instance, sc))
         assert repr(r.achieved_objective) == repr(alone)
-    # every template of an objective shares the first one's matrices
-    templates = [tpl for tpl, _ in sample_objective(capacity_instance, scenarios).templates()]
-    assert len(templates) == len(scenarios)
-    assert all(t.A_ub is templates[0].A_ub and t.A_eq is templates[0].A_eq for t in templates)
+    # an objective is one layout plus one row of costs and right-hand sides
+    # per draw (test_mslp checks that every draw has the layout's matrices)
+    obj = sample_objective(capacity_instance, scenarios)
+    obj.close()
+    assert len(obj.weights) == len(scenarios)
+    for rows, own in ((obj.costs, obj.layout.c), (obj.b_eq, obj.layout.b_eq),
+                      (obj.b_ub, obj.layout.b_ub)):
+        assert rows.shape == (len(scenarios), own.size)
 
 
 def test_inoperable_scenario_yields_nan_regret(capacity_instance, tuned_plan):

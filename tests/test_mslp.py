@@ -1,6 +1,8 @@
 """Per-scenario linear program: pinned optima, duality with the DP, and an
 independent HiGHS cross-check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,16 +221,19 @@ def test_scenario_length_mismatch_rejected(
 def test_with_plan_reprices_capacity_rows(
     capacity_instance, demo_scenario, baseline_plan, tuned_plan
 ):
+    # refilling the cap rows' right-hand sides equals a build at the new plan
     lp = build_mslp(capacity_instance, demo_scenario, baseline_plan)
     sids = [s.id for s in capacity_instance.sources]
-    retargeted = lp.with_caps_array(tuned_plan.as_array(sids), sids)
+    b_ub = lp.b_ub.copy()
+    b_ub[lp.cap_row_index(sids)] = tuned_plan.as_array(sids).ravel()
+    retargeted = dataclasses.replace(lp, b_ub=b_ub)
     direct = build_mslp(capacity_instance, demo_scenario, tuned_plan)
     assert np.array_equal(retargeted.b_ub, direct.b_ub)
     assert solve_mslp(retargeted).cost == pytest.approx(403.52, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# Layout shared by the capacity objective, its templates and the regret fold
+# Layout shared by every scenario of a capacity objective and the regret fold
 
 
 def _layout_instance(shape):
@@ -271,12 +276,12 @@ def test_cap_rows_and_shared_layout(shape, initial):
         hit = cap_index[np.flatnonzero(lp.A_ub[cap_index, col])]
         assert hit.tolist() == [lp.cap_rows[(sid, t)]]
         assert lp.A_ub[lp.cap_rows[(sid, t)], col] == 1.0
-    # cap_usage is the per-(source, period) sum of the move columns
+    # the cap rows' activity is the per-(source, period) sum of the move columns
     x = np.random.Generator(np.random.Philox(0)).uniform(0.0, 5.0, lp.c.size)
     usage = np.zeros((len(sids), tau))
     for (sid, _, t), col in lp.move_cols.items():
         usage[sids.index(sid), t - 1] += x[col]
-    assert np.allclose(lp.cap_usage(x, sids), usage.ravel(), rtol=0.0, atol=1e-12)
+    assert np.allclose(lp.A_ub[cap_index] @ x, usage.ravel(), rtol=0.0, atol=1e-12)
     # another scenario changes only the costs and the right-hand sides
     other = build_mslp(inst, _shifted(scen), plan, initial=initial)
     for name in ("A_eq", "A_ub", "upper"):
