@@ -10,10 +10,14 @@ capacity, per-entry availability (current stock plus inflow), per-exit space
 signal: the action A_t is excluded from the feasible action set rather than
 penalized; the DP's stage tables (dp._StageTables) decide that set.
 Single-lane problems have a closed form (split_volume), the rest a dense
-tableau (tableau_simplex). Its fixed pivot rule decides which cost-tied
-allocation, and so which next state, the DP sees; that, not speed, is why
-it stays (one reused lp.HighsModel solves these LPs faster, at other
-vertices).
+tableau (tableau_simplex). Infeasibility of the rest is decided first from
+the summed limits of each constraint family (source caps, entry
+availability, exit space): each family holds every (source, lane) column in
+at most one row, so a volume above a covering family's sum cannot be moved.
+The problems that pass go to the tableau, whose phase 1 decides. Its fixed
+pivot rule decides which cost-tied allocation, and so which next state, the
+DP sees; that, not speed, is why it stays (one reused lp.HighsModel solves
+these LPs faster, at other vertices).
 
 The state transition applies the per-lane move totals and the realized
 inflows/outflows, clamping to the stock bounds. Excess inflow above an entry
@@ -209,12 +213,16 @@ def solve_allocation(problem: AllocationProblem):
     """Cost-minimal feasible allocation, or INFEASIBLE.
 
     Single-lane problems use a closed-form greedy fill; general problems go
-    through tableau_simplex. The simplex sees entry availability
-    and exit space clipped to the total volume: no lane can carry more, so
-    the feasible set is the same, and among cost-tied allocations the one
-    returned then depends only on the clipped problem. The DP's stage tables
-    rely on this to share one solve between all states with equal clipped
-    bounds.
+    through tableau_simplex. A general problem whose volume exceeds, by more
+    than 1e-7, the summed limits of a constraint family that covers every
+    (source, lane) column (every source capped, or every lane's entry or
+    exit given a limit) is INFEASIBLE without a tableau: phase 1 would reject
+    it at that margin. Otherwise phase 1 decides. The simplex sees entry
+    availability and exit space clipped to the total volume: no lane can
+    carry more, so the feasible set is the same, and among cost-tied
+    allocations the one returned then depends only on the clipped problem.
+    The DP's stage tables rely on this to share one solve between all states
+    with equal clipped bounds.
     """
     A = float(problem.total_volume)
     keys = sorted(problem.lane_costs.keys())
@@ -244,14 +252,24 @@ def solve_allocation(problem: AllocationProblem):
 
     # General case: one variable per (source, lane), one 0/1 row per source
     # cap, entry availability and exit space (the last two clipped to A).
-    c = np.array([problem.lane_costs[k] for k in keys])
-    where = np.array([(k, i, j) for (k, (i, j)) in keys])
-    rows, rhs = [], []
-    for col, limits, most in (
+    # A family whose rows cover every column bounds sum(x) = A by its summed
+    # limits; phase 1 would leave at least the excess in its artificials and
+    # reject above 1e-7, so the same margin answers such a problem here.
+    locs = [(k, i, j) for (k, (i, j)) in keys]
+    families = (
         (0, problem.source_caps, np.inf),
         (1, problem.entry_available, A),
         (2, problem.exit_space, A),
-    ):
+    )
+    for col, limits, most in families:
+        used = {loc[col] for loc in locs}
+        if used <= limits.keys():
+            if A > sum(min(limits[loc], most) for loc in sorted(used)) + 1e-7:
+                return INFEASIBLE
+    c = np.array([problem.lane_costs[k] for k in keys])
+    where = np.array(locs)
+    rows, rhs = [], []
+    for col, limits, most in families:
         for loc, limit in sorted(limits.items()):
             row = (where[:, col] == loc).astype(float)
             if row.any():

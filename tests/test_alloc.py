@@ -196,6 +196,93 @@ def test_tableau_same_vertex_on_repeat():
     assert float(c @ first) == pytest.approx(20.0)
 
 
+def _tableau_of(problem):
+    """The general case's tableau on the rows solve_allocation builds: a
+    0/1 row per source cap, entry availability and exit space, the last two
+    clipped to the volume."""
+    keys = sorted(problem.lane_costs)
+    A = float(problem.total_volume)
+    where = np.array([(k, i, j) for (k, (i, j)) in keys])
+    rows, rhs = [], []
+    for col, limits, most in (
+        (0, problem.source_caps, np.inf),
+        (1, problem.entry_available, A),
+        (2, problem.exit_space, A),
+    ):
+        for loc, limit in sorted(limits.items()):
+            row = (where[:, col] == loc).astype(float)
+            if row.any():
+                rows.append(row)
+                rhs.append(min(limit, most))
+    c = np.array([problem.lane_costs[k] for k in keys])
+    return keys, tableau_simplex(c, np.ones((1, len(keys))), np.array([A]), rows, rhs)
+
+
+def _two_entry_problem(volume, caps=None, avail=None, space=None):
+    """Sources 1 and 2 on lanes (1, 3) and (2, 3)."""
+    return AllocationProblem(
+        total_volume=volume,
+        lane_costs={(1, (1, 3)): 4.0, (1, (2, 3)): 6.0, (2, (1, 3)): 5.0, (2, (2, 3)): 3.0},
+        source_caps=caps or {1: 1.0, 2: 1.0},
+        entry_available=avail or {1: 5.0, 2: 5.0},
+        exit_space=space or {3: 5.0},
+    )
+
+
+def test_family_sums_decide_infeasibility_as_the_tableau_does():
+    # every multi-lane problem: INFEASIBLE exactly when phase 1 fails, and
+    # a feasible one gets the tableau's vertex bit for bit
+    rng = np.random.default_rng(23)
+    outcomes = {True: 0, False: 0}
+    for n_exits in (1, 2):
+        for _ in range(150):
+            inst = micro_instance(rng, n_entries=2, n_exits=n_exits)
+            z = micro_scenario(rng, inst).realizations[0]
+            state = SystemState(
+                {i: int(rng.integers(0, 4)) for i in inst.network.entries},
+                {j: int(rng.integers(-3, 4)) for j in inst.network.exits},
+            )
+            caps = {s.id: float(rng.integers(0, 4)) for s in inst.sources}
+            action = int(rng.integers(1, 7))
+            problem = build_problem(state, action, z, caps, inst, period=1)
+            keys, x = _tableau_of(problem)
+            got = solve_allocation(problem)
+            assert (got is INFEASIBLE) == (x is None)
+            outcomes[x is None] += 1
+            if x is not None:
+                assert got.moves == {k: float(v) for k, v in zip(keys, x)}
+    assert min(outcomes.values()) > 50
+
+    # the margin is phase 1's own 1e-7 on the artificials, not 1e-9
+    near = _two_entry_problem(2.0 + 5e-8)
+    assert _tableau_of(near)[1] is not None
+    assert solve_allocation(near) is not INFEASIBLE
+    over = _two_entry_problem(2.0 + 2e-7)
+    assert _tableau_of(over)[1] is None
+    assert solve_allocation(over) is INFEASIBLE
+
+    # entry 2 has no availability row, so the entry family bounds nothing
+    loose = _two_entry_problem(3.0, caps={1: 5.0, 2: 5.0}, avail={1: 1.0})
+    got = solve_allocation(loose)
+    assert got is not INFEASIBLE
+    assert got.moves == {k: float(v) for k, v in zip(*_tableau_of(loose))}
+
+
+def test_over_volume_problems_never_reach_the_tableau(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tableau called")
+
+    monkeypatch.setattr("drayage.alloc.tableau_simplex", refuse)
+    wide = {1: 9.0, 2: 9.0}
+    for problem in (
+        _two_entry_problem(2.5),  # source caps sum to 2
+        _two_entry_problem(2.0 + 2e-7),
+        _two_entry_problem(3.0, caps=wide, avail={1: 1.0, 2: 1.5}),
+        _two_entry_problem(3.0, caps=wide, space={3: 2.0}),
+    ):
+        assert solve_allocation(problem) is INFEASIBLE
+
+
 def test_zero_action_cost_is_holding_only(capacity_instance, tuned_plan, demo_scenario):
     state = capacity_instance.initial_state
     caps = plan_caps_at(tuned_plan, 1)

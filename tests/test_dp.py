@@ -338,6 +338,24 @@ def test_network_sweep_solves_each_clipped_problem_at_most_once(
             assert repr(traj) == repr(direct_rollout(inst, pt, sc, plan, inst.initial_state))
 
 
+def test_network_sweep_sends_no_infeasible_problem_to_the_tableau(monkeypatch):
+    # over-volume actions are answered from the constraint families' sums,
+    # and in these networks every other problem is feasible
+    results = []
+    real = alloc.tableau_simplex
+
+    def counting(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr("drayage.alloc.tableau_simplex", counting)
+    for inst, sample, plan in (_network_case(), _generated_network()):
+        results.clear()
+        solve_expected(inst, sample, plan)
+        assert results
+        assert all(x is not None for x in results)
+
+
 def test_policy_kernel_serves_only_its_own_instance_and_plan():
     inst, sample, plan = _network_case()
     _, pt = solve_expected(inst, sample, plan)
