@@ -78,7 +78,8 @@ class CapacityObjective:
     Exactly one of weighted_scenarios (LP-valued) and sample_set (DP-valued)
     is given. Both value the best achievable initial state. Capacity is
     priced at each source's reservation_rate; the box is action_max per
-    source per period.
+    source per period. source_ids, rates, rates_array and box_upper are
+    derived once; the two arrays are read-only, as callers share them.
 
     An LP-valued objective has fixed recourse (Van Slyke & Wets 1969): only
     the costs and right-hand sides of a draw's multistage LP depend on the
@@ -100,6 +101,13 @@ class CapacityObjective:
     def __post_init__(self):
         if bool(self.weighted_scenarios) == (self.sample_set is not None):
             raise ValueError("give exactly one of weighted_scenarios and sample_set")
+        inst = self.instance
+        self.source_ids = tuple(s.id for s in inst.sources)
+        self.rates = {s.id: tuple(float(v) for v in s.reservation_rate) for s in inst.sources}
+        self.rates_array = np.array([self.rates[sid] for sid in self.source_ids])
+        self.box_upper = np.full((len(inst.sources), inst.horizon), float(inst.bounds.action_max))
+        self.rates_array.setflags(write=False)
+        self.box_upper.setflags(write=False)
         if self.sample_set is not None:
             return
         # one build per draw; of every draw but the first, only the rows are kept
@@ -114,25 +122,6 @@ class CapacityObjective:
         self.weights = [float(w) for _, w in self.weighted_scenarios]
         self.cap_index = self.layout.cap_row_index(self.source_ids)
         self.cap_matrix = self.layout.A_ub[self.cap_index]
-
-    @property
-    def source_ids(self) -> List[int]:
-        return [s.id for s in self.instance.sources]
-
-    @property
-    def rates(self) -> Dict[int, Tuple[float, ...]]:
-        return {
-            s.id: tuple(float(v) for v in s.reservation_rate)
-            for s in self.instance.sources
-        }
-
-    @property
-    def box_upper(self) -> np.ndarray:
-        shape = (len(self.instance.sources), self.instance.horizon)
-        return np.full(shape, float(self.instance.bounds.action_max))
-
-    def rates_array(self) -> np.ndarray:
-        return np.array([self.rates[sid] for sid in self.source_ids])
 
     def flow_denominator(self) -> float:
         """Weighted total exogenous flow (cost-per-TEU denominator)."""
@@ -290,7 +279,7 @@ class _Search:
         v = self.obj.value_of_caps(caps)
         if v is None:
             return -PENALTY + PENALTY_SLOPE * float(np.sum(caps))
-        return v - float(np.sum(self.obj.rates_array() * caps))
+        return v - float(np.sum(self.obj.rates_array * caps))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """Central differences, forward only where the backward point has a
@@ -371,9 +360,9 @@ def optimize_capacity(
 ) -> OptimizationResult:
     """L-BFGS-B ascent from start plus seeded restarts; best plan kept.
 
-    The final incumbent is reported from {raw optimum, rounded optimum,
-    integer polish of the rounded optimum}, whichever scores best. Never
-    returns a plan scoring below the start.
+    The final incumbent is whichever of {raw optimum, integer polish of the
+    rounded optimum (it moves only on a strict gain, so never below the
+    rounding), start} scores best: never a plan scoring below the start.
     """
     upper = obj.box_upper
     shape = upper.shape
@@ -385,13 +374,11 @@ def optimize_capacity(
         list(zip(np.zeros(upper.size), upper.ravel())),
     )
 
-    # candidate set: raw optimum, its rounding, integer polish
+    # candidate set: raw optimum, integer polish from its rounding, start
     cand_caps = best_x.reshape(shape)
     candidates = [(best_f, cand_caps)]
-    rounded = np.clip(np.rint(cand_caps), 0.0, upper)
-    f_rounded = search.score(rounded)
-    candidates.append((f_rounded, rounded))
-    cur, cur_f = rounded.copy(), f_rounded
+    cur = np.clip(np.rint(cand_caps), 0.0, upper)
+    cur_f = search.score(cur)
     for _ in range(200):
         improved = False
         flat = cur.ravel()
@@ -439,7 +426,7 @@ def monte_carlo_search(
     shape = upper.shape
     rng = np.random.Generator(np.random.Philox(seed))
     samples = rng.integers(0, upper.astype(int) + 1, size=(count,) + shape)
-    res_rates = obj.rates_array()
+    res_rates = obj.rates_array
     denom = obj.flow_denominator()
 
     costs = np.empty(count)
@@ -479,10 +466,10 @@ def quadratic_parameterization(
     horizon: int,
     box: Dict[int, float],
 ) -> CapacityPlan:
-    """Per-source capacity profile b0 + b1*t + b2*t^2, clamped to [0, box]."""
+    """Per-source capacity profile b0 + b1*t + b2*t^2, clamped to [0, box[sid]]."""
     capacity = {}
     for sid, (b0, b1, b2) in beta.items():
-        hi = float(box[sid]) if not np.isscalar(box) else float(box)
+        hi = float(box[sid])
         caps = []
         for t in range(1, horizon + 1):
             caps.append(float(min(max(b0 + b1 * t + b2 * t * t, 0.0), hi)))
@@ -553,7 +540,7 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
         [sparse.csr_matrix((n * layout.A_eq.shape[0], nx)), sparse.block_diag([layout.A_eq] * n)],
         format="csr",
     )
-    rates = obj.rates_array().ravel()
+    rates = obj.rates_array.ravel()
     box = obj.box_upper.ravel()
     upper = np.concatenate([box] + [layout.upper] * n)
     res = solve_lp(

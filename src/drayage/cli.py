@@ -7,7 +7,6 @@ failure, 2 usage or input error.
 """
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -26,10 +25,19 @@ class UsageError(Exception):
     pass
 
 
-def _load_instance(path: str) -> model.Instance:
+def _parse(what: str, parse, path: str):
+    """parse(path); a missing file, or one whose content does not have the
+    expected structure, is a UsageError that names the file."""
     if not os.path.exists(path):
-        raise UsageError(f"instance file not found: {path}")
-    instance = model.load_instance(path)
+        raise UsageError(f"{what} file not found: {path}")
+    try:
+        return parse(path)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise UsageError(f"malformed {what} file {path}: {type(e).__name__}: {e}") from e
+
+
+def _load_instance(path: str) -> model.Instance:
+    instance = _parse("instance", model.load_instance, path)
     violations = model.validate_instance(instance)
     if violations:
         raise UsageError("invalid instance: " + "; ".join(violations))
@@ -37,9 +45,7 @@ def _load_instance(path: str) -> model.Instance:
 
 
 def _load_plan(path: str, instance: model.Instance) -> model.CapacityPlan:
-    if not os.path.exists(path):
-        raise UsageError(f"plan file not found: {path}")
-    plan = model.load_plan(path)
+    plan = _parse("plan", model.load_plan, path)
     ids = {s.id for s in instance.sources}
     if set(plan.capacity) != ids:
         raise UsageError(
@@ -58,9 +64,7 @@ def _load_plan(path: str, instance: model.Instance) -> model.CapacityPlan:
 
 
 def _load_scenario(path: str, index: int, instance: model.Instance) -> model.Scenario:
-    if not os.path.exists(path):
-        raise UsageError(f"scenario file not found: {path}")
-    scenarios = scen.load_scenarios(path)
+    scenarios = _parse("scenario", scen.load_scenarios, path)
     if not 0 <= index < len(scenarios):
         raise UsageError(f"scenario index {index} out of range 0..{len(scenarios) - 1}")
     sc = scenarios[index]
@@ -447,7 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, scen.SupportTooLarge) as e:
+    except (ValueError, KeyError, OSError, scen.SupportTooLarge) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (mslp.InfeasibleLP, RuntimeError, dp.UndefinedPolicyState) as e:

@@ -33,6 +33,7 @@ called with the instance and plan it was built for, and build a new one
 otherwise; solve_scenario's policies carry none.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -76,8 +77,7 @@ class StateIndexer:
 
     entry_ids: Tuple[int, ...]
     exit_ids: Tuple[int, ...]
-    entry_sizes: Tuple[int, ...]
-    exit_sizes: Tuple[int, ...]
+    shape: Tuple[int, ...]
     exit_offsets: Tuple[int, ...]
 
     @staticmethod
@@ -88,23 +88,14 @@ class StateIndexer:
         return StateIndexer(
             entry_ids=entries,
             exit_ids=exits,
-            entry_sizes=tuple(b.entry_max[i] + 1 for i in entries),
-            exit_sizes=tuple(
-                b.exit_backorder_max[j] + b.exit_max[j] + 1 for j in exits
-            ),
+            shape=tuple(b.entry_max[i] + 1 for i in entries)
+            + tuple(b.exit_backorder_max[j] + b.exit_max[j] + 1 for j in exits),
             exit_offsets=tuple(b.exit_backorder_max[j] for j in exits),
         )
 
     @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.entry_sizes + self.exit_sizes
-
-    @property
     def n_states(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
     def index_of(self, state: SystemState) -> int:
         digits = [state.entry_stock[i] for i in self.entry_ids]
@@ -202,10 +193,10 @@ def _table_to_csv(path, table, data, value_name, periods) -> None:
     with open(path, "w") as f:
         f.write(f"t,entry,exit,{value_name}\n")
         cast = int if np.issubdtype(data.dtype, np.integer) else float
+        labels = [_stock_columns(s) for s in table.indexer.all_states()]
         for row, t in enumerate(periods):
-            for idx in range(table.indexer.n_states):
-                entry, exit_ = _stock_columns(table.indexer.state_of(idx))
-                f.write(f"{t},{entry},{exit_},{cast(data[row, idx])!r}\n")
+            for (entry, exit_), v in zip(labels, data[row]):
+                f.write(f"{t},{entry},{exit_},{cast(v)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -278,26 +269,21 @@ def _collapse(data: PeriodData, instance: Instance) -> PeriodData:
     return [(merged[k][0], merged[k][1]) for k in order]
 
 
-def _terminal_row(instance: Instance, indexer: StateIndexer) -> np.ndarray:
-    row = np.empty(indexer.n_states)
-    for i in range(indexer.n_states):
-        row[i] = terminal_value(indexer.state_of(i), instance.costs)
-    return row
-
-
 class _StageTables:
     """The Bellman kernel (see the module docstring) for one instance and plan.
 
     ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation, so the
     finite part of column s is the state's feasible action set) and
     ``next[a, s]``; ``allocation(t, a, state, z)`` returns one state's
-    allocation. ``lane`` is the (entry, exit) pair of a single-lane instance
-    (None on networks) and selects the table's arithmetic. Tables and
-    allocations share one memo across calls, for every network shape: a
-    single-lane kernel holds one entry per period, distinct spot rate and
-    action (88 on a bundled single-lane example). solve_allocation orders
-    sources by id, as the instances here list them, so single-lane costs
-    equal a cheapest-first split in instance order.
+    allocation. ``hold`` and ``terminal`` are every state's holding_cost
+    and terminal_value, derived once per kernel. ``lane`` is the (entry,
+    exit) pair of a single-lane instance (None on networks) and selects the
+    table's arithmetic. Tables and allocations share one memo across calls,
+    for every network shape: a single-lane kernel holds one entry per
+    period, distinct spot rate and action (88 on a bundled single-lane
+    example). solve_allocation orders sources by id, as the instances here
+    list them, so single-lane costs equal a cheapest-first split in
+    instance order.
     """
 
     def __init__(self, instance: Instance, plan: CapacityPlan):
@@ -312,18 +298,16 @@ class _StageTables:
         ne = len(idx.entry_ids)
         self.entry = digits[:, :ne]
         self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
-        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
-
-    def holding(self) -> np.ndarray:
-        """``holding_cost`` of every state, summed in the same order."""
-        c, idx = self.instance.costs, self.indexer
-        h = np.zeros(idx.n_states)
+        c = instance.costs
+        # holding_cost of every state, summed in the same order
+        self.hold = h = np.zeros(idx.n_states)
         for k, i in enumerate(idx.entry_ids):
-            h = h + c.entry_holding[i] * self.entry[:, k]
+            h += c.entry_holding[i] * self.entry[:, k]
         for k, j in enumerate(idx.exit_ids):
             x = self.exit[:, k]
-            h = h + np.where(x >= 0, c.exit_holding[j] * x, c.exit_backorder[j] * -x)
-        return h
+            h += np.where(x >= 0, c.exit_holding[j] * x, c.exit_backorder[j] * -x)
+        self.terminal = np.array([terminal_value(s, c) for s in idx.all_states()])
+        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
 
     def table(
         self, t: int, z: ExogenousRealization, actions: Optional[np.ndarray] = None
@@ -357,7 +341,7 @@ class _StageTables:
         e_next = np.clip(e - a + z.inflow[i], 0, b.entry_max[i])
         s_next = np.clip(s + a - z.outflow[j], -back, b.exit_max[j]) + back
         feasible = (a <= e + z.inflow[i]) & (a <= b.exit_max[j] - s)
-        nxt = e_next * self.indexer.exit_sizes[0] + s_next
+        nxt = e_next * self.indexer.shape[1] + s_next
         return np.where(feasible, cost, np.inf), nxt
 
     def _network_table(self, t, z, stage, actions):
@@ -471,9 +455,8 @@ def _sweep(instance, per_period, plan):
     kernel = _StageTables(instance, plan)
     indexer = kernel.indexer
     tau, n, n_act = instance.horizon, indexer.n_states, kernel.n_actions
-    hold = kernel.holding()
     values = np.empty((tau + 1, n))
-    values[tau] = _terminal_row(instance, indexer)
+    values[tau] = kernel.terminal
     actions = np.zeros((tau, n), dtype=int)
 
     for t in range(tau, 0, -1):
@@ -491,7 +474,7 @@ def _sweep(instance, per_period, plan):
             better = ok[a] & (acc[a] > best_v + 1e-12)
             best_v = np.where(better, acc[a], best_v)
             best_a[better] = a
-        values[t - 1] = -hold + best_v
+        values[t - 1] = -kernel.hold + best_v
         actions[t - 1] = best_a
 
     return ValueTable(tau, indexer, values), PolicyTable(tau, indexer, actions), kernel
@@ -557,14 +540,13 @@ def evaluate_policy(
     if policy.actions.shape != (tau, n):
         raise ValueError(f"policy table shape {policy.actions.shape}, expected {(tau, n)}")
     cols = np.arange(n)
-    hold = kernel.holding()
     values = np.empty((tau + 1, n))
-    values[tau] = _terminal_row(instance, indexer)
+    values[tau] = kernel.terminal
     for t in range(tau, 0, -1):
         acts = policy.actions[t - 1]
         undefined = (acts < 0) | (acts >= kernel.n_actions)
         rows = np.clip(acts, 0, kernel.n_actions - 1)
-        total = -hold
+        total = -kernel.hold
         for z, w in _collapse(per_period[t - 1], instance):
             cost, nxt = kernel.table(t, z, rows)
             c = cost[rows, cols]
@@ -649,7 +631,7 @@ def value_surface(table: ValueTable, period: int) -> ValueSurface:
     idx = table.indexer
     if len(idx.entry_ids) != 1 or len(idx.exit_ids) != 1:
         raise ValueError("value surface requires one entry and one exit")
-    ne, ns = idx.entry_sizes[0], idx.exit_sizes[0]
+    ne, ns = idx.shape
     if not 1 <= period <= table.horizon + 1:
         raise ValueError(f"period {period} outside 1..{table.horizon + 1}")
     grid = table.values[period - 1].reshape(ne, ns)

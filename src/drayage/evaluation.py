@@ -61,7 +61,7 @@ def per_scenario_optimum(obj: CapacityObjective, k: int = 0) -> Tuple[CapacityPl
     """
     box = obj.box_upper
     # each move column sits in exactly one cap row, so this adds its rate
-    c = obj.costs[k] + obj.rates_array().ravel() @ obj.cap_matrix
+    c = obj.costs[k] + obj.rates_array.ravel() @ obj.cap_matrix
     res = obj.solve_at(k, box, c)
     if res.status == "infeasible":
         return _caps_to_plan(obj.instance, box), -math.inf

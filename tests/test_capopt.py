@@ -97,6 +97,21 @@ def test_objective_mode_validated(capacity_instance, demo_scenario):
         )
 
 
+@pytest.mark.parametrize("mode", ["lp", "dp"])
+def test_objective_rates_and_box_are_read_only(capacity_instance, demo_scenario, mode):
+    # derived once and shared by every caller, so no caller may write into them
+    if mode == "lp":
+        obj = scenario_objective(capacity_instance, demo_scenario)
+    else:
+        obj = CapacityObjective(capacity_instance, sample_set=build_sample_set(capacity_instance, 3, 0))
+    rates = [tuple(s.reservation_rate) for s in capacity_instance.sources]
+    assert [tuple(r) for r in obj.rates_array.tolist()] == rates
+    assert obj.box_upper.shape == (len(rates), capacity_instance.horizon)
+    for arr in (obj.rates_array, obj.box_upper):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # value_of_caps structure
 
@@ -575,7 +590,7 @@ def test_exact_plan_in_box_and_lowered_to_usage(capacity_instance, n):
         # No capacity with a rate >= 0 is slack: giving up one unit of it
         # (all of it, if less) makes some scenario infeasible or costlier.
         # Unlowered, the zero-rate spot source sits at the box bound.
-        rates = obj.rates_array()
+        rates = obj.rates_array
         for k, t in zip(*np.nonzero((rates >= 0.0) & (caps > 0.0))):
             lower = caps.copy()
             lower[k, t] -= min(1.0, caps[k, t])

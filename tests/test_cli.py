@@ -251,6 +251,53 @@ def test_bad_plan_capacity_exits_two(example_dir, monkeypatch, capsys, argv, bad
         assert not (example_dir / name).exists()
 
 
+def _set(keys, value):
+    """An edit of a JSON document that sets doc[k0][k1]... to value."""
+    def edit(doc):
+        target = doc
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        return doc
+    return edit
+
+
+MALFORMED_INPUT_COMMANDS = {
+    "plan": ("tuned_plan.json",
+             ["regret", "--instance", "inst.json", "--samples", "2", "--shared-plan"]),
+    "instance": ("inst.json",
+                 ["solve-policy", "--sample-mode", "enumerate", "--instance"]),
+    "scenario": ("scenario.json",
+                 ["monte-carlo", "--instance", "inst.json", "--count", "5", "--scenario"]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,edit",
+    [
+        ("plan", lambda doc: {"capacity": {"1": 5, "2": [4, 4, 4, 4]}}),
+        ("plan", lambda doc: {"capacity": [1, 2]}),
+        ("plan", lambda doc: [1, 2]),
+        ("instance", _set(["sources"], 5)),
+        ("instance", _set(["bounds", "entry_max"], [10])),
+        ("instance", _set(["uncertainty", "inflow", "1"], [0, 4, 8])),
+        ("scenario", _set(["scenarios", 0, "realizations"], 5)),
+    ],
+    ids=["plan-scalar-capacity", "plan-capacity-list", "plan-list", "instance-sources-int",
+         "instance-entry-max-list", "instance-inflow-list", "scenario-realizations-int"],
+)
+def test_malformed_input_file_exits_two(example_dir, monkeypatch, capsys, kind, edit):
+    # a file of the wrong structure is an input error that names the file,
+    # reported before any output directory exists
+    base, argv = MALFORMED_INPUT_COMMANDS[kind]
+    doc = edit(json.loads((example_dir / base).read_text()))
+    (example_dir / "malformed.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(example_dir)
+    assert run_cli(*argv, "malformed.json") == 2
+    assert "malformed.json" in capsys.readouterr().err
+    assert not list(example_dir.glob("*_out"))
+
+
 def test_scenario_index_out_of_range(example_dir, monkeypatch):
     monkeypatch.chdir(example_dir)
     rc = run_cli(

@@ -130,6 +130,22 @@ def test_state_indexer_rejects_out_of_grid(capacity_instance):
         idx.index_of(SystemState({1: 0}, {2: -11}))
 
 
+@pytest.mark.parametrize("case", ["policy", "capacity", "network"])
+def test_kernel_rows_equal_the_scalar_rules(case):
+    # the kernel's vectorized holding and terminal rows, bit for bit
+    if case == "network":
+        inst, _, plan = _generated_network()
+    else:
+        inst, plan = reference.example_instance(case), reference.baseline_plan()
+    kernel = _StageTables(inst, plan)
+    idx = kernel.indexer
+    assert kernel.hold.shape == kernel.terminal.shape == (idx.n_states,)
+    for i in range(idx.n_states):
+        st = idx.state_of(i)
+        assert kernel.hold[i] == alloc.holding_cost(st, inst.costs), st
+        assert kernel.terminal[i] == terminal_value(st, inst.costs), st
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive-enumeration oracle on micro instances
 
