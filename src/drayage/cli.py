@@ -284,8 +284,7 @@ def cmd_monte_carlo(args) -> int:
             "total_cost": stats["total_cost"],
             "cost_per_teu": stats["cost_per_teu"],
             "counts": {
-                "feasible": stats["feasible"],
-                "infeasible": stats["infeasible"],
+                key: stats[key] for key in ("feasible", "infeasible", "certified", "lp_solves")
             },
         },
         os.path.join(out, "summary.csv"),
@@ -295,6 +294,7 @@ def cmd_monte_carlo(args) -> int:
     print(
         f"{stats['feasible']} feasible / {stats['infeasible']} infeasible samples"
     )
+    print(f"{stats['certified']} certified by a stored basis / {stats['lp_solves']} LP solves")
     print(
         "total cost: "
         f"min {t['min']:.1f}  q1 {t['q1']:.1f}  median {t['median']:.1f}  "

@@ -35,7 +35,8 @@ otherwise; solve_scenario's policies carry none.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,20 +254,7 @@ def terminal_value(state: SystemState, costs: CostSpec) -> float:
 # ---------------------------------------------------------------------------
 # Stage tables
 
-PeriodData = List[Tuple[ExogenousRealization, float]]  # (realization, weight)
-
-
-def _collapse(data: PeriodData, instance: Instance) -> PeriodData:
-    # duplicate draws fold into multiplicity weights; identical Bellman sums
-    merged: Dict[Tuple, List] = {}
-    order: List[Tuple] = []
-    for z, w in data:
-        k = realization_key(z, instance)
-        if k not in merged:
-            merged[k] = [z, 0.0]
-            order.append(k)
-        merged[k][1] += w
-    return [(merged[k][0], merged[k][1]) for k in order]
+PeriodData = Sequence[Tuple[ExogenousRealization, float]]  # (realization, weight)
 
 
 class _StageTables:
@@ -276,14 +264,14 @@ class _StageTables:
     finite part of column s is the state's feasible action set) and
     ``next[a, s]``; ``allocation(t, a, state, z)`` returns one state's
     allocation. ``hold`` and ``terminal`` are every state's holding_cost
-    and terminal_value, derived once per kernel. ``lane`` is the (entry,
-    exit) pair of a single-lane instance (None on networks) and selects the
-    table's arithmetic. Tables and allocations share one memo across calls,
-    for every network shape: a single-lane kernel holds one entry per
-    period, distinct spot rate and action (88 on a bundled single-lane
-    example). solve_allocation orders sources by id, as the instances here
-    list them, so single-lane costs equal a cheapest-first split in
-    instance order.
+    and terminal_value, derived on first use, once per kernel (a rollout
+    reads neither). ``lane`` is the (entry, exit) pair of a single-lane
+    instance (None on networks) and selects the table's arithmetic. Tables
+    and allocations share one memo across calls, for every network shape: a
+    single-lane kernel holds one entry per period, distinct spot rate and
+    action (88 on a bundled single-lane example). solve_allocation orders
+    sources by id, as the instances here list them, so single-lane costs
+    equal a cheapest-first split in instance order.
     """
 
     def __init__(self, instance: Instance, plan: CapacityPlan):
@@ -298,16 +286,24 @@ class _StageTables:
         ne = len(idx.entry_ids)
         self.entry = digits[:, :ne]
         self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
-        c = instance.costs
-        # holding_cost of every state, summed in the same order
-        self.hold = h = np.zeros(idx.n_states)
+        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
+
+    @cached_property
+    def hold(self) -> np.ndarray:
+        """holding_cost of every state, summed in the same order."""
+        c, idx = self.instance.costs, self.indexer
+        h = np.zeros(idx.n_states)
         for k, i in enumerate(idx.entry_ids):
             h += c.entry_holding[i] * self.entry[:, k]
         for k, j in enumerate(idx.exit_ids):
             x = self.exit[:, k]
             h += np.where(x >= 0, c.exit_holding[j] * x, c.exit_backorder[j] * -x)
-        self.terminal = np.array([terminal_value(s, c) for s in idx.all_states()])
-        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
+        return h
+
+    @cached_property
+    def terminal(self) -> np.ndarray:
+        """terminal_value of every state."""
+        return np.array([terminal_value(s, self.instance.costs) for s in self.indexer.all_states()])
 
     def table(
         self, t: int, z: ExogenousRealization, actions: Optional[np.ndarray] = None
@@ -434,13 +430,6 @@ def _check_periods(instance: Instance, per_period: List[PeriodData]) -> None:
             raise ValueError(f"period {t} weights sum to {w}, expected 1")
 
 
-def _sample_periods(sample: SampleSet) -> List[PeriodData]:
-    return [
-        list(zip(sample.realizations[t], sample.weights[t]))
-        for t in range(sample.periods)
-    ]
-
-
 def _sweep(instance, per_period, plan):
     """Backward induction over the stage tables.
 
@@ -462,7 +451,7 @@ def _sweep(instance, per_period, plan):
     for t in range(tau, 0, -1):
         acc = np.zeros((n_act, n))
         ok = np.ones((n_act, n), dtype=bool)
-        for z, w in _collapse(per_period[t - 1], instance):
+        for z, w in per_period[t - 1]:
             cost, nxt = kernel.table(t, z)
             finite = np.isfinite(cost)
             ok &= finite
@@ -504,7 +493,7 @@ def solve_expected(
     so evaluate_policy and rollout under the same instance and plan solve no
     allocation the sweep already solved.
     """
-    values, policy, kernel = _sweep(instance, _sample_periods(sample), plan)
+    values, policy, kernel = _sweep(instance, sample.distinct(instance), plan)
     policy.kernel = kernel
     return values, policy
 
@@ -532,7 +521,7 @@ def evaluate_policy(
     Raises UndefinedPolicyState when an action is not allocatable under some
     realization of its period.
     """
-    per_period = _sample_periods(sample)
+    per_period = sample.distinct(instance)
     _check_periods(instance, per_period)
     kernel = _policy_kernel(policy, instance, plan)
     indexer = kernel.indexer
@@ -547,7 +536,7 @@ def evaluate_policy(
         undefined = (acts < 0) | (acts >= kernel.n_actions)
         rows = np.clip(acts, 0, kernel.n_actions - 1)
         total = -kernel.hold
-        for z, w in _collapse(per_period[t - 1], instance):
+        for z, w in per_period[t - 1]:
             cost, nxt = kernel.table(t, z, rows)
             c = cost[rows, cols]
             undefined |= ~np.isfinite(c)

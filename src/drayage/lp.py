@@ -8,6 +8,8 @@ results equal scipy's bit for bit. HighsModel keeps one constraint matrix
 for many costs and right-hand sides (one per capacity objective, for its
 plans and regret records); solve_lp solves one LP once (the extensive form,
 mslp.solve_mslp). The per-period allocation LP has its own tableau in alloc.
+HighsModel.basis() reads the optimal basis of its last solve, from which
+capopt certifies the values of many capacity plans without solving them.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,16 @@ class LPResult:
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int  # HiGHS simplex / IPM iterations
+
+
+@dataclass(frozen=True)
+class Basis:
+    """An optimal simplex basis: every other column sits at its lower bound
+    0, and every other row at its upper bound (an equality row's value)."""
+
+    cols: np.ndarray  # basic columns
+    at_upper: np.ndarray  # nonbasic columns at their upper bound
+    rows: np.ndarray  # basic rows (rows: A_ub's, then A_eq's)
 
 
 class HighsModel:
@@ -78,6 +90,19 @@ class HighsModel:
             return LPResult(_STATUS[status], None, None, iterations)
         x = np.clip(np.asarray(h.getSolution().col_value), 0.0, self._upper)
         return LPResult("optimal", x, float(info.objective_function_value), iterations)
+
+    def basis(self) -> Basis:
+        """The basis of the last solve, which must have been optimal."""
+        h = self._highs
+        b = h.getBasis()
+        if not b.valid:
+            raise RuntimeError("HiGHS holds no valid basis")
+        cols = np.array([int(v) for v in b.col_status])
+        rows = np.array([int(v) for v in b.row_status])
+        basic, upper = int(_core.HighsBasisStatus.kBasic), int(_core.HighsBasisStatus.kUpper)
+        return Basis(
+            np.flatnonzero(cols == basic), np.flatnonzero(cols == upper), np.flatnonzero(rows == basic)
+        )
 
 
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, upper=None) -> LPResult:

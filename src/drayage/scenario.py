@@ -9,7 +9,7 @@ platforms and runs.
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -177,10 +177,37 @@ class SampleSet:
     weights: Tuple[Tuple[float, ...], ...]
     seed: int
     mode: str
+    _distinct: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def periods(self) -> int:
         return len(self.realizations)
+
+    def distinct(self, instance: Instance) -> List[Tuple[Tuple[ExogenousRealization, float], ...]]:
+        """Per period, the distinct draws (by realization_key under instance)
+        in order of first appearance, each with its draws' weights summed in
+        draw order: duplicates fold into multiplicity weights, with identical
+        Bellman sums. Kept per key layout (the instance's locations and spot
+        lanes), so each layout is folded once."""
+        layout = (
+            instance.network.entries,
+            instance.network.exits,
+            tuple((s.id, s.lanes) for s in instance.spot_sources),
+        )
+        folded = self._distinct.get(layout)
+        if folded is None:
+            folded = self._distinct[layout] = [
+                _fold(zs, ws, instance) for zs, ws in zip(self.realizations, self.weights)
+            ]
+        return folded
+
+
+def _fold(draws, weights, instance: Instance) -> Tuple[Tuple[ExogenousRealization, float], ...]:
+    merged: Dict[Tuple, List] = {}
+    for z, w in zip(draws, weights):
+        entry = merged.setdefault(realization_key(z, instance), [z, 0.0])
+        entry[1] += w
+    return tuple((z, w) for z, w in merged.values())
 
 
 def build_sample_set(

@@ -22,7 +22,8 @@ from drayage.capopt import (
     total_flow,
 )
 from drayage.evaluation import per_scenario_optimum
-from drayage.model import CapacityPlan
+from drayage.lp import HighsModel
+from drayage.model import CapacityPlan, generate_instance
 from drayage.mslp import InfeasibleLP, build_mslp
 from drayage.scenario import SampleSet, build_sample_set, sample_scenarios
 
@@ -329,6 +330,92 @@ def test_monte_carlo_samples_csv(tmp_path, capacity_instance, demo_scenario):
     for r in rows:
         if r["feasible"] == "0":
             assert r["total_cost"] == ""
+
+
+def _fresh_values(obj, plans):
+    """Each plan's value from cold solves on a new HighsModel; nan where infeasible."""
+    lay = obj.layout
+    model = HighsModel(lay.upper, lay.A_eq, lay.A_ub)
+    out = []
+    for caps in plans:
+        terms = []
+        for k, w in enumerate(obj.weights):
+            b_ub = obj.b_ub[k].copy()
+            b_ub[obj.cap_index] = np.ravel(caps)
+            res = model.solve(obj.costs[k], obj.b_eq[k], b_ub)
+            if res.status != "optimal":
+                terms = [np.nan]
+                break
+            terms.append(w * -res.objective)
+        out.append(sum(terms))
+    return np.array(out)
+
+
+def _network_objective():
+    inst = generate_instance(3, dict(
+        n_entries=2, n_exits=2, n_bids=2, n_spot=1, horizon=3,
+        cost_mean=20.0, cost_sd=5.0, cost_min=1.0, capacity_levels=4,
+    ))
+    return scenario_objective(inst, sample_scenarios(inst, 1, 2)[0])
+
+
+@pytest.mark.parametrize("which", ["demo", "sample", "network"])
+@pytest.mark.parametrize("grid", ["integer", "real"])
+def test_certified_values_match_fresh_solves(capacity_instance, demo_scenario, which, grid):
+    obj = {
+        "demo": lambda: scenario_objective(capacity_instance, demo_scenario),
+        "sample": lambda: sample_objective(
+            capacity_instance, sample_scenarios(capacity_instance, 3, 5)
+        ),
+        "network": _network_objective,
+    }[which]()
+    rng = np.random.default_rng(11)
+    upper = obj.box_upper
+    shape = (300,) + upper.shape
+    if grid == "integer":
+        plans = rng.integers(0, upper.astype(int) + 1, size=shape).astype(float)
+    else:
+        plans = rng.uniform(0.0, 1.0, size=shape) * upper
+    values, solved = obj.plan_values(plans)
+    fresh = _fresh_values(obj, plans)
+    assert np.array_equal(np.isnan(values), np.isnan(fresh))
+    assert np.isnan(fresh).sum() < len(plans)
+    ok = ~np.isnan(fresh)
+    assert np.max(np.abs(values[ok] - fresh[ok])) <= 1e-9
+    # some plans are certified; every infeasible one is solved
+    assert 0 < solved.sum() < len(plans)
+    assert solved[np.isnan(fresh)].all()
+    if len(obj.weights) == 1:  # a plan HiGHS solved keeps HiGHS's value
+        assert np.array_equal(values[solved & ok], fresh[solved & ok])
+
+
+def test_plan_values_cache_lives_for_one_call(capacity_instance, demo_scenario):
+    obj = scenario_objective(capacity_instance, demo_scenario)
+    rng = np.random.default_rng(4)
+    plans = rng.integers(0, obj.box_upper.astype(int) + 1, size=(200,) + obj.box_upper.shape)
+    first, solved_first = obj.plan_values(plans)
+    second, solved_second = obj.plan_values(plans)
+    assert np.array_equal(first, second, equal_nan=True)
+    assert np.array_equal(solved_first, solved_second)
+
+
+def test_monte_carlo_grid_makes_few_solves(capacity_instance, demo_scenario):
+    """Criterion 3's 10^4-plan grid (seed 0) through the certified bases."""
+    obj = scenario_objective(capacity_instance, demo_scenario)
+    _, stats = monte_carlo_search(obj, 10_000, seed=0)
+    assert stats["certified"] + stats["lp_solves"] == 10_000
+    assert stats["lp_solves"] <= 250
+    # every infeasible plan is among the solved ones
+    assert stats["lp_solves"] >= stats["infeasible"] > 0
+
+
+def test_monte_carlo_counts_on_dp_objective(capacity_instance):
+    obj = CapacityObjective(
+        capacity_instance, sample_set=build_sample_set(capacity_instance, 4, 0)
+    )
+    _, stats = monte_carlo_search(obj, 3, seed=0)
+    assert stats["certified"] == 0
+    assert stats["lp_solves"] == 3
 
 
 def test_monte_carlo_rejects_bad_count(capacity_instance, demo_scenario):

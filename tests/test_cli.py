@@ -495,7 +495,7 @@ def test_optimize_capacity_scenario_mode_needs_file(example_dir, monkeypatch):
 # monte-carlo
 
 
-def test_monte_carlo_outputs(example_dir):
+def test_monte_carlo_outputs(example_dir, capsys):
     out = example_dir / "mc"
     rc = run_cli(
         "monte-carlo", "--instance", str(example_dir / "inst.json"),
@@ -512,6 +512,10 @@ def test_monte_carlo_outputs(example_dir):
             (r["group"], r["stat"]): float(r["value"]) for r in csv.DictReader(f)
         }
     assert stats[("counts", "feasible")] + stats[("counts", "infeasible")] == 60
+    assert stats[("counts", "certified")] + stats[("counts", "lp_solves")] == 60
+    assert stats[("counts", "lp_solves")] >= 1
+    certified, solves = int(stats[("counts", "certified")]), int(stats[("counts", "lp_solves")])
+    assert f"{certified} certified by a stored basis / {solves} LP solves" in capsys.readouterr().out
     assert stats[("total_cost", "min")] >= 439.2 - 1e-6
     assert (out / "best_plan.json").exists()
 

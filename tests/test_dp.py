@@ -478,6 +478,22 @@ def test_rollout_off_sample_raises(capacity_instance, demo_scenario, tuned_plan)
         rollout(capacity_instance, pe, dry_scenario(capacity_instance), tuned_plan, S08)
 
 
+def test_kernel_less_rollout_reads_no_terminal_row(monkeypatch):
+    # a solve_scenario policy carries no kernel; its rollout builds one but
+    # reads only allocations, so terminal_value runs once, at the last state
+    inst, sample, plan = _generated_network()
+    sc = _sample_paths(sample, 1, 0)[0]
+    _, pt = solve_scenario(inst, sc, plan)
+    assert pt.kernel is None
+    calls = []
+    real = terminal_value
+    monkeypatch.setattr(
+        "drayage.dp.terminal_value", lambda state, costs: calls.append(state) or real(state, costs)
+    )
+    traj = rollout(inst, pt, sc, plan, inst.initial_state)
+    assert calls == [traj.steps[-1].next_state]
+
+
 def test_policy_table_rejects_bad_period(capacity_instance, demo_scenario, tuned_plan):
     _, pt = solve_scenario(capacity_instance, demo_scenario, tuned_plan)
     with pytest.raises(UndefinedPolicyState):

@@ -225,9 +225,36 @@ def test_highs_binding_has_every_method_lp_calls():
     called = set(re.findall(r"\bh\.(\w+)\(", inspect.getsource(lp)))
     assert called == {
         "setOptionValue", "passModel", "run", "getModelStatus", "getInfo", "getSolution",
+        "getBasis",
     }
     missing = sorted(name for name in called if not hasattr(_core._Highs, name))
     assert missing == []
+
+
+def test_basis_reproduces_the_optimal_vertex():
+    # nonbasic columns at 0 or their upper bound, nonbasic rows at their
+    # upper bound; the square basic block then gives HiGHS's solution
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        c, A_eq, b_eq, A_ub, b_ub, upper = _random_problem(rng)
+        model = HighsModel(upper, A_eq, A_ub)
+        res = model.solve(c, b_eq, b_ub)
+        basis = model.basis()
+        A = np.vstack([M for M in (A_ub, A_eq) if M is not None] or [np.zeros((0, c.size))])
+        row_upper = np.concatenate([v for v in (b_ub, b_eq) if v is not None] or [np.zeros(0)])
+        m = A.shape[0]
+        assert basis.cols.size + basis.rows.size == m
+        assert not set(basis.cols) & set(basis.at_upper)
+        x = np.zeros(c.size)
+        x[basis.at_upper] = upper[basis.at_upper]
+        nonbasic = np.setdiff1d(np.arange(m), basis.rows)
+        rhs = -A @ x
+        rhs[nonbasic] += row_upper[nonbasic]
+        if m:
+            block = np.hstack([A[:, basis.cols], -np.eye(m)[:, basis.rows]])
+            x[basis.cols] = np.linalg.solve(block, rhs)[: basis.cols.size]
+        assert np.allclose(x, res.x, atol=1e-9)
+        assert float(c @ x) == pytest.approx(res.objective, abs=1e-9)
 
 
 def test_model_solves_match_one_shot_solves():

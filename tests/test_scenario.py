@@ -65,6 +65,24 @@ def test_sampling_is_deterministic(capacity_instance):
     assert a != c
 
 
+def test_distinct_folds_duplicate_draws_once(capacity_instance):
+    sample = build_sample_set(capacity_instance, 200, 8)
+    folded = sample.distinct(capacity_instance)
+    assert sample.distinct(capacity_instance) is folded  # folded once, then kept
+    assert sample == build_sample_set(capacity_instance, 200, 8)  # not part of equality
+    assert "_distinct" not in repr(sample)
+    for zs, ws, period in zip(sample.realizations, sample.weights, folded):
+        keys = [realization_key(z, capacity_instance) for z in zs]
+        # first-appearance order, weights summed in draw order
+        assert [realization_key(z, capacity_instance) for z, _ in period] == list(dict.fromkeys(keys))
+        for z, w in period:
+            total = 0.0
+            for k, wk in zip(keys, ws):
+                if k == realization_key(z, capacity_instance):
+                    total += wk
+            assert w == total
+
+
 def test_sampled_probabilities_are_true_products(capacity_instance):
     for sc in sample_scenarios(capacity_instance, 20, 5):
         assert sc.probability == pytest.approx(
