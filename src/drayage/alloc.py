@@ -17,7 +17,11 @@ at most one row, so a volume above a covering family's sum cannot be moved.
 The problems that pass go to the tableau, whose phase 1 decides. Its fixed
 pivot rule decides which cost-tied allocation, and so which next state, the
 DP sees; that, not speed, is why it stays (one reused lp.HighsModel solves
-these LPs faster, at other vertices).
+these LPs faster, at other vertices). solve_allocations answers a batch of
+problems that differ only in entry availability and exit space, as the DP's
+states do at one action: the tableau pivots the batch's general problems in
+lockstep, each on its own tableau and basis, so every problem gets the
+vertex it gets alone, bit for bit. solve_allocation is a batch of one.
 
 The state transition applies the per-lane move totals and the realized
 inflows/outflows, clamping to the stock bounds. Excess inflow above an entry
@@ -26,7 +30,7 @@ open and is a deliberate design decision.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,139 +120,209 @@ def split_volume(
 EPS = 1e-9
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    other = T[:, col].copy()
-    other[row] = 0.0
-    T -= np.outer(other, T[row])
+def _pivot(T: np.ndarray, k: np.ndarray, rows: np.ndarray, col: np.ndarray) -> None:
+    """Pivot each stacked tableau T[k] on row rows[k] of its entering column,
+    whose entries before the pivot are col[k] (col is overwritten)."""
+    piv = T[k, rows] / col[k, rows][:, None]
+    T[k, rows] = piv
+    col[k, rows] = 0.0
+    T -= col[:, :, None] * piv[:, None, :]
 
 
-def tableau_simplex(c, A_eq, b_eq, A_ub, b_ub) -> Optional[np.ndarray]:
-    """Minimize c'x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0; None if infeasible.
+def _run_phase(T, basis, xb, cost) -> np.ndarray:
+    """Pivot each problem until no column improves its cost.
 
-    Two-phase dense tableau over [x | slacks | artificials]. Pricing is
-    Dantzig (most improving reduced cost) until a run of degenerate pivots
-    suggests cycling, then Bland (lowest index) until the objective moves
-    again; the ratio test breaks ties toward the lowest basic variable index.
-    The pivot sequence is deterministic, so repeated solves of the same data
-    return the same vertex. Raises RuntimeError on an unbounded objective,
-    which a volume-matching allocation LP never has.
+    A column whose cost is inf never enters. The stacked tableaus, bases
+    and basic values (xb, by row) are updated in place. Returns a mask that
+    is False where a problem's objective is unbounded. A problem leaves the
+    batch when it stops; the others go on pivoting.
+    """
+    live = np.arange(len(T))
+    bounded = np.ones(len(T), dtype=bool)
+    moved = np.full(len(T), -1)  # the last iteration whose pivot moved the objective
+    t, bas, xv = T, basis, xb  # the live problems' rows
+    k = np.arange(len(T))
+    for it in range(50000):
+        # Minus the reduced costs; a stacked matmul is bit-equal to each 1-D
+        # v @ T. A basic column stays an exact unit vector, so its gain is
+        # exactly 0 and it never enters. Columns that cost inf gain -inf.
+        gain = np.matmul(cost[bas[:, None, :]], t)[:, 0] - cost
+        enter = gain.argmax(axis=1)  # Dantzig
+        if it >= 40 and it - 1 - moved.min() >= 40:  # Bland after 40 stalled pivots
+            enter = np.where(it - 1 - moved < 40, enter, (gain > EPS).argmax(axis=1))
+        col = t[k, :, enter]
+        ratios = np.divide(xv, col, out=np.full(col.shape, np.inf), where=col > EPS)
+        np.maximum(ratios, 0.0, out=ratios)
+        step = ratios.min(axis=1)
+        best = gain[k, enter]
+        if best.min() <= EPS or step.max() == np.inf:
+            go = (best > EPS) & (step < np.inf)
+            stop = ~go
+            bounded[live[stop & (best > EPS)]] = False
+            done = live[stop]
+            T[done], basis[done], xb[done] = t[stop], bas[stop], xv[stop]
+            live, t, bas, xv = live[go], t[go], bas[go], xv[go]
+            if not live.size:
+                return bounded
+            k, moved, enter = k[: live.size], moved[go], enter[go]
+            col, ratios, step = col[go], ratios[go], step[go]
+        # ratio-test ties go to the lowest basic variable index
+        leave = np.where(ratios <= step[:, None] + EPS, bas, cost.size).argmin(axis=1)
+        moved[step > EPS] = it
+        xv -= step[:, None] * col
+        xv[k, leave] = step
+        bas[k, leave] = enter
+        _pivot(t, k, leave, col)
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def tableau_simplex(c, A_eq, b_eq, A_ub, b_ub) -> List[Optional[np.ndarray]]:
+    """Minimize c'x s.t. A_eq x = b_eq[k], A_ub x <= b_ub[k], x >= 0, for each k.
+
+    A batch of LPs that share costs and matrices: b_eq and b_ub hold one row
+    of right-hand sides per problem. Returns one x per problem, None where
+    it is infeasible. Two-phase dense tableau over [x | slacks |
+    artificials]. Pricing is Dantzig (most improving reduced cost) until a
+    run of degenerate pivots suggests cycling, then Bland (lowest index)
+    until the objective moves again; the ratio test breaks ties toward the
+    lowest basic variable index. The pivot sequence is deterministic, so
+    repeated solves of the same data return the same vertex. The problems
+    pivot in lockstep, each on its own tableau, basis and stall count: every
+    step is elementwise or a comparison within one problem, so a problem
+    gets the same vertex, bit for bit, in any batch. Raises RuntimeError on
+    an unbounded objective, which a volume-matching allocation LP never has.
     """
     c = np.asarray(c, dtype=float)
-    n, n_ub = c.size, len(b_ub)
-    A = np.vstack([
-        np.hstack([np.reshape(A_ub, (n_ub, n)), np.eye(n_ub)]),
-        np.hstack([np.reshape(A_eq, (len(b_eq), n)), np.zeros((len(b_eq), n_ub))]),
-    ])
-    b = np.concatenate([b_ub, b_eq]).astype(float)
-    neg = b < 0  # normalize to b >= 0 so the artificial start is feasible
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    m = A.shape[0]
+    b = np.concatenate([np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)], axis=1)
+    (K, m), n = b.shape, c.size
+    if not K:
+        return []
+    n_ub = np.shape(b_ub)[1]
     ns = n + n_ub  # structural + slack count
-    T = np.hstack([A, np.eye(m)])
-    basis = np.arange(ns, ns + m)
-    basic = np.arange(ns + m) >= ns
-    xval = np.r_[np.zeros(ns), b]
-
-    def run_phase(cost, allowed):
-        """Pivot until no allowed column improves cost; False if unbounded."""
-        stalled = 0
-        for _ in range(50000):
-            gain = -(cost - cost[basis] @ T)  # minus the reduced costs
-            gain[basic | ~allowed] = -np.inf
-            if stalled < 40:
-                enter = int(np.argmax(gain))
-            else:  # Bland fallback: first improving index
-                improving = gain > EPS
-                enter = int(np.argmax(improving)) if improving.any() else 0
-            if gain[enter] <= EPS:
-                return True
-            col = T[:, enter]
-            up = col > EPS
-            ratios = np.full(len(basis), np.inf)
-            ratios[up] = np.maximum(xval[basis][up] / col[up], 0.0)
-            step = ratios.min(initial=np.inf)
-            if not np.isfinite(step):
-                return False
-            cand = np.where(ratios <= step + EPS)[0]
-            leave_row = int(cand[np.argmin(basis[cand])])
-            stalled = stalled + 1 if step <= EPS else 0
-            xval[basis] -= step * col
-            xval[enter] = step
-            out = basis[leave_row]
-            xval[out] = 0.0
-            basic[out], basic[enter] = False, True
-            basis[leave_row] = enter
-            _pivot(T, leave_row, enter)
-        raise RuntimeError("simplex iteration limit exceeded")
+    N = ns + m
+    A = np.zeros((m, N))
+    A[:n_ub, :n] = np.reshape(A_ub, (n_ub, n))
+    A[n_ub:, :n] = np.reshape(A_eq, (m - n_ub, n))
+    A[:n_ub, n:ns] = np.eye(n_ub)  # slacks
+    A[:, ns:] = np.eye(m)  # artificials
+    T = A[None].repeat(K, axis=0)
+    neg = b < 0  # normalize to b >= 0 so the artificial start is feasible
+    if neg.any():
+        T[neg, :ns] *= -1.0
+    basis = np.arange(ns, N)[None].repeat(K, axis=0)
+    xb = np.where(neg, -b, b)
 
     # Phase 1: drive the artificials to zero.
-    run_phase(np.r_[np.zeros(ns), np.ones(m)], np.ones(ns + m, dtype=bool))
-    if xval[ns:].sum() > 1e-7:
-        return None
+    _run_phase(T, basis, xb, (np.arange(N) >= ns).astype(float))
+    xval = np.zeros((K, N))
+    xval[np.arange(K)[:, None], basis] = xb
+    feasible = np.flatnonzero([not x[ns:].sum() > 1e-7 for x in xval])
+    T, basis, xb = T[feasible], basis[feasible], xb[feasible]
+    basic = np.zeros((feasible.size, N), dtype=bool)
+    basic[np.arange(feasible.size)[:, None], basis] = True
 
-    # Pivot out artificials left basic at level zero; drop redundant rows.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= ns:
-            cols = np.flatnonzero(~basic[:ns] & (np.abs(T[i, :ns]) > 1e-7))
-            if not cols.size:
-                keep[i] = False
-                continue
-            j = int(cols[0])
-            xval[basis[i]] = 0.0
-            basic[basis[i]], basic[j] = False, True
-            basis[i] = j
-            _pivot(T, i, j)
-    T, basis = T[keep], basis[keep]
+    # Pivot out artificials left basic at level zero, row by row; mark
+    # redundant rows for dropping.
+    keep = np.ones(basis.shape, dtype=bool)
+    for i in np.flatnonzero((basis >= ns).any(axis=0)):
+        art = basis[:, i] >= ns
+        cols = ~basic[:, :ns] & (np.abs(T[:, i, :ns]) > 1e-7)
+        has = cols.any(axis=1)
+        keep[art & ~has, i] = False
+        p = np.flatnonzero(art & has)
+        if p.size:
+            j = cols[p].argmax(axis=1)
+            xb[p, i] = 0.0
+            basic[p, basis[p, i]], basic[p, j] = False, True
+            basis[p, i] = j
+            sub, q = T[p], np.arange(p.size)
+            _pivot(sub, q, np.full(p.size, i), sub[q, :, j])
+            T[p] = sub
 
-    # Phase 2 over structural and slack columns only.
-    if not run_phase(np.r_[c, np.zeros(n_ub + m)], np.arange(ns + m) < ns):
-        raise RuntimeError("allocation LP unbounded")
-    return np.clip(xval[:n], 0.0, np.inf)
+    # Phase 2 over structural and slack columns only (the artificials cost
+    # inf), one batch per set of kept rows.
+    out: List[Optional[np.ndarray]] = [None] * K
+    groups: Dict[bytes, List[int]] = {}
+    for at, rows in enumerate(keep):
+        groups.setdefault(rows.tobytes(), []).append(at)
+    cost = np.concatenate([c, np.zeros(n_ub), np.full(m, np.inf)])
+    for rows, p in groups.items():
+        rows = np.frombuffer(rows, dtype=bool)
+        bg, xg = basis[p][:, rows], xb[p][:, rows]
+        if not _run_phase(T[p][:, rows], bg, xg, cost).all():
+            raise RuntimeError("allocation LP unbounded")
+        x = np.zeros((len(p), N))
+        x[np.arange(len(p))[:, None], bg] = xg
+        out_rows = np.clip(x[:, :n], 0.0, np.inf)
+        for at, xk in zip(feasible[p], out_rows):
+            out[at] = xk
+    return out
 
 
 def solve_allocation(problem: AllocationProblem):
-    """Cost-minimal feasible allocation, or INFEASIBLE.
+    """Cost-minimal feasible allocation, or INFEASIBLE (solve_allocations of one problem)."""
+    return solve_allocations([problem])[0]
 
+
+def _split_lane(A: float, keys, problem: AllocationProblem):
+    """The closed form of a problem whose sources all serve one lane."""
+    i, j = keys[0][1]
+    if A > problem.entry_available.get(i, 0.0) + 1e-9:
+        return INFEASIBLE
+    if A > problem.exit_space.get(j, 0.0) + 1e-9:
+        return INFEASIBLE
+    caps = [problem.source_caps[k] for (k, _) in keys]
+    rates = [problem.lane_costs[key] for key in keys]
+    split = split_volume(A, caps, rates)
+    if split is None:
+        return INFEASIBLE
+    cost, moves = split
+    return Allocation({key: m for key, m in zip(keys, moves)}, cost)
+
+
+def _families(problem: AllocationProblem):
+    """The limits of the three constraint families: source caps, entry availability, exit space."""
+    return problem.source_caps, problem.entry_available, problem.exit_space
+
+
+def solve_allocations(problems: Sequence[AllocationProblem]) -> list:
+    """Cost-minimal feasible allocation, or INFEASIBLE, of each problem.
+
+    The problems of one call share total_volume, lane_costs, source_caps
+    and the locations of entry_available and exit_space; only the
+    availability and space limits differ (ValueError otherwise).
     Single-lane problems use a closed-form greedy fill; general problems go
-    through tableau_simplex. A general problem whose volume exceeds, by more
-    than 1e-7, the summed limits of a constraint family that covers every
-    (source, lane) column (every source capped, or every lane's entry or
-    exit given a limit) is INFEASIBLE without a tableau: phase 1 would reject
-    it at that margin. Otherwise phase 1 decides. The simplex sees entry
-    availability and exit space clipped to the total volume: no lane can
-    carry more, so the feasible set is the same, and among cost-tied
-    allocations the one returned then depends only on the clipped problem.
-    The DP's stage tables rely on this to share one solve between all states
-    with equal clipped bounds.
+    through tableau_simplex, all in one batch. A general problem whose
+    volume exceeds, by more than 1e-7, the summed limits of a constraint
+    family that covers every (source, lane) column (every source capped, or
+    every lane's entry or exit given a limit) is INFEASIBLE without a
+    tableau: phase 1 would reject it at that margin. Otherwise phase 1
+    decides. The simplex sees entry availability and exit space clipped to
+    the total volume: no lane can carry more, so the feasible set is the
+    same, and among cost-tied allocations the one returned then depends only
+    on the clipped problem. The DP's stage tables rely on this to share one
+    solve between all states with equal clipped bounds.
     """
-    A = float(problem.total_volume)
-    keys = sorted(problem.lane_costs.keys())
-    if A <= 1e-12:
-        feasible = all(v >= 0 for v in problem.entry_available.values()) and all(
-            v >= 0 for v in problem.exit_space.values()
-        )
-        if not feasible:
-            return INFEASIBLE
-        return Allocation({k: 0.0 for k in keys}, 0.0)
+    first = problems[0]
 
-    lanes = {lane for (_, lane) in keys}
-    if len(lanes) == 1:
-        (lane,) = lanes
-        i, j = lane
-        if A > problem.entry_available.get(i, 0.0) + 1e-9:
-            return INFEASIBLE
-        if A > problem.exit_space.get(j, 0.0) + 1e-9:
-            return INFEASIBLE
-        caps = [problem.source_caps[k] for (k, _) in keys]
-        rates = [problem.lane_costs[key] for key in keys]
-        split = split_volume(A, caps, rates)
-        if split is None:
-            return INFEASIBLE
-        cost, moves = split
-        return Allocation({key: m for key, m in zip(keys, moves)}, cost)
+    def shared(p):
+        return (p.total_volume, p.lane_costs, p.source_caps,
+                p.entry_available.keys(), p.exit_space.keys())
+
+    if any(shared(p) != shared(first) for p in problems[1:]):
+        raise ValueError("a batch of allocation problems may differ only in availability and space")
+    A = float(first.total_volume)
+    keys = sorted(first.lane_costs.keys())
+    if A <= 1e-12:
+        return [
+            Allocation({k: 0.0 for k in keys}, 0.0)
+            if all(v >= 0 for v in p.entry_available.values())
+            and all(v >= 0 for v in p.exit_space.values())
+            else INFEASIBLE
+            for p in problems
+        ]
+    if len({lane for (_, lane) in keys}) == 1:
+        return [_split_lane(A, keys, p) for p in problems]
 
     # General case: one variable per (source, lane), one 0/1 row per source
     # cap, entry availability and exit space (the last two clipped to A).
@@ -256,29 +330,36 @@ def solve_allocation(problem: AllocationProblem):
     # limits; phase 1 would leave at least the excess in its artificials and
     # reject above 1e-7, so the same margin answers such a problem here.
     locs = [(k, i, j) for (k, (i, j)) in keys]
-    families = (
-        (0, problem.source_caps, np.inf),
-        (1, problem.entry_available, A),
-        (2, problem.exit_space, A),
-    )
-    for col, limits, most in families:
+    where = np.array(locs)
+    most = (np.inf, A, A)
+    covering, rows, row_locs = [], [], []
+    for col, limits in enumerate(_families(first)):
         used = {loc[col] for loc in locs}
         if used <= limits.keys():
-            if A > sum(min(limits[loc], most) for loc in sorted(used)) + 1e-7:
-                return INFEASIBLE
-    c = np.array([problem.lane_costs[k] for k in keys])
-    where = np.array(locs)
-    rows, rhs = [], []
-    for col, limits, most in families:
-        for loc, limit in sorted(limits.items()):
+            covering.append((col, sorted(used)))
+        for loc in sorted(limits):
             row = (where[:, col] == loc).astype(float)
             if row.any():
                 rows.append(row)
-                rhs.append(min(limit, most))
-    x = tableau_simplex(c, np.ones((1, len(keys))), np.array([A]), rows, rhs)
-    if x is None:
-        return INFEASIBLE
-    return Allocation({k: float(v) for k, v in zip(keys, x)}, float(c @ x))
+                row_locs.append((col, loc))
+    out = [INFEASIBLE] * len(problems)
+    todo, rhs = [], []
+    for at, p in enumerate(problems):
+        limits = _families(p)
+        if any(
+            A > sum(min(limits[col][loc], most[col]) for loc in used) + 1e-7
+            for col, used in covering
+        ):
+            continue
+        todo.append(at)
+        rhs.append([min(limits[col][loc], most[col]) for col, loc in row_locs])
+    if todo:
+        c = np.array([first.lane_costs[k] for k in keys])
+        xs = tableau_simplex(c, np.ones((1, len(keys))), np.full((len(todo), 1), A), rows, rhs)
+        for at, x in zip(todo, xs):
+            if x is not None:
+                out[at] = Allocation({k: float(v) for k, v in zip(keys, x)}, float(c @ x))
+    return out
 
 
 def lane_costs(

@@ -16,16 +16,18 @@ actions under z, {0..A*}; nothing else in the package decides that set. Each
 table is consumed as soon as it is built. The sweeps take a weighted sum over
 z and a maximum over the actions allocatable under every z, with one tie
 rule for every network shape; evaluate_policy gathers at the policy's
-actions. Every table reads its allocations from solve_allocation calls
-memoized per period on (a, min(avail, a), min(space, a), spot rates): no
-lane carries more than a, so larger bounds never bind, solve_allocation
-solves exactly that clipped problem, and all states sharing it share one
-solve. Single-entry single-exit instances need one solve per action, at
-unclipped bounds (a, a): the cost depends only on the action and z, so it
-is broadcast over the states, whose own feasibility and successors are clip
-arithmetic. rollout
-reads each step's allocation through the same memo, keyed the same way, so
-every network shape takes one path and an on-sample step solves nothing.
+actions. Every table reads its allocations from one memo of
+solve_allocations results, keyed per period on (a, min(avail, a),
+min(space, a), spot rates): no lane carries more than a, so larger bounds
+never bind, solve_allocations solves exactly that clipped problem, and all
+states sharing it share one solve. A network table sends the memo misses of
+each action to one solve_allocations call, which pivots them as one batch
+and returns the vertices of separate solves. Single-entry single-exit
+instances need one solve per action, at unclipped bounds (a, a): the cost
+depends only on the action and z, so it is broadcast over the states, whose
+own feasibility and successors are clip arithmetic. rollout reads each
+step's allocation through the same memo, keyed the same way, so every
+network shape takes one path and an on-sample step solves nothing.
 
 solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
 evaluate_policy and rollout reuse that kernel, memo included, when they are
@@ -36,6 +38,8 @@ otherwise; solve_scenario's policies carry none.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse, groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +51,7 @@ from .alloc import (
     lane_costs,
     lane_flows,
     plan_caps_at,
-    solve_allocation,
+    solve_allocations,
     transition,
 )
 from .model import (
@@ -162,9 +166,10 @@ class PolicyTable:
 
     ``kernel`` is the stage-table kernel of the solve_expected call that made
     the policy (None otherwise). It keeps that call's allocation memo alive
-    for evaluate_policy and rollout to read: about 450 B per entry, 534
-    entries on the network-policy benchmark instance and 88 on a bundled
-    single-lane example (4 periods, 2 spot rates, 11 actions).
+    for evaluate_policy and rollout to read: about 240 B per entry (what
+    clearing it frees), 534 entries on the network-policy benchmark instance
+    and 88 on a bundled single-lane example (4 periods, 2 spot rates, 11
+    actions).
     """
 
     horizon: int
@@ -257,6 +262,20 @@ def terminal_value(state: SystemState, costs: CostSpec) -> float:
 PeriodData = Sequence[Tuple[ExogenousRealization, float]]  # (realization, weight)
 
 
+def _unique_rows(rows: np.ndarray, a: int) -> Tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True) for integer rows in 0..a.
+
+    Each row is read as one number in base a + 1, first column most
+    significant, so the codes sort as the rows do lexicographically; that
+    holds only while every value lies in 0..a.
+    """
+    if rows.size and not 0 <= rows.min() <= rows.max() <= a:
+        raise ValueError(f"clipped bounds outside 0..{a}")
+    codes = rows @ (a + 1) ** np.arange(rows.shape[1] - 1, -1, -1)
+    _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    return rows[first], inv
+
+
 class _StageTables:
     """The Bellman kernel (see the module docstring) for one instance and plan.
 
@@ -269,7 +288,7 @@ class _StageTables:
     instance (None on networks) and selects the table's arithmetic. Tables
     and allocations share one memo across calls, for every network shape: a
     single-lane kernel holds one entry per period, distinct spot rate and
-    action (88 on a bundled single-lane example). solve_allocation orders
+    action (88 on a bundled single-lane example). solve_allocations orders
     sources by id, as the instances here list them, so single-lane costs
     equal a cheapest-first split in instance order.
     """
@@ -287,6 +306,7 @@ class _StageTables:
         self.entry = digits[:, :ne]
         self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
         self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
+        self._stages: Dict[Tuple, Tuple] = {}
 
     @cached_property
     def hold(self) -> np.ndarray:
@@ -319,9 +339,15 @@ class _StageTables:
         return self._network_table(t, z, stage, actions)
 
     def _stage(self, t: int, z: ExogenousRealization):
-        """The memo's inputs for period t under z: (spot rates, lane costs, source caps)."""
-        caps = {k: float(v) for k, v in plan_caps_at(self.plan, t).items()}
-        return realization_key(z, self.instance)[2], lane_costs(self.instance, z, t), caps
+        """The memo's inputs for period t under z: (spot rates, lane costs,
+        source caps), built once per period and spot rates, which the memo's
+        keys already take to fix the costs."""
+        rates = realization_key(z, self.instance)[2]
+        stage = self._stages.get((t, rates))
+        if stage is None:
+            caps = {k: float(v) for k, v in plan_caps_at(self.plan, t).items()}
+            stage = self._stages[t, rates] = (rates, lane_costs(self.instance, z, t), caps)
+        return stage
 
     def _lane_table(self, t, z, stage):
         i, j = self.lane
@@ -329,9 +355,8 @@ class _StageTables:
         back = b.exit_backorder_max[j]
         # bounds of at least a never bind: the key (a, a) serves every state with
         # that much stock and space, and `feasible` masks the others
-        cost = np.array(
-            [self._solve(t, a, (a, a), stage)[0][0] for a in range(self.n_actions)]
-        )[:, None]
+        solved = self._solve(t, [(a, (a, a)) for a in range(self.n_actions)], stage)
+        cost = np.array([flows[0] for flows, _ in solved])[:, None]
         a = np.arange(self.n_actions)[:, None]
         e, s = self.entry[:, 0], self.exit[:, 0]
         e_next = np.clip(e - a + z.inflow[i], 0, b.entry_max[i])
@@ -360,12 +385,9 @@ class _StageTables:
             states = alive if actions is None else np.flatnonzero(actions == a)
             if not states.size:
                 continue
-            clipped, inv = np.unique(
-                np.minimum(bounds[states], a), axis=0, return_inverse=True
-            )
-            sols = np.array(
-                [self._solve(t, a, row, stage)[0] for row in clipped.tolist()]
-            )[inv.reshape(-1)]
+            clipped, inv = _unique_rows(np.minimum(bounds[states], a), a)
+            solved = self._solve(t, [(a, row) for row in clipped.tolist()], stage)
+            sols = np.array([flows for flows, _ in solved])[inv]
             ok = np.isfinite(sols[:, 0])
             alive, sols = states[ok], sols[ok]
             cost[a, alive] = sols[:, 0]
@@ -377,24 +399,31 @@ class _StageTables:
         return cost, nxt
 
     def allocation(self, t: int, a: int, state: SystemState, z: ExogenousRealization):
-        """solve_allocation of a units at ``state`` under z in period t, through the memo."""
+        """The allocation of a units at ``state`` under z in period t, through the memo."""
         idx, b = self.indexer, self.instance.bounds
         row = [min(state.entry_stock[i] + z.inflow[i], a) for i in idx.entry_ids]
         row += [min(b.exit_max[j] - state.exit_stock[j], a) for j in idx.exit_ids]
-        return self._solve(t, a, row, self._stage(t, z))[1]
+        return self._solve(t, [(a, row)], self._stage(t, z))[0][1]
 
-    def _solve(self, t, a, row, stage):
-        """((cost, moves out of each entry, moves into each exit), Allocation).
+    def _solve(self, t, problems, stage):
+        """((cost, moves out of each entry, moves into each exit), Allocation)
+        of each (action, clipped row) in period t, through the memo; each
+        run of misses at one action goes to one solve_allocations call.
 
         The cost is inf and the allocation INFEASIBLE when none exists.
         """
         rates, costs, src_caps = stage
-        key = (t, a, tuple(row), rates)
-        hit = self._memo.get(key)
-        if hit is None:
-            idx = self.indexer
-            ne = len(idx.entry_ids)
-            sol = solve_allocation(
+        memo = self._memo
+        keys = [(t, a, tuple(row), rates) for a, row in problems]
+        try:
+            return [memo[key] for key in keys]
+        except KeyError:
+            pass
+        idx = self.indexer
+        ne = len(idx.entry_ids)
+        for a, run in groupby(filterfalse(memo.__contains__, keys), key=itemgetter(1)):
+            miss = list(run)
+            sols = solve_allocations([
                 AllocationProblem(
                     total_volume=a,
                     lane_costs=costs,
@@ -402,18 +431,20 @@ class _StageTables:
                     entry_available=dict(zip(idx.entry_ids, row[:ne])),
                     exit_space=dict(zip(idx.exit_ids, row[ne:])),
                 )
-            )
-            if sol is INFEASIBLE:
-                flows = (np.inf,) + (0.0,) * len(row)
-            else:
-                out, into = lane_flows(sol.lane_totals())
-                flows = (
-                    (sol.cost,)
-                    + tuple(out.get(i, 0.0) for i in idx.entry_ids)
-                    + tuple(into.get(j, 0.0) for j in idx.exit_ids)
-                )
-            hit = self._memo[key] = (flows, sol)
-        return hit
+                for _, _, row, _ in miss
+            ])
+            for key, sol in zip(miss, sols):
+                if sol is INFEASIBLE:
+                    flows = (np.inf,) + (0.0,) * len(key[2])
+                else:
+                    out, into = lane_flows(sol.lane_totals())
+                    flows = (
+                        (sol.cost,)
+                        + tuple(out.get(i, 0.0) for i in idx.entry_ids)
+                        + tuple(into.get(j, 0.0) for j in idx.exit_ids)
+                    )
+                memo[key] = (flows, sol)
+        return [memo[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +632,6 @@ class ValueSurface:
     entry_levels: np.ndarray
     exit_levels: np.ndarray
     values: np.ndarray  # shape (len(entry_levels), len(exit_levels))
-
-    def argmax_state(self) -> Tuple[int, int]:
-        k = int(np.argmax(self.values))
-        r, c = divmod(k, self.values.shape[1])
-        return int(self.entry_levels[r]), int(self.exit_levels[c])
 
     def to_csv(self, path: str) -> None:
         with open(path, "w") as f:

@@ -71,11 +71,6 @@ class SystemState:
     entry_stock: Dict[int, int]
     exit_stock: Dict[int, int]
 
-    def as_tuple(self, network: Network) -> Tuple[int, ...]:
-        return tuple(self.entry_stock[i] for i in network.entries) + tuple(
-            self.exit_stock[j] for j in network.exits
-        )
-
 
 @dataclass(frozen=True)
 class ExogenousRealization:
@@ -112,12 +107,6 @@ class Instance:
     @property
     def spot_sources(self) -> Tuple[Source, ...]:
         return tuple(s for s in self.sources if s.kind == SPOT)
-
-    def source_by_id(self, sid: int) -> Source:
-        for s in self.sources:
-            if s.id == sid:
-                return s
-        raise KeyError(f"no source with id {sid}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from helpers import brute_force_allocation, micro_instance, micro_scenario
+from drayage import alloc
 from drayage.alloc import (
     INFEASIBLE,
     AllocationProblem,
@@ -13,6 +14,7 @@ from drayage.alloc import (
     holding_cost,
     plan_caps_at,
     solve_allocation,
+    solve_allocations,
     split_volume,
     tableau_simplex,
     transition,
@@ -150,7 +152,7 @@ def test_tableau_matches_highs_on_allocation_lps():
     infeasible = 0
     for _ in range(300):
         c, A_eq, b_eq, A_ub, b_ub = _allocation_lp(rng)
-        x = tableau_simplex(c, A_eq, b_eq, A_ub, b_ub)
+        (x,) = tableau_simplex(c, A_eq, [b_eq], A_ub, [b_ub])
         ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, method="highs")
         assert ref.status in (0, 2)
         if ref.status == 2:
@@ -167,8 +169,8 @@ def test_tableau_matches_highs_on_allocation_lps():
 
 def test_tableau_detects_infeasible_volume():
     # three units over two sources capped at one each
-    x = tableau_simplex(
-        np.array([1.0, 2.0]), np.ones((1, 2)), np.array([3.0]), np.eye(2), np.ones(2)
+    (x,) = tableau_simplex(
+        np.array([1.0, 2.0]), np.ones((1, 2)), [[3.0]], np.eye(2), [np.ones(2)]
     )
     assert x is None
 
@@ -182,18 +184,111 @@ def test_tableau_degenerate_problem_terminates():
     b_eq = np.array([2.0, 2.0, 4.0])
     A_ub = np.vstack([np.eye(4), np.eye(4)])
     b_ub = np.full(8, 2.0)
-    x = tableau_simplex(c, A_eq, b_eq, A_ub, b_ub)
+    (x,) = tableau_simplex(c, A_eq, [b_eq], A_ub, [b_ub])
     assert x.tolist() == [2.0, 0.0, 0.0, 0.0]
 
 
 def test_tableau_same_vertex_on_repeat():
     # cost-tied sources: the vertex returned must not vary between solves
     c = np.array([5.0, 5.0, 5.0])
-    args = (np.ones((1, 3)), np.array([4.0]), np.eye(3), np.full(3, 3.0))
-    first = tableau_simplex(c, *args)
-    second = tableau_simplex(c, *args)
+    args = (np.ones((1, 3)), [[4.0]], np.eye(3), [np.full(3, 3.0)])
+    (first,) = tableau_simplex(c, *args)
+    (second,) = tableau_simplex(c, *args)
     assert np.array_equal(first, second)
     assert float(c @ first) == pytest.approx(20.0)
+
+
+def test_tableau_batch_solves_each_problem_as_alone(monkeypatch):
+    # Batches share costs, source caps and the volume A, and vary entry
+    # availability, exit space and how A splits between the two sources.
+    # The volume row and the two split rows are dependent, so phase 1 drops
+    # one of them as redundant, which one depending on the split; integer
+    # data makes degenerate vertices common. Every problem must get its
+    # batch-of-one vertex, or None, bit for bit.
+    phases = []
+    real = alloc._run_phase
+
+    def counting(T, *args):
+        phases.append(len(T))
+        return real(T, *args)
+
+    monkeypatch.setattr("drayage.alloc._run_phase", counting)
+    rng = np.random.default_rng(29)
+    seen = {"infeasible": 0, "degenerate": 0, "split phase 2": 0}
+    for _ in range(60):
+        n_entries, n_exits = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        cols = [(k, i, j) for k in range(2) for i in range(n_entries) for j in range(n_exits)]
+        c = rng.integers(1, 6, len(cols)).astype(float)  # integer costs tie often
+        A = float(rng.integers(2, 7))
+        A_ub = np.array([[float(col[d] == v) for col in cols]
+                         for d, size in enumerate((2, n_entries, n_exits)) for v in range(size)])
+        first = A_ub[0]
+        A_eq = np.vstack([np.ones(len(cols)), first, 1.0 - first])
+        K = 12
+        b_ub = np.hstack([
+            np.tile(rng.integers(1, 6, 2).astype(float), (K, 1)),
+            np.minimum(rng.integers(0, 7, (K, n_entries + n_exits)), A),
+        ])
+        split = rng.integers(0, A + 1, K).astype(float)
+        b_eq = np.column_stack([np.full(K, A), split, A - split])
+        phases.clear()
+        xs = tableau_simplex(c, A_eq, b_eq, A_ub, b_ub)
+        seen["split phase 2"] += len(phases) > 2  # phase 1 plus two or more groups
+        for k, x in enumerate(xs):
+            (one,) = tableau_simplex(c, A_eq, b_eq[k : k + 1], A_ub, b_ub[k : k + 1])
+            assert (x is None) == (one is None)
+            if x is None:
+                seen["infeasible"] += 1
+                continue
+            assert x.tobytes() == one.tobytes()
+            positive = (x > 1e-9).sum() + (b_ub[k] - A_ub @ x > 1e-9).sum()
+            seen["degenerate"] += positive < len(A_ub) + 2  # fewer than the basis size
+    assert min(seen.values()) > 0, seen
+
+    # Larger LPs whose right-hand sides are mostly 0: every batch of these
+    # draws runs 40 degenerate pivots in a row somewhere, so those problems
+    # price by Bland's rule while the rest of the batch is still on Dantzig.
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        n, n_ub = int(rng.integers(10, 30)), int(rng.integers(20, 60))
+        c = rng.choice([1.0, 2.0, 3.0], n)
+        A_ub = rng.integers(-1, 2, (n_ub, n)).astype(float)
+        b_ub = np.zeros((4, n_ub))
+        b_ub[:, : n_ub // 4] = rng.integers(0, 3, (4, n_ub // 4))
+        b_eq = rng.integers(0, 3, (4, 1)).astype(float)
+        xs = tableau_simplex(c, np.ones((1, n)), b_eq, A_ub, b_ub)
+        for k, x in enumerate(xs):
+            (one,) = tableau_simplex(c, np.ones((1, n)), b_eq[k : k + 1], A_ub, b_ub[k : k + 1])
+            assert (x is None) == (one is None)
+            assert x is None or x.tobytes() == one.tobytes()
+
+
+def test_solve_allocations_matches_one_at_a_time():
+    # one action at many states of a 2 x 2 network: zero-volume, family-sum
+    # infeasible, phase-1 infeasible and feasible problems in one batch
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        inst = micro_instance(rng, n_entries=2, n_exits=2)
+        z = micro_scenario(rng, inst).realizations[0]
+        caps = {s.id: float(rng.integers(0, 4)) for s in inst.sources}
+        for action in (0, int(rng.integers(1, 7))):
+            problems = [
+                build_problem(
+                    SystemState(
+                        {i: int(rng.integers(0, 4)) for i in inst.network.entries},
+                        {j: int(rng.integers(-3, 4)) for j in inst.network.exits},
+                    ),
+                    action, z, caps, inst, period=1,
+                )
+                for _ in range(10)
+            ]
+            for got, problem in zip(solve_allocations(problems), problems):
+                want = solve_allocation(problem)
+                assert (got is INFEASIBLE) == (want is INFEASIBLE)
+                if want is not INFEASIBLE:
+                    assert repr(got) == repr(want)
+    with pytest.raises(ValueError, match="differ only"):
+        solve_allocations(problems[:1] + [_two_entry_problem(1.0)])
 
 
 def _tableau_of(problem):
@@ -215,7 +310,7 @@ def _tableau_of(problem):
                 rows.append(row)
                 rhs.append(min(limit, most))
     c = np.array([problem.lane_costs[k] for k in keys])
-    return keys, tableau_simplex(c, np.ones((1, len(keys))), np.array([A]), rows, rhs)
+    return keys, tableau_simplex(c, np.ones((1, len(keys))), [[A]], rows, [rhs])[0]
 
 
 def _two_entry_problem(volume, caps=None, avail=None, space=None):

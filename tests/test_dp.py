@@ -12,6 +12,7 @@ from drayage.dp import (
     StateIndexer,
     UndefinedPolicyState,
     _StageTables,
+    _unique_rows,
     evaluate_policy,
     rollout,
     solve_expected,
@@ -97,7 +98,9 @@ def test_value_surface_argmax_sequence(policy_instance, demo_scenario, baseline_
     vt, _ = solve_scenario(policy_instance, demo_scenario, baseline_plan)
     expected = {1: (0, 6), 2: (0, 8), 3: (0, 8), 4: (0, 0)}
     for t, argmax in expected.items():
-        assert value_surface(vt, t).argmax_state() == argmax
+        surface = value_surface(vt, t)
+        r, c = divmod(int(np.argmax(surface.values)), surface.values.shape[1])
+        assert (int(surface.entry_levels[r]), int(surface.exit_levels[c])) == argmax
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +121,7 @@ def test_state_indexer_roundtrip(capacity_instance):
     for i in range(idx.n_states):
         st = idx.state_of(i)
         assert idx.index_of(st) == i
-        seen.add(st.as_tuple(capacity_instance.network))
+        seen.add((st.entry_stock[1], st.exit_stock[2]))
     assert len(seen) == idx.n_states
 
 
@@ -309,14 +312,14 @@ def _sample_paths(sample, count, seed):
 def test_network_sweep_solves_each_clipped_problem_at_most_once(
     monkeypatch, capacity_instance, baseline_plan
 ):
-    calls = []
-    real = alloc.solve_allocation
+    calls = []  # one entry per problem solved
+    real = alloc.solve_allocations
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(problems):
+        calls.extend(problems)
+        return real(problems)
 
-    monkeypatch.setattr("drayage.dp.solve_allocation", counting)
+    monkeypatch.setattr("drayage.dp.solve_allocations", counting)
     one_lane = [
         (capacity_instance, build_sample_set(capacity_instance, n, 0, mode=mode), baseline_plan)
         for mode, n in (("enumerate", 0), ("iid", 20))
@@ -354,15 +357,32 @@ def test_network_sweep_solves_each_clipped_problem_at_most_once(
             assert repr(traj) == repr(direct_rollout(inst, pt, sc, plan, inst.initial_state))
 
 
+def test_unique_row_codes_match_axis_0_unique():
+    # the stage tables' 1-D row codes give np.unique(axis=0)'s rows and inverse
+    rng = np.random.default_rng(37)
+    for a in range(6):
+        for width in (1, 2, 3, 4):
+            rows = rng.integers(0, a + 1, (int(rng.integers(1, 80)), width))
+            got, inv = _unique_rows(rows, a)
+            want, want_inv = np.unique(rows, axis=0, return_inverse=True)
+            assert np.array_equal(got, want)
+            assert np.array_equal(inv, want_inv.reshape(-1))
+    with pytest.raises(ValueError, match="outside"):
+        _unique_rows(np.array([[0, 3]]), 2)
+    with pytest.raises(ValueError, match="outside"):
+        _unique_rows(np.array([[-1, 0]]), 2)
+
+
 def test_network_sweep_sends_no_infeasible_problem_to_the_tableau(monkeypatch):
     # over-volume actions are answered from the constraint families' sums,
     # and in these networks every other problem is feasible
-    results = []
+    results = []  # one entry per problem of every batch
     real = alloc.tableau_simplex
 
     def counting(*args):
-        results.append(real(*args))
-        return results[-1]
+        xs = real(*args)
+        results.extend(xs)
+        return xs
 
     monkeypatch.setattr("drayage.alloc.tableau_simplex", counting)
     for inst, sample, plan in (_network_case(), _generated_network()):

@@ -103,7 +103,7 @@ def _reconstruct_cost(instance, scenario, sol):
     costs = instance.costs
     total = 0.0
     for (sid, lane, t), m in sol.moves.items():
-        src = instance.source_by_id(sid)
+        src = next(s for s in instance.sources if s.id == sid)
         if src.kind == "strategic":
             rate = src.execution_cost[lane][t - 1]
         else:
