@@ -17,11 +17,12 @@ at most one row, so a volume above a covering family's sum cannot be moved.
 The problems that pass go to the tableau, whose phase 1 decides. Its fixed
 pivot rule decides which cost-tied allocation, and so which next state, the
 DP sees; that, not speed, is why it stays (one reused lp.HighsModel solves
-these LPs faster, at other vertices). solve_allocations answers a batch of
-problems that differ only in entry availability and exit space, as the DP's
-states do at one action: the tableau pivots the batch's general problems in
-lockstep, each on its own tableau and basis, so every problem gets the
-vertex it gets alone, bit for bit. solve_allocation is a batch of one.
+these LPs faster, at other vertices). solve_allocations(problem, limits)
+answers one problem at each row of a matrix of (availability, space) limits,
+as the DP's states at one action need, so a batch shares volume, costs and
+caps by construction. The tableau pivots its general rows in lockstep, each
+on its own tableau and basis, so every row gets the vertex it gets alone,
+bit for bit. solve_allocation is a batch of one.
 
 The state transition applies the per-lane move totals and the realized
 inflows/outflows, clamping to the stock bounds. Excess inflow above an entry
@@ -30,7 +31,7 @@ open and is a deliberate design decision.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -260,102 +261,88 @@ def tableau_simplex(c, A_eq, b_eq, A_ub, b_ub) -> List[Optional[np.ndarray]]:
 
 
 def solve_allocation(problem: AllocationProblem):
-    """Cost-minimal feasible allocation, or INFEASIBLE (solve_allocations of one problem)."""
-    return solve_allocations([problem])[0]
+    """Cost-minimal feasible allocation, or INFEASIBLE (solve_allocations of one row)."""
+    row = [*problem.entry_available.values(), *problem.exit_space.values()]
+    return solve_allocations(problem, [row])[0]
 
 
-def _split_lane(A: float, keys, problem: AllocationProblem):
-    """The closed form of a problem whose sources all serve one lane."""
-    i, j = keys[0][1]
-    if A > problem.entry_available.get(i, 0.0) + 1e-9:
-        return INFEASIBLE
-    if A > problem.exit_space.get(j, 0.0) + 1e-9:
-        return INFEASIBLE
-    caps = [problem.source_caps[k] for (k, _) in keys]
-    rates = [problem.lane_costs[key] for key in keys]
-    split = split_volume(A, caps, rates)
-    if split is None:
-        return INFEASIBLE
-    cost, moves = split
-    return Allocation({key: m for key, m in zip(keys, moves)}, cost)
+def solve_allocations(problem: AllocationProblem, limits) -> list:
+    """Cost-minimal feasible allocation, or INFEASIBLE, of problem at each row of limits.
 
-
-def _families(problem: AllocationProblem):
-    """The limits of the three constraint families: source caps, entry availability, exit space."""
-    return problem.source_caps, problem.entry_available, problem.exit_space
-
-
-def solve_allocations(problems: Sequence[AllocationProblem]) -> list:
-    """Cost-minimal feasible allocation, or INFEASIBLE, of each problem.
-
-    The problems of one call share total_volume, lane_costs, source_caps
-    and the locations of entry_available and exit_space; only the
-    availability and space limits differ (ValueError otherwise).
-    Single-lane problems use a closed-form greedy fill; general problems go
-    through tableau_simplex, all in one batch. A general problem whose
-    volume exceeds, by more than 1e-7, the summed limits of a constraint
-    family that covers every (source, lane) column (every source capped, or
-    every lane's entry or exit given a limit) is INFEASIBLE without a
-    tableau: phase 1 would reject it at that margin. Otherwise phase 1
-    decides. The simplex sees entry availability and exit space clipped to
-    the total volume: no lane can carry more, so the feasible set is the
-    same, and among cost-tied allocations the one returned then depends only
-    on the clipped problem. The DP's stage tables rely on this to share one
-    solve between all states with equal clipped bounds.
+    A row's values replace those of entry_available, then exit_space, in the
+    dicts' key order (ValueError unless limits is 2-D with one column per
+    key). A negative source cap makes every row INFEASIBLE. One lane: a
+    closed-form greedy fill, once per batch, and each row checks its entry
+    and exit limit (a location absent from the dicts reads as 0). Otherwise
+    a row whose volume exceeds, by more than 1e-7, the summed limits of a
+    constraint family that covers every (source, lane) column (every source
+    capped, or every lane's entry or exit limited) is INFEASIBLE: phase 1
+    would reject it at that margin. The other rows go through tableau_simplex
+    in one batch, whose phase 1 decides. The simplex sees entry availability
+    and exit space clipped to the volume: no lane can carry more, so the
+    feasible set is the same, and the allocation returned among cost-tied
+    ones depends only on the clipped row. The DP's stage tables rely on this
+    to share one solve between all states with equal clipped bounds.
     """
-    first = problems[0]
-
-    def shared(p):
-        return (p.total_volume, p.lane_costs, p.source_caps,
-                p.entry_available.keys(), p.exit_space.keys())
-
-    if any(shared(p) != shared(first) for p in problems[1:]):
-        raise ValueError("a batch of allocation problems may differ only in availability and space")
-    A = float(first.total_volume)
-    keys = sorted(first.lane_costs.keys())
+    entries, exits = list(problem.entry_available), list(problem.exit_space)
+    L = np.asarray(limits, dtype=float)
+    if not len(L):
+        return []
+    width = len(entries) + len(exits)
+    if L.ndim != 2 or L.shape[1] != width:
+        raise ValueError(f"limits need 2-D rows of width {width} (the problem's entry and "
+                         f"exit locations); got shape {L.shape}")
+    K = len(L)
+    A = float(problem.total_volume)
+    keys = sorted(problem.lane_costs)
+    caps = problem.source_caps
+    if any(v < 0 for v in caps.values()):  # no x >= 0 has x_k <= cap_k < 0
+        return [INFEASIBLE] * K
     if A <= 1e-12:
-        return [
-            Allocation({k: 0.0 for k in keys}, 0.0)
-            if all(v >= 0 for v in p.entry_available.values())
-            and all(v >= 0 for v in p.exit_space.values())
-            else INFEASIBLE
-            for p in problems
-        ]
-    if len({lane for (_, lane) in keys}) == 1:
-        return [_split_lane(A, keys, p) for p in problems]
+        zero = Allocation({k: 0.0 for k in keys}, 0.0)
+        return [zero if ok else INFEASIBLE for ok in (L >= 0).all(axis=1)]
+    avail, space = dict(zip(entries, L.T)), dict(zip(exits, L.T[len(entries):]))
+    lanes = {lane for _, lane in keys}
+    if len(lanes) == 1:
+        ((i, j),) = lanes
+        split = split_volume(A, [caps[k] for k, _ in keys], [problem.lane_costs[k] for k in keys])
+        if split is None:
+            return [INFEASIBLE] * K
+        sol = Allocation(dict(zip(keys, split[1])), split[0])
+        fits = np.ones(K, dtype=bool)
+        for side, loc in ((avail, i), (space, j)):
+            fits &= A <= side.get(loc, 0.0) + 1e-9
+        return [sol if f else INFEASIBLE for f in fits.tolist()]
 
     # General case: one variable per (source, lane), one 0/1 row per source
     # cap, entry availability and exit space (the last two clipped to A).
     # A family whose rows cover every column bounds sum(x) = A by its summed
     # limits; phase 1 would leave at least the excess in its artificials and
-    # reject above 1e-7, so the same margin answers such a problem here.
+    # reject above 1e-7, so the same margin answers such a row here. The caps
+    # are scalars, the same for every row, so their family is checked once.
     locs = [(k, i, j) for (k, (i, j)) in keys]
     where = np.array(locs)
-    most = (np.inf, A, A)
-    covering, rows, row_locs = [], [], []
-    for col, limits in enumerate(_families(first)):
+    clip = [{loc: np.minimum(v, A) for loc, v in side.items()} for side in (avail, space)]
+    ok = np.ones(K, dtype=bool)
+    rows, rhs = [], []
+    for col, family in enumerate((caps, *clip)):
         used = {loc[col] for loc in locs}
-        if used <= limits.keys():
-            covering.append((col, sorted(used)))
-        for loc in sorted(limits):
-            row = (where[:, col] == loc).astype(float)
+        if used <= family.keys():
+            ok &= A <= sum(family[loc] for loc in sorted(used)) + 1e-7
+        for loc in sorted(family):
+            row = where[:, col] == loc
             if row.any():
                 rows.append(row)
-                row_locs.append((col, loc))
-    out = [INFEASIBLE] * len(problems)
-    todo, rhs = [], []
-    for at, p in enumerate(problems):
-        limits = _families(p)
-        if any(
-            A > sum(min(limits[col][loc], most[col]) for loc in used) + 1e-7
-            for col, used in covering
-        ):
-            continue
-        todo.append(at)
-        rhs.append([min(limits[col][loc], most[col]) for col, loc in row_locs])
-    if todo:
-        c = np.array([first.lane_costs[k] for k in keys])
-        xs = tableau_simplex(c, np.ones((1, len(keys))), np.full((len(todo), 1), A), rows, rhs)
+                rhs.append(family[loc])
+    b_ub = np.empty((K, len(rhs)))
+    for r, v in enumerate(rhs):
+        b_ub[:, r] = v
+    out = [INFEASIBLE] * K
+    todo = np.flatnonzero(ok)
+    if todo.size:
+        c = np.array([problem.lane_costs[k] for k in keys])
+        b_eq = np.full((todo.size, 1), A)
+        xs = tableau_simplex(c, np.ones((1, len(keys))), b_eq, rows, b_ub[todo])
         for at, x in zip(todo, xs):
             if x is not None:
                 out[at] = Allocation({k: float(v) for k, v in zip(keys, x)}, float(c @ x))

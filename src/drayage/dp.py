@@ -21,7 +21,8 @@ solve_allocations results, keyed per period on (a, min(avail, a),
 min(space, a), spot rates): no lane carries more than a, so larger bounds
 never bind, solve_allocations solves exactly that clipped problem, and all
 states sharing it share one solve. A network table sends the memo misses of
-each action to one solve_allocations call, which pivots them as one batch
+each action to one solve_allocations call, as the clipped rows of one
+template problem over the kernel's locations; it pivots them as one batch
 and returns the vertices of separate solves. Single-entry single-exit
 instances need one solve per action, at unclipped bounds (a, a): the cost
 depends only on the action and z, so it is broadcast over the states, whose
@@ -420,19 +421,11 @@ class _StageTables:
         except KeyError:
             pass
         idx = self.indexer
-        ne = len(idx.entry_ids)
+        entries, exits = dict.fromkeys(idx.entry_ids, 0), dict.fromkeys(idx.exit_ids, 0)
         for a, run in groupby(filterfalse(memo.__contains__, keys), key=itemgetter(1)):
             miss = list(run)
-            sols = solve_allocations([
-                AllocationProblem(
-                    total_volume=a,
-                    lane_costs=costs,
-                    source_caps=src_caps,
-                    entry_available=dict(zip(idx.entry_ids, row[:ne])),
-                    exit_space=dict(zip(idx.exit_ids, row[ne:])),
-                )
-                for _, _, row, _ in miss
-            ])
+            template = AllocationProblem(a, costs, src_caps, entries, exits)
+            sols = solve_allocations(template, [key[2] for key in miss])
             for key, sol in zip(miss, sols):
                 if sol is INFEASIBLE:
                     flows = (np.inf,) + (0.0,) * len(key[2])

@@ -252,12 +252,23 @@ def enumerate_policy_value(
     state: SystemState,
     period: int = 1,
     gamma: float = 1.0,
+    memo: Optional[Dict] = None,
 ) -> float:
-    """Exhaustive action-sequence recursion, independent of the dp sweep."""
+    """Exhaustive action-sequence recursion, independent of the dp sweep.
+
+    ``memo`` keeps V(period, state) by (period, entry stocks, exit stocks).
+    Pass one dict to every start state of one (instance, scenario, plan,
+    gamma), and they share their continuations instead of enumerating them
+    again; without it each call enumerates afresh.
+    """
     from drayage.alloc import transition
 
     if period > instance.horizon:
         return terminal_value(state, instance.costs)
+    memo = {} if memo is None else memo
+    key = (period, tuple(sorted(state.entry_stock.items())), tuple(sorted(state.exit_stock.items())))
+    if key in memo:
+        return memo[key]
     z = scenario.realizations[period - 1]
     caps = plan_caps_at(plan, period)
     best = -np.inf
@@ -268,10 +279,11 @@ def enumerate_policy_value(
         cost = holding_cost(state, instance.costs) + alloc.cost
         nxt = transition(state, alloc.lane_totals(), z, instance.bounds)
         v = -cost + gamma * enumerate_policy_value(
-            instance, scenario, plan, nxt, period + 1, gamma
+            instance, scenario, plan, nxt, period + 1, gamma, memo
         )
         if v > best:
             best = v
+    memo[key] = best
     return best
 
 

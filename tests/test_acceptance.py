@@ -148,8 +148,9 @@ def test_criterion_5_micro_instance_equivalence():
         plan = random_plan(rng, inst)
 
         table, _ = dp.solve_scenario(inst, scenario, plan)
+        memo = {}  # continuations shared by this instance's start states
         for state in all_states(inst):
-            expect = enumerate_policy_value(inst, scenario, plan, state)
+            expect = enumerate_policy_value(inst, scenario, plan, state, memo=memo)
             assert table.value(1, state) == pytest.approx(expect, abs=1e-9)
 
         states = all_states(inst)

@@ -9,6 +9,7 @@ from helpers import brute_force_allocation, micro_instance, micro_scenario
 from drayage import alloc
 from drayage.alloc import (
     INFEASIBLE,
+    Allocation,
     AllocationProblem,
     build_problem,
     holding_cost,
@@ -263,32 +264,77 @@ def test_tableau_batch_solves_each_problem_as_alone(monkeypatch):
             assert x is None or x.tobytes() == one.tobytes()
 
 
+def _limits_row(problem):
+    """The problem's entry availability then exit space, in dict order."""
+    return [*problem.entry_available.values(), *problem.exit_space.values()]
+
+
 def test_solve_allocations_matches_one_at_a_time():
-    # one action at many states of a 2 x 2 network: zero-volume, family-sum
-    # infeasible, phase-1 infeasible and feasible problems in one batch
+    # one action at many states of each network shape, every row checked
+    # against a lone solve: zero-volume, family-sum infeasible, phase-1
+    # infeasible and feasible rows of 2 x 2, 2 x 1 and 1 x 2 networks, and
+    # the single-lane closed form's batch on 1 x 1
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        inst = micro_instance(rng, n_entries=2, n_exits=2)
-        z = micro_scenario(rng, inst).realizations[0]
-        caps = {s.id: float(rng.integers(0, 4)) for s in inst.sources}
-        for action in (0, int(rng.integers(1, 7))):
-            problems = [
-                build_problem(
-                    SystemState(
-                        {i: int(rng.integers(0, 4)) for i in inst.network.entries},
-                        {j: int(rng.integers(-3, 4)) for j in inst.network.exits},
-                    ),
-                    action, z, caps, inst, period=1,
-                )
-                for _ in range(10)
-            ]
-            for got, problem in zip(solve_allocations(problems), problems):
-                want = solve_allocation(problem)
-                assert (got is INFEASIBLE) == (want is INFEASIBLE)
-                if want is not INFEASIBLE:
-                    assert repr(got) == repr(want)
-    with pytest.raises(ValueError, match="differ only"):
-        solve_allocations(problems[:1] + [_two_entry_problem(1.0)])
+    for n_entries, n_exits in ((2, 2), (1, 1), (2, 1), (1, 2)):
+        for _ in range(20):
+            inst = micro_instance(rng, n_entries=n_entries, n_exits=n_exits)
+            z = micro_scenario(rng, inst).realizations[0]
+            caps = {s.id: float(rng.integers(0, 4)) for s in inst.sources}
+            for action in (0, int(rng.integers(1, 7))):
+                problems = [
+                    build_problem(
+                        SystemState(
+                            {i: int(rng.integers(0, 4)) for i in inst.network.entries},
+                            {j: int(rng.integers(-3, 4)) for j in inst.network.exits},
+                        ),
+                        action, z, caps, inst, period=1,
+                    )
+                    for _ in range(10)
+                ]
+                rows = [_limits_row(p) for p in problems]
+                for got, problem in zip(solve_allocations(problems[0], rows), problems):
+                    want = solve_allocation(problem)
+                    assert (got is INFEASIBLE) == (want is INFEASIBLE)
+                    if want is not INFEASIBLE:
+                        assert repr(got) == repr(want)
+
+
+def test_solve_allocations_checks_the_limits_shape():
+    problem = _two_entry_problem(1.0)  # entries 1, 2 and exit 3: width 3
+    assert solve_allocations(problem, []) == []
+    assert solve_allocations(problem, np.zeros((0, 3))) == []
+    with pytest.raises(ValueError, match=r"width 3.*\(2, 4\)"):
+        solve_allocations(problem, np.ones((2, 4)))
+    with pytest.raises(ValueError, match=r"width 3.*\(3,\)"):
+        solve_allocations(problem, [5.0, 5.0, 5.0])
+    with pytest.raises(ValueError, match=r"width 3.*\(1, 1, 3\)"):
+        solve_allocations(problem, np.ones((1, 1, 3)))
+
+
+def test_single_lane_location_absent_from_limits_reads_as_zero():
+    keyless = AllocationProblem(1.0, {(1, (1, 2)): 1.0}, {1: 5.0}, {}, {2: 10.0})
+    assert solve_allocation(keyless) is INFEASIBLE
+    assert solve_allocations(keyless, [[10.0], [0.0]]) == [INFEASIBLE, INFEASIBLE]
+    zero = AllocationProblem(0.0, keyless.lane_costs, {1: 5.0}, {}, {2: 10.0})
+    assert solve_allocation(zero) == Allocation({(1, (1, 2)): 0.0}, 0.0)
+
+
+def test_negative_source_cap_is_infeasible():
+    # no x >= 0 has x_k <= cap_k < 0, whatever the volume or the lanes
+    one_lane = AllocationProblem(
+        3.0, {(1, (1, 2)): 1.0, (2, (1, 2)): 2.0}, {1: -1.0, 2: 5.0}, {1: 10.0}, {2: 10.0}
+    )
+    assert solve_allocation(one_lane) is INFEASIBLE
+    network = _two_entry_problem(1.0, caps={1: -1.0, 2: 5.0})
+    assert _tableau_of(network)[1] is None
+    assert solve_allocation(network) is INFEASIBLE
+    for problem in (one_lane, network):
+        zero = AllocationProblem(0.0, problem.lane_costs, problem.source_caps,
+                                 problem.entry_available, problem.exit_space)
+        assert solve_allocation(zero) is INFEASIBLE
+        rows = [_limits_row(problem), np.zeros(len(_limits_row(problem)))]
+        assert solve_allocations(problem, rows) == [INFEASIBLE, INFEASIBLE]
+        assert solve_allocations(zero, rows) == [INFEASIBLE, INFEASIBLE]
 
 
 def _tableau_of(problem):

@@ -166,8 +166,9 @@ def test_micro_instances_match_policy_enumeration():
         )
         plan = random_plan(rng, inst)
         vt, pt = solve_scenario(inst, scen, plan)
+        memo = {}
         for state in all_states(inst):
-            expected = enumerate_policy_value(inst, scen, plan, state)
+            expected = enumerate_policy_value(inst, scen, plan, state, memo=memo)
             assert vt.value(1, state) == pytest.approx(expected, abs=1e-9)
             checked += 1
     assert checked >= 100
@@ -185,8 +186,9 @@ def test_micro_multilocation_matches_enumeration():
     )
     plan = random_plan(rng, inst)
     vt, _ = solve_scenario(inst, scen, plan)
+    memo = {}
     for state in all_states(inst):
-        expected = enumerate_policy_value(inst, scen, plan, state)
+        expected = enumerate_policy_value(inst, scen, plan, state, memo=memo)
         assert vt.value(1, state) == pytest.approx(expected, abs=1e-9)
 
 
@@ -312,12 +314,12 @@ def _sample_paths(sample, count, seed):
 def test_network_sweep_solves_each_clipped_problem_at_most_once(
     monkeypatch, capacity_instance, baseline_plan
 ):
-    calls = []  # one entry per problem solved
+    calls = []  # one entry per limits row solved
     real = alloc.solve_allocations
 
-    def counting(problems):
-        calls.extend(problems)
-        return real(problems)
+    def counting(problem, limits):
+        calls.extend(limits)
+        return real(problem, limits)
 
     monkeypatch.setattr("drayage.dp.solve_allocations", counting)
     one_lane = [
