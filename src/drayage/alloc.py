@@ -271,20 +271,26 @@ def solve_allocations(problem: AllocationProblem, limits) -> list:
 
     A row's values replace those of entry_available, then exit_space, in the
     dicts' key order (ValueError unless limits is 2-D with one column per
-    key). A negative source cap makes every row INFEASIBLE. One lane: a
+    key; ValueError naming a source, entry or exit of lane_costs that has no
+    limit). A negative source cap makes every row INFEASIBLE. One lane: a
     closed-form greedy fill, once per batch, and each row checks its entry
-    and exit limit (a location absent from the dicts reads as 0). Otherwise
-    a row whose volume exceeds, by more than 1e-7, the summed limits of a
-    constraint family that covers every (source, lane) column (every source
-    capped, or every lane's entry or exit limited) is INFEASIBLE: phase 1
-    would reject it at that margin. The other rows go through tableau_simplex
-    in one batch, whose phase 1 decides. The simplex sees entry availability
-    and exit space clipped to the volume: no lane can carry more, so the
-    feasible set is the same, and the allocation returned among cost-tied
-    ones depends only on the clipped row. The DP's stage tables rely on this
-    to share one solve between all states with equal clipped bounds.
+    and exit limit. Otherwise a row whose volume exceeds, by more than 1e-7,
+    the summed limits of a constraint family (source caps, entry
+    availability, exit space) is INFEASIBLE: each family covers every
+    (source, lane) column, so phase 1 would reject it at that margin. The other rows go through
+    tableau_simplex in one batch, whose phase 1 decides. The simplex sees
+    entry availability and exit space clipped to the volume: no lane can
+    carry more, so the feasible set is the same, and the allocation returned
+    among cost-tied ones depends only on the clipped row. The DP's stage
+    tables rely on this to share one solve between all states with equal
+    clipped bounds.
     """
     entries, exits = list(problem.entry_available), list(problem.exit_space)
+    caps = problem.source_caps
+    for k, (i, j) in problem.lane_costs:
+        for name, loc, listed in (("source", k, caps), ("entry", i, entries), ("exit", j, exits)):
+            if loc not in listed:
+                raise ValueError(f"lane cost {(k, (i, j))} uses {name} {loc}, which has no limit")
     L = np.asarray(limits, dtype=float)
     if not len(L):
         return []
@@ -295,7 +301,6 @@ def solve_allocations(problem: AllocationProblem, limits) -> list:
     K = len(L)
     A = float(problem.total_volume)
     keys = sorted(problem.lane_costs)
-    caps = problem.source_caps
     if any(v < 0 for v in caps.values()):  # no x >= 0 has x_k <= cap_k < 0
         return [INFEASIBLE] * K
     if A <= 1e-12:
@@ -311,24 +316,22 @@ def solve_allocations(problem: AllocationProblem, limits) -> list:
         sol = Allocation(dict(zip(keys, split[1])), split[0])
         fits = np.ones(K, dtype=bool)
         for side, loc in ((avail, i), (space, j)):
-            fits &= A <= side.get(loc, 0.0) + 1e-9
+            fits &= A <= side[loc] + 1e-9
         return [sol if f else INFEASIBLE for f in fits.tolist()]
 
     # General case: one variable per (source, lane), one 0/1 row per source
     # cap, entry availability and exit space (the last two clipped to A).
-    # A family whose rows cover every column bounds sum(x) = A by its summed
-    # limits; phase 1 would leave at least the excess in its artificials and
-    # reject above 1e-7, so the same margin answers such a row here. The caps
-    # are scalars, the same for every row, so their family is checked once.
+    # Each family's rows cover every column, so its summed limits bound
+    # sum(x) = A; phase 1 would leave at least the excess in its artificials
+    # and reject above 1e-7, so the same margin answers such a row here. The
+    # caps are scalars, the same for every row, so their family is checked once.
     locs = [(k, i, j) for (k, (i, j)) in keys]
     where = np.array(locs)
     clip = [{loc: np.minimum(v, A) for loc, v in side.items()} for side in (avail, space)]
     ok = np.ones(K, dtype=bool)
     rows, rhs = [], []
     for col, family in enumerate((caps, *clip)):
-        used = {loc[col] for loc in locs}
-        if used <= family.keys():
-            ok &= A <= sum(family[loc] for loc in sorted(used)) + 1e-7
+        ok &= A <= sum(family[loc] for loc in sorted({loc[col] for loc in locs})) + 1e-7
         for loc in sorted(family):
             row = where[:, col] == loc
             if row.any():

@@ -17,17 +17,10 @@ concave, so kink points can stall a single descent; each search restarts
 from seeded random points and keeps the best. The raw search then polishes
 on the integer lattice around the rounded incumbent.
 
-The Monte Carlo sweep (monte_carlo_search) values its plans from certified
-bases (CapacityObjective.plan_values). An optimal basis of a draw's LP is
-dual feasible at every plan, since only the cap rows' right-hand sides
-change, and its basic solution and cost are affine in the caps (Van Slyke &
-Wets 1969). A plan is certified when the basic solution of its best stored
-basis lies in the column and row bounds within CERT_TOL (1e-9, absolute);
-its value is then exact up to round-off, within about 1e-13 of HiGHS's. A
-degenerate optimum may be certified by any of its bases; each gives the same
-value. Every other plan is solved cold by HiGHS and its basis stored, so
-infeasible plans, which no basis certifies, get HiGHS's verdict. The stored
-bases live for one call.
+The Monte Carlo sweep (monte_carlo_search) values its plans through
+CapacityObjective.plan_values: per draw, one lp.RhsCertifier over the cap
+rows' right-hand sides values each plan from a stored optimal basis that
+certifies it, or solves it cold. The stored bases live for one call.
 
 Infeasible capacity plans (too little capacity to respect storage bounds
 under some scenario) evaluate to a large negative penalty with a mild upward
@@ -43,7 +36,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .dp import solve_expected
-from .lp import HighsModel, LPResult, solve_lp
+from .lp import HighsModel, LPResult, RhsCertifier, solve_lp
 from .model import CapacityPlan, Instance, Scenario
 from .mslp import InfeasibleLP, build_mslp
 from .scenario import SampleSet, sample_scenarios
@@ -142,33 +135,32 @@ class CapacityObjective:
             sum(w * total_flow(sc) for sc, w in self.weighted_scenarios) or 1.0
         )
 
+    @property
+    def model(self) -> HighsModel:  # the layout's, built on first use
+        if self._model is None:
+            self._model = HighsModel(self.layout.upper, self.layout.A_eq, self.layout.A_ub)
+        return self._model
+
     def solve_at(self, k: int, caps: np.ndarray, c=None) -> LPResult:
         """Draw k at caps, with costs c (default its own row), solved cold on
         the layout's model; RuntimeError unless optimal or infeasible."""
-        if self._model is None:
-            self._model = HighsModel(self.layout.upper, self.layout.A_eq, self.layout.A_ub)
         b_ub = self.b_ub[k].copy()
         b_ub[self.cap_index] = np.ravel(caps)
-        res = self._model.solve(self.costs[k] if c is None else c, self.b_eq[k], b_ub)
+        res = self.model.solve(self.costs[k] if c is None else c, self.b_eq[k], b_ub)
         if res.status not in ("optimal", "infeasible"):
             raise RuntimeError(f"unexpected LP status {res.status}")
         return res
 
-    def lp_value(self, caps: np.ndarray, draws: Sequence[int]) -> Optional[float]:
-        """Weighted sum of these draws' LP values at caps; None when one is
-        infeasible."""
-        terms = []
-        for k in draws:
-            res = self.solve_at(k, caps)
-            if res.status == "infeasible":
-                return None
-            terms.append(self.weights[k] * -res.objective)
-        return _sum_in_order(terms)
-
     def value_of_caps(self, caps: np.ndarray) -> Optional[float]:
         """V estimate at a capacity array; None when infeasible."""
         if self.sample_set is None:
-            return self.lp_value(caps, range(len(self.weights)))
+            terms = []
+            for k, w in enumerate(self.weights):
+                res = self.solve_at(k, caps)
+                if res.status == "infeasible":
+                    return None
+                terms.append(w * -res.objective)
+            return _sum_in_order(terms)
         table, _ = solve_expected(
             self.instance, self.sample_set, _caps_to_plan(self.instance, caps)
         )
@@ -176,13 +168,13 @@ class CapacityObjective:
 
     def plan_values(self, plans: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """V estimates of many capacity arrays (axis 0: plans) of an
-        LP-valued objective, from certified bases (see _DrawCuts).
+        LP-valued objective, from certified bases (lp.RhsCertifier).
 
         Returns the values (nan where infeasible) and a mask of the plans
         that needed a HiGHS solve under some draw. Each draw has its own
-        cache, kept for this call only; a plan is valued under draw k only
-        if every earlier draw operates it, as in lp_value, and the weighted
-        draws are summed in lp_value's order.
+        certifier, kept for this call only; a plan is valued under draw k
+        only if every earlier draw operates it, as in value_of_caps, and
+        the weighted draws are summed in value_of_caps' order.
         """
         if self.sample_set is not None:
             raise ValueError("certified plan values need an LP-valued objective")
@@ -193,7 +185,8 @@ class CapacityObjective:
         for k, w in enumerate(self.weights):
             cost = np.full(len(X), np.nan)
             at = np.flatnonzero(live)
-            cost[at], solved_k = _DrawCuts(self, k).costs(X[at])
+            draw = RhsCertifier(self.model, self.costs[k], self.b_eq[k], self.b_ub[k], self.cap_index)
+            cost[at], solved_k = draw.costs(X[at])
             solved[at] |= solved_k
             live &= ~np.isnan(cost)
             terms.append(w * -cost)
@@ -209,105 +202,6 @@ class CapacityObjective:
 
     def close(self):
         self._model = None
-
-
-CERT_TOL = 1e-9  # absolute bound tolerance of a certified basic solution
-CERT_CHUNK = 256  # plans certified per vectorized pass
-
-
-class _DrawCuts:
-    """Optimal bases of draw k's LP, each an affine map of the caps.
-
-    In HiGHS's form, A z_x - z_r = 0 with column bounds [0, upper] and row
-    bounds [row_lower, row_upper]; only the cap rows' upper bounds depend on
-    the plan. A basis fixes every nonbasic column at 0 or its upper bound
-    and every nonbasic row at its upper bound, so the basic variables
-    z_B = B^-1 (v0 + D caps), B the square basic block of [A | -I], and
-    the cost are affine in the caps. A basis is dual feasible at every plan
-    (the costs do not depend on the caps), so each cut is a lower bound on
-    the cost, and it is the exact cost wherever its basic solution lies in
-    the bounds (Van Slyke & Wets 1969).
-    """
-
-    def __init__(self, obj: "CapacityObjective", k: int):
-        self.obj, self.k = obj, k
-        lay = obj.layout
-        self.A = np.vstack([lay.A_ub, lay.A_eq])
-        m, n_ub = self.A.shape[0], lay.A_ub.shape[0]
-        self.caps = np.zeros((m, len(obj.cap_index)))  # row upper bounds' cap terms
-        self.caps[obj.cap_index, np.arange(len(obj.cap_index))] = 1.0
-        self.row_upper = np.concatenate([obj.b_ub[k], obj.b_eq[k]])
-        self.row_upper[obj.cap_index] = 0.0
-        self.row_lower = np.concatenate([np.full(n_ub, -np.inf), obj.b_eq[k]])
-        self.cuts: List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def add(self, basis) -> int:
-        """Store a basis of this draw's LP; returns its index."""
-        A, u, c = self.A, self.obj.layout.upper, self.obj.costs[self.k]
-        m, nc = A.shape[0], basis.cols.size
-        nonbasic = np.ones(m, dtype=bool)
-        nonbasic[basis.rows] = False
-        B_inv = np.linalg.inv(np.hstack([A[:, basis.cols], -np.eye(m)[:, basis.rows]]))
-        hi = basis.at_upper
-        z0 = B_inv @ (nonbasic * self.row_upper - A[:, hi] @ u[hi])
-        G = B_inv @ (nonbasic[:, None] * self.caps)
-        x0, xG, r0, rG = z0[:nc], G[:nc], z0[nc:], G[nc:]
-        # slacks of the basic variables' bounds, each >= 0 where the basis is feasible
-        col_hi = u[basis.cols]
-        fin = np.isfinite(col_hi)
-        row_lo = self.row_lower[basis.rows]
-        eq = np.isfinite(row_lo)
-        s0 = np.concatenate([x0, col_hi[fin] - x0[fin], r0[eq] - row_lo[eq],
-                             self.row_upper[basis.rows] - r0])
-        sG = np.vstack([xG, -xG[fin], rG[eq], self.caps[basis.rows] - rG])
-        c_basic = c[basis.cols]
-        self.cuts.append((float(c_basic @ x0 + c[hi] @ u[hi]), c_basic @ xG, s0, sG))
-        return len(self.cuts) - 1
-
-    def check(self, j: int, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(certified mask, cost) of basis j at the plans X."""
-        const, grad, s0, sG = self.cuts[j]
-        ok = np.min(X @ sG.T + s0, axis=1, initial=np.inf) >= -CERT_TOL
-        return ok, X @ grad + const
-
-    def costs(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Each plan's (rows of X) LP cost, nan where infeasible, and the mask
-        of plans HiGHS solved.
-
-        In chunks of CERT_CHUNK plans: each plan's best cut over the stored
-        bases is certified if that basis's basic columns and rows lie in
-        their bounds within CERT_TOL. Every other plan is solved cold, in
-        order, and its basis stored; the plans still pending are then
-        checked against that basis only. An infeasible plan is never
-        certified, so HiGHS gives every feasibility verdict.
-        """
-        cost = np.full(len(X), np.nan)
-        solved = np.zeros(len(X), dtype=bool)
-        for lo in range(0, len(X), CERT_CHUNK):
-            chunk = X[lo : lo + CERT_CHUNK]
-            pending = np.arange(len(chunk))
-            if self.cuts:
-                const = np.array([cut[0] for cut in self.cuts])
-                grads = np.array([cut[1] for cut in self.cuts])
-                best = np.argmax(chunk @ grads.T + const, axis=1)
-                certified = np.zeros(len(chunk), dtype=bool)
-                for j in np.unique(best):
-                    at = np.flatnonzero(best == j)
-                    ok, c = self.check(j, chunk[at])
-                    certified[at[ok]] = True
-                    cost[lo + at[ok]] = c[ok]
-                pending = np.flatnonzero(~certified)
-            while pending.size:
-                i, pending = pending[0], pending[1:]
-                res = self.obj.solve_at(self.k, chunk[i])
-                solved[lo + i] = True
-                if res.status != "optimal":
-                    continue
-                cost[lo + i] = res.objective
-                ok, c = self.check(self.add(self.obj._model.basis()), chunk[pending])
-                cost[lo + pending[ok]] = c[ok]
-                pending = pending[~ok]
-        return cost, solved
 
 
 def scenario_objective(instance: Instance, scenario: Scenario) -> CapacityObjective:
@@ -329,7 +223,7 @@ def sample_objective(
     """
     obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, 1.0) for sc in scenarios))
     box = obj.box_upper
-    kept = [k for k in range(len(scenarios)) if obj.lp_value(box, [k]) is not None]
+    kept = [k for k in range(len(scenarios)) if obj.solve_at(k, box).status == "optimal"]
     if not kept:
         raise InfeasibleLP("no operable scenario in the sample")
     obj._keep(kept)
@@ -554,15 +448,12 @@ def monte_carlo_search(
     total cost and cost-per-TEU across feasible samples; infeasible samples
     are excluded and counted. samples_out streams per-sample rows to CSV.
 
-    An LP-valued objective values the plans through plan_values: a plan is
-    certified by a stored optimal basis whose basic solution lies in its
-    bounds within CERT_TOL (1e-9), and solved by HiGHS otherwise, its basis
-    then stored. A certified value is exact up to round-off: it differs
-    from HiGHS's in the last bits. A degenerate optimum may be certified by
-    any of its bases; each gives the same value. Every infeasible plan is
-    solved, so the feasibility verdicts are HiGHS's. The stats count the
-    certified plans and those valued by a fresh solve (lp_solves; on a
-    DP-valued objective, which has no certificate, every plan).
+    An LP-valued objective values the plans through plan_values, from
+    certified bases (lp.RhsCertifier): a certified value differs from
+    HiGHS's only in the last bits, and every feasibility verdict is HiGHS's.
+    The stats count the certified plans and those valued by a fresh solve
+    (lp_solves; on a DP-valued objective, which has no certificate, every
+    plan).
     """
     from .evaluation import summarize
 

@@ -93,7 +93,9 @@ def regret_profile(
     records = []
     for k in range(len(scenarios)):
         _, opt_value = per_scenario_optimum(obj, k)
-        value = None if opt_value == -math.inf else obj.lp_value(caps, [k])
+        res = None if opt_value == -math.inf else obj.solve_at(k, caps)
+        # 0.0 - objective, as value_of_caps sums it: an objective of 0 gives +0.0
+        value = None if res is None or res.status == "infeasible" else 0.0 - res.objective
         achieved = -math.inf if value is None else value - reserved
         records.append(RegretRecord(k, opt_value, achieved, opt_value - achieved))
     return records

@@ -8,12 +8,21 @@ results equal scipy's bit for bit. HighsModel keeps one constraint matrix
 for many costs and right-hand sides (one per capacity objective, for its
 plans and regret records); solve_lp solves one LP once (the extensive form,
 mslp.solve_mslp). The per-period allocation LP has its own tableau in alloc.
-HighsModel.basis() reads the optimal basis of its last solve, from which
-capopt certifies the values of many capacity plans without solving them.
+
+RhsCertifier values one model at many right-hand sides that differ only in
+some entries of b_ub (in capopt, a draw's LP at many capacity plans). An
+optimal basis stays dual feasible there, and its basic solution and cost are
+affine in those entries (Van Slyke & Wets 1969). Where the basic solution of
+the best stored basis lies in the bounds within CERT_TOL (1e-9, absolute),
+its value is exact up to round-off, within about 1e-13 of HiGHS's; a
+degenerate optimum may be certified by any of its bases, each giving the
+same value. Every other right-hand side is solved cold by HiGHS and its
+basis stored, so infeasible ones, which no basis certifies, get HiGHS's
+verdict.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -34,16 +43,6 @@ class LPResult:
     iterations: int  # HiGHS simplex / IPM iterations
 
 
-@dataclass(frozen=True)
-class Basis:
-    """An optimal simplex basis: every other column sits at its lower bound
-    0, and every other row at its upper bound (an equality row's value)."""
-
-    cols: np.ndarray  # basic columns
-    at_upper: np.ndarray  # nonbasic columns at their upper bound
-    rows: np.ndarray  # basic rows (rows: A_ub's, then A_eq's)
-
-
 class HighsModel:
     """One HiGHS LP with a fixed column box [0, upper] and constraint matrix
     (rows: A_ub's, then A_eq's; dense, sparse or None).
@@ -57,7 +56,7 @@ class HighsModel:
         self._upper = upper = np.asarray(upper, dtype=float)
         self._n_ub = 0 if A_ub is None else A_ub.shape[0]
         blocks = [sparse.coo_array(A, dtype=float) for A in (A_ub, A_eq) if A is not None]
-        A = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, upper.size))
+        self._A = A = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, upper.size))
         self._lp = lp = _core.HighsLp()
         lp.num_row_, lp.num_col_ = A.shape
         mat = lp.a_matrix_
@@ -69,16 +68,20 @@ class HighsModel:
         for key, value in (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1)):
             h.setOptionValue(key, value)  # scipy's settings; strategy 1: dual simplex
 
+    def _row_bounds(self, b_eq, b_ub):
+        """HiGHS's row bounds: [-inf, b_ub] for A_ub's rows, then [b_eq, b_eq]."""
+        eq = np.empty(0) if b_eq is None else b_eq
+        ub = np.empty(0) if b_ub is None else b_ub
+        return np.concatenate([np.full(self._n_ub, -np.inf), eq]), np.concatenate([ub, eq])
+
     def solve(self, c, b_eq=None, b_ub=None) -> LPResult:
         """Minimize c'x for these right-hand sides: x clipped into the box,
         HiGHS's optimal value. Any outcome other than an optimum,
         infeasibility or unboundedness (a limit, "unbounded or infeasible",
         numerical trouble) raises RuntimeError."""
-        eq = np.empty(0) if b_eq is None else b_eq
         lp, h = self._lp, self._highs
         lp.col_cost_ = np.asarray(c, dtype=float)
-        lp.row_lower_ = np.concatenate([np.full(self._n_ub, -np.inf), eq])
-        lp.row_upper_ = np.concatenate([np.empty(0) if b_ub is None else b_ub, eq])
+        lp.row_lower_, lp.row_upper_ = self._row_bounds(b_eq, b_ub)
         h.passModel(lp)
         h.run()
         status = h.getModelStatus()
@@ -91,18 +94,114 @@ class HighsModel:
         x = np.clip(np.asarray(h.getSolution().col_value), 0.0, self._upper)
         return LPResult("optimal", x, float(info.objective_function_value), iterations)
 
-    def basis(self) -> Basis:
-        """The basis of the last solve, which must have been optimal."""
-        h = self._highs
+
+CERT_TOL = 1e-9  # absolute bound tolerance of a certified basic solution
+CERT_CHUNK = 256  # right-hand sides certified per vectorized pass
+
+
+class RhsCertifier:
+    """min c'x on model at many right-hand sides: each row p of a matrix P
+    replaces the entries rows of b_ub (an array; empty when the model has no
+    A_ub). It keeps the optimal basis of each of its solves.
+
+    In HiGHS's form, A x - r = 0 with column bounds [0, upper] and row
+    bounds [row_lower, row_upper]; only the upper bounds of the rows `rows`
+    depend on p. A basis fixes every nonbasic column at 0 or its upper
+    bound and every nonbasic row at its upper bound, so the basic variables
+    z_B = B^-1 (v0 + D p), B the square basic block of [A | -I], and the
+    cost are affine in p: a lower bound on the cost at every p, and the
+    exact cost wherever z_B lies in its bounds.
+    """
+
+    def __init__(self, model: HighsModel, c, b_eq, b_ub, rows):
+        self._model, self._c = model, np.asarray(c, dtype=float)
+        self._b_eq, self._b_ub, self._rows = b_eq, b_ub, rows
+        self._A = model._A.toarray()
+        self._D = np.zeros((self._A.shape[0], len(rows)))  # row upper bounds' p terms
+        self._D[rows, np.arange(len(rows))] = 1.0
+        self._row_lower, self._row_upper = model._row_bounds(b_eq, b_ub)
+        self._row_upper[rows] = 0.0
+        self._cuts: List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def _add(self) -> int:
+        """Store the optimal basis of the model's last solve; returns its index."""
+        h = self._model._highs
         b = h.getBasis()
         if not b.valid:
             raise RuntimeError("HiGHS holds no valid basis")
-        cols = np.array([int(v) for v in b.col_status])
-        rows = np.array([int(v) for v in b.row_status])
+        col_status = np.array([int(v) for v in b.col_status])
         basic, upper = int(_core.HighsBasisStatus.kBasic), int(_core.HighsBasisStatus.kUpper)
-        return Basis(
-            np.flatnonzero(cols == basic), np.flatnonzero(cols == upper), np.flatnonzero(rows == basic)
-        )
+        cols, hi = np.flatnonzero(col_status == basic), np.flatnonzero(col_status == upper)
+        rows = np.flatnonzero(np.array([int(v) for v in b.row_status]) == basic)
+        A, u, c = self._A, self._model._upper, self._c
+        m, nc = A.shape[0], cols.size
+        nonbasic = np.ones(m, dtype=bool)
+        nonbasic[rows] = False
+        B_inv = np.linalg.inv(np.hstack([A[:, cols], -np.eye(m)[:, rows]]))
+        z0 = B_inv @ (nonbasic * self._row_upper - A[:, hi] @ u[hi])
+        G = B_inv @ (nonbasic[:, None] * self._D)
+        x0, xG, r0, rG = z0[:nc], G[:nc], z0[nc:], G[nc:]
+        # slacks of the basic variables' bounds, each >= 0 where the basis is feasible
+        col_hi = u[cols]
+        fin = np.isfinite(col_hi)
+        row_lo = self._row_lower[rows]
+        eq = np.isfinite(row_lo)
+        s0 = np.concatenate([x0, col_hi[fin] - x0[fin], r0[eq] - row_lo[eq],
+                             self._row_upper[rows] - r0])
+        sG = np.vstack([xG, -xG[fin], rG[eq], self._D[rows] - rG])
+        c_basic = c[cols]
+        self._cuts.append((float(c_basic @ x0 + c[hi] @ u[hi]), c_basic @ xG, s0, sG))
+        return len(self._cuts) - 1
+
+    def _check(self, j: int, P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(certified mask, cost) of basis j at the rows of P."""
+        const, grad, s0, sG = self._cuts[j]
+        ok = np.min(P @ sG.T + s0, axis=1, initial=np.inf) >= -CERT_TOL
+        return ok, P @ grad + const
+
+    def costs(self, P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row of P's LP cost, nan where infeasible, and the mask of
+        rows HiGHS solved.
+
+        In chunks of CERT_CHUNK rows: each row's best cut over the stored
+        bases is certified if that basis's basic columns and rows lie in
+        their bounds within CERT_TOL. Every other row is solved cold, in
+        order, and its basis stored; the rows still pending are then
+        checked against that basis only. An infeasible row is never
+        certified, so HiGHS gives every feasibility verdict. An unbounded
+        LP raises RuntimeError.
+        """
+        cost = np.full(len(P), np.nan)
+        solved = np.zeros(len(P), dtype=bool)
+        for lo in range(0, len(P), CERT_CHUNK):
+            chunk = P[lo : lo + CERT_CHUNK]
+            pending = np.arange(len(chunk))
+            if self._cuts:
+                const = np.array([cut[0] for cut in self._cuts])
+                grads = np.array([cut[1] for cut in self._cuts])
+                best = np.argmax(chunk @ grads.T + const, axis=1)
+                certified = np.zeros(len(chunk), dtype=bool)
+                for j in np.unique(best):
+                    at = np.flatnonzero(best == j)
+                    ok, c = self._check(j, chunk[at])
+                    certified[at[ok]] = True
+                    cost[lo + at[ok]] = c[ok]
+                pending = np.flatnonzero(~certified)
+            while pending.size:
+                i, pending = pending[0], pending[1:]
+                b_ub = self._b_ub.copy()
+                b_ub[self._rows] = chunk[i]
+                res = self._model.solve(self._c, self._b_eq, b_ub)
+                solved[lo + i] = True
+                if res.status == "unbounded":
+                    raise RuntimeError(f"unexpected LP status {res.status}")
+                if res.status != "optimal":
+                    continue
+                cost[lo + i] = res.objective
+                ok, c = self._check(self._add(), chunk[pending])
+                cost[lo + pending[ok]] = c[ok]
+                pending = pending[~ok]
+        return cost, solved
 
 
 def solve_lp(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, upper=None) -> LPResult:

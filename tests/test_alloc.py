@@ -9,7 +9,6 @@ from helpers import brute_force_allocation, micro_instance, micro_scenario
 from drayage import alloc
 from drayage.alloc import (
     INFEASIBLE,
-    Allocation,
     AllocationProblem,
     build_problem,
     holding_cost,
@@ -311,12 +310,25 @@ def test_solve_allocations_checks_the_limits_shape():
         solve_allocations(problem, np.ones((1, 1, 3)))
 
 
-def test_single_lane_location_absent_from_limits_reads_as_zero():
-    keyless = AllocationProblem(1.0, {(1, (1, 2)): 1.0}, {1: 5.0}, {}, {2: 10.0})
-    assert solve_allocation(keyless) is INFEASIBLE
-    assert solve_allocations(keyless, [[10.0], [0.0]]) == [INFEASIBLE, INFEASIBLE]
-    zero = AllocationProblem(0.0, keyless.lane_costs, {1: 5.0}, {}, {2: 10.0})
-    assert solve_allocation(zero) == Allocation({(1, (1, 2)): 0.0}, 0.0)
+def test_lane_location_or_source_without_a_limit_raises():
+    # one reading of a missing key on every shape: a ValueError naming it,
+    # whatever the volume or the limits rows
+    one_lane = {(1, (1, 2)): 1.0}
+    network = _two_entry_problem(3.0).lane_costs
+    cases = [
+        (AllocationProblem(1.0, one_lane, {1: 5.0}, {}, {2: 10.0}), "entry 1"),
+        (AllocationProblem(0.0, one_lane, {1: 5.0}, {}, {2: 10.0}), "entry 1"),
+        (AllocationProblem(1.0, one_lane, {1: 5.0}, {1: 10.0}, {}), "exit 2"),
+        (AllocationProblem(1.0, one_lane, {}, {1: 10.0}, {2: 10.0}), "source 1"),
+        (AllocationProblem(3.0, network, {1: 5.0, 2: 5.0}, {1: 1.0}, {3: 5.0}), "entry 2"),
+        (AllocationProblem(3.0, network, {1: 5.0}, {1: 5.0, 2: 5.0}, {3: 5.0}), "source 2"),
+        (AllocationProblem(3.0, network, {1: 5.0, 2: 5.0}, {1: 5.0, 2: 5.0}, {}), "exit 3"),
+    ]
+    for problem, missing in cases:
+        with pytest.raises(ValueError, match=missing):
+            solve_allocation(problem)
+        with pytest.raises(ValueError, match=missing):
+            solve_allocations(problem, np.zeros((2, len(_limits_row(problem)))))
 
 
 def test_negative_source_cap_is_infeasible():
@@ -401,12 +413,6 @@ def test_family_sums_decide_infeasibility_as_the_tableau_does():
     over = _two_entry_problem(2.0 + 2e-7)
     assert _tableau_of(over)[1] is None
     assert solve_allocation(over) is INFEASIBLE
-
-    # entry 2 has no availability row, so the entry family bounds nothing
-    loose = _two_entry_problem(3.0, caps={1: 5.0, 2: 5.0}, avail={1: 1.0})
-    got = solve_allocation(loose)
-    assert got is not INFEASIBLE
-    assert got.moves == {k: float(v) for k, v in zip(*_tableau_of(loose))}
 
 
 def test_over_volume_problems_never_reach_the_tableau(monkeypatch):

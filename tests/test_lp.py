@@ -1,6 +1,7 @@
 """The HiGHS wrapper: results against a direct linprog call, the status
 mapping, clipping into the box, sparse rows, the iteration count, re-solves
-of one model and the private binding's methods.
+of one model, the right-hand-side certifier and the private binding's
+methods.
 
 Random problems are drawn fully bounded so the optimal status is never
 ambiguous; unboundedness and infeasibility get dedicated hand-built cases.
@@ -18,7 +19,7 @@ from scipy.optimize._highspy import _core
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from drayage import lp
-from drayage.lp import HighsModel, solve_lp
+from drayage.lp import HighsModel, RhsCertifier, solve_lp
 
 
 def _random_problem(rng):
@@ -231,30 +232,35 @@ def test_highs_binding_has_every_method_lp_calls():
     assert missing == []
 
 
-def test_basis_reproduces_the_optimal_vertex():
-    # nonbasic columns at 0 or their upper bound, nonbasic rows at their
-    # upper bound; the square basic block then gives HiGHS's solution
+def test_certified_costs_match_fresh_solves():
+    # a random subset of A_ub's rows as the parameters: at the solved
+    # right-hand side the stored basis certifies HiGHS's value, and at
+    # perturbed ones every value is within 1e-9 of a fresh solve, with the
+    # same feasibility verdict
     rng = np.random.default_rng(21)
+    counts = {"certified": 0, "solved": 0, "infeasible": 0}
     for _ in range(100):
         c, A_eq, b_eq, A_ub, b_ub, upper = _random_problem(rng)
+        b_ub = np.empty(0) if b_ub is None else b_ub
+        rows = np.flatnonzero(rng.uniform(size=b_ub.size) < 0.6)
         model = HighsModel(upper, A_eq, A_ub)
-        res = model.solve(c, b_eq, b_ub)
-        basis = model.basis()
-        A = np.vstack([M for M in (A_ub, A_eq) if M is not None] or [np.zeros((0, c.size))])
-        row_upper = np.concatenate([v for v in (b_ub, b_eq) if v is not None] or [np.zeros(0)])
-        m = A.shape[0]
-        assert basis.cols.size + basis.rows.size == m
-        assert not set(basis.cols) & set(basis.at_upper)
-        x = np.zeros(c.size)
-        x[basis.at_upper] = upper[basis.at_upper]
-        nonbasic = np.setdiff1d(np.arange(m), basis.rows)
-        rhs = -A @ x
-        rhs[nonbasic] += row_upper[nonbasic]
-        if m:
-            block = np.hstack([A[:, basis.cols], -np.eye(m)[:, basis.rows]])
-            x[basis.cols] = np.linalg.solve(block, rhs)[: basis.cols.size]
-        assert np.allclose(x, res.x, atol=1e-9)
-        assert float(c @ x) == pytest.approx(res.objective, abs=1e-9)
+        ref = model.solve(c, b_eq, b_ub)
+        cert = RhsCertifier(model, c, b_eq, b_ub, rows)
+        at_ref, solved = cert.costs(np.tile(b_ub[rows], (2, 1)))
+        assert solved.tolist() == [True, False]
+        assert at_ref[0] == ref.objective
+        assert at_ref[1] == pytest.approx(ref.objective, abs=1e-9)
+        P = b_ub[rows] + rng.uniform(-3, 1, (20, rows.size))
+        cost, solved = cert.costs(P)
+        for p, v, s in zip(P, cost, solved):
+            fresh_b_ub = b_ub.copy()
+            fresh_b_ub[rows] = p
+            fresh = HighsModel(upper, A_eq, A_ub).solve(c, b_eq, fresh_b_ub)
+            assert np.isnan(v) == (fresh.status == "infeasible")
+            if fresh.status == "optimal":
+                assert v == pytest.approx(fresh.objective, abs=1e-9)
+            counts["infeasible" if np.isnan(v) else "solved" if s else "certified"] += 1
+    assert min(counts.values()) > 50
 
 
 def test_model_solves_match_one_shot_solves():
