@@ -20,7 +20,8 @@ on the integer lattice around the rounded incumbent.
 The Monte Carlo sweep (monte_carlo_search) values its plans through
 CapacityObjective.plan_values: per draw, one lp.RhsCertifier over the cap
 rows' right-hand sides values each plan from a stored optimal basis that
-certifies it, or solves it cold. The stored bases live for one call.
+certifies it, answers it infeasible from a stored Farkas ray, or solves it
+cold. The sweep keeps one set of certifiers for its whole sample.
 
 Infeasible capacity plans (too little capacity to respect storage bounds
 under some scenario) evaluate to a large negative penalty with a mild upward
@@ -36,7 +37,7 @@ from scipy import sparse
 from scipy.optimize import minimize
 
 from .dp import solve_expected
-from .lp import HighsModel, LPResult, RhsCertifier, solve_lp
+from .lp import CERT_CHUNK, HighsModel, LPResult, RhsCertifier, solve_lp
 from .model import CapacityPlan, Instance, Scenario
 from .mslp import InfeasibleLP, build_mslp
 from .scenario import SampleSet, sample_scenarios
@@ -95,7 +96,8 @@ class CapacityObjective:
     operability, the regret optimum) is solved cold, in this process, on one
     lp.HighsModel of the layout built on first use; nothing goes through
     lp.solve_lp or mslp.solve_mslp. plan_values values a batch of plans from
-    the optimal bases of a few of those solves. close() drops the model.
+    the optimal bases and Farkas rays of a few of those solves. close()
+    drops the model.
     """
 
     instance: Instance
@@ -166,13 +168,23 @@ class CapacityObjective:
         )
         return table.best_initial_state()[1]
 
-    def plan_values(self, plans: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def certifiers(self) -> List[RhsCertifier]:
+        """One lp.RhsCertifier per draw over the cap rows' right-hand sides."""
+        return [
+            RhsCertifier(self.model, c, b_eq, b_ub, self.cap_index)
+            for c, b_eq, b_ub in zip(self.costs, self.b_eq, self.b_ub)
+        ]
+
+    def plan_values(
+        self, plans: np.ndarray, certifiers: List[RhsCertifier]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """V estimates of many capacity arrays (axis 0: plans) of an
-        LP-valued objective, from certified bases (lp.RhsCertifier).
+        LP-valued objective, from certified bases and rays (lp.RhsCertifier).
 
         Returns the values (nan where infeasible) and a mask of the plans
-        that needed a HiGHS solve under some draw. Each draw has its own
-        certifier, kept for this call only; a plan is valued under draw k
+        that needed a HiGHS solve under some draw. certifiers holds one
+        certifier per draw, as certifiers() makes them; the bases and rays
+        they store carry over to later calls. A plan is valued under draw k
         only if every earlier draw operates it, as in value_of_caps, and
         the weighted draws are summed in value_of_caps' order.
         """
@@ -182,10 +194,9 @@ class CapacityObjective:
         live = np.ones(len(X), dtype=bool)
         solved = np.zeros(len(X), dtype=bool)
         terms = []
-        for k, w in enumerate(self.weights):
+        for draw, w in zip(certifiers, self.weights):
             cost = np.full(len(X), np.nan)
             at = np.flatnonzero(live)
-            draw = RhsCertifier(self.model, self.costs[k], self.b_eq[k], self.b_ub[k], self.cap_index)
             cost[at], solved_k = draw.costs(X[at])
             solved[at] |= solved_k
             live &= ~np.isnan(cost)
@@ -436,6 +447,9 @@ def optimize_capacity(
     return search.result(best_caps, best_f, best_trace)
 
 
+MC_CHUNK = 256 * CERT_CHUNK  # plans drawn, valued and written per pass
+
+
 def monte_carlo_search(
     obj: CapacityObjective,
     count: int,
@@ -448,10 +462,13 @@ def monte_carlo_search(
     total cost and cost-per-TEU across feasible samples; infeasible samples
     are excluded and counted. samples_out streams per-sample rows to CSV.
 
-    An LP-valued objective values the plans through plan_values, from
-    certified bases (lp.RhsCertifier): a certified value differs from
-    HiGHS's only in the last bits, and every feasibility verdict is HiGHS's.
-    The stats count the certified plans and those valued by a fresh solve
+    The sample is drawn from one Philox stream and valued in chunks of
+    MC_CHUNK plans, so memory holds one chunk and one cost per plan. An
+    LP-valued objective values the plans through plan_values with one set
+    of certifiers (lp.RhsCertifier) for the whole sample: a certified value
+    differs from HiGHS's only in the last bits, and an infeasible verdict is
+    HiGHS's or a stored Farkas ray's. The stats count the plans valued
+    without a solve (certified) and those that took a fresh solve
     (lp_solves; on a DP-valued objective, which has no certificate, every
     plan).
     """
@@ -460,49 +477,52 @@ def monte_carlo_search(
     if count < 1:
         raise ValueError("count must be >= 1")
     inst = obj.instance
-    upper = obj.box_upper
-    shape = upper.shape
+    high = obj.box_upper.astype(int) + 1
     rng = np.random.Generator(np.random.Philox(seed))
-    samples = rng.integers(0, upper.astype(int) + 1, size=(count,) + shape)
-    res_rates = obj.rates_array
-    denom = obj.flow_denominator()
-
-    if obj.sample_set is None:
-        values, solved = obj.plan_values(samples)
-    else:
-        values = np.array([obj.value_of_caps(x.astype(float)) for x in samples], dtype=float)
-        solved = np.ones(count, dtype=bool)
-
-    costs = np.empty(count)
-    feasible = ~np.isnan(values)
+    rates = obj.rates_array.ravel()
+    draws = obj.certifiers() if obj.sample_set is None else None
+    costs = np.empty(count)  # nan where infeasible
+    lp_solves, best = 0, None
     with open(samples_out, "w") if samples_out is not None else nullcontext() as writer:
         if writer is not None:
             cols = [
                 f"x_{sid}_{t}" for sid in obj.source_ids for t in range(1, inst.horizon + 1)
             ]
             writer.write("sample_id," + ",".join(cols) + ",feasible,total_cost\n")
-        for k in range(count):
-            if feasible[k]:
-                costs[k] = -(values[k] - float(np.sum(res_rates * samples[k])))
+        for lo in range(0, count, MC_CHUNK):
+            samples = rng.integers(0, high, size=(min(MC_CHUNK, count - lo),) + high.shape)
+            if draws is not None:
+                values, solved = obj.plan_values(samples, draws)
+            else:
+                values = np.array([obj.value_of_caps(x.astype(float)) for x in samples], float)
+                solved = np.ones(len(samples), dtype=bool)
+            lp_solves += int(solved.sum())
+            flat = samples.reshape(len(samples), -1)
+            chunk = costs[lo : lo + len(samples)]
+            chunk[:] = -(values - (rates * flat).sum(axis=1))
+            if not np.isnan(chunk).all():
+                k = int(np.nanargmin(chunk))
+                if best is None or chunk[k] < best[0]:
+                    best = (chunk[k], samples[k].astype(float))
             if writer is not None:
-                flat = ",".join(str(int(c)) for c in samples[k].ravel())
-                val = repr(float(costs[k])) if feasible[k] else ""
-                writer.write(f"{k},{flat},{int(feasible[k])},{val}\n")
+                for k, (plan, cost) in enumerate(zip(flat, chunk), lo):
+                    caps = ",".join(str(int(c)) for c in plan)
+                    feasible = not np.isnan(cost)
+                    val = repr(float(cost)) if feasible else ""
+                    writer.write(f"{k},{caps},{int(feasible)},{val}\n")
 
-    feas_costs = costs[feasible]
-    if feas_costs.size == 0:
+    if best is None:
         raise InfeasibleLP("no feasible capacity sample found")
-    best_k = int(np.flatnonzero(feasible)[np.argmin(feas_costs)])
+    feas_costs = costs[~np.isnan(costs)]
     stats = {
-        "total_cost": summarize(list(feas_costs)),
-        "cost_per_teu": summarize(list(feas_costs / denom)),
-        "feasible": int(feasible.sum()),
-        "infeasible": int(count - feasible.sum()),
-        "certified": int(count - solved.sum()),
-        "lp_solves": int(solved.sum()),
+        "total_cost": summarize(feas_costs),
+        "cost_per_teu": summarize(feas_costs / obj.flow_denominator()),
+        "feasible": int(feas_costs.size),
+        "infeasible": int(count - feas_costs.size),
+        "certified": count - lp_solves,
+        "lp_solves": lp_solves,
     }
-    best_plan = _caps_to_plan(inst, samples[best_k].astype(float))
-    return best_plan, stats
+    return _caps_to_plan(inst, best[1]), stats
 
 
 def quadratic_parameterization(

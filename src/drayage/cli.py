@@ -294,7 +294,10 @@ def cmd_monte_carlo(args) -> int:
     print(
         f"{stats['feasible']} feasible / {stats['infeasible']} infeasible samples"
     )
-    print(f"{stats['certified']} certified by a stored basis / {stats['lp_solves']} LP solves")
+    print(
+        f"{stats['certified']} certified by a stored basis or ray / "
+        f"{stats['lp_solves']} LP solves"
+    )
     print(
         "total cost: "
         f"min {t['min']:.1f}  q1 {t['q1']:.1f}  median {t['median']:.1f}  "

@@ -21,7 +21,7 @@ from .capopt import CapacityObjective, _caps_to_plan, reservation_cost
 from .model import CapacityPlan, Instance, Scenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegretRecord:
     scenario_id: int
     optimal_objective: float

@@ -3,11 +3,16 @@
 Solves   min c'x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  0 <= x <= upper
 
 with HiGHS's dual simplex (Huangfu & Hall 2018) through scipy's bundled
-binding, with the row layout and options of scipy's method "highs", so
-results equal scipy's bit for bit. HighsModel keeps one constraint matrix
-for many costs and right-hand sides (one per capacity objective, for its
-plans and regret records); solve_lp solves one LP once (the extensive form,
-mslp.solve_mslp). The per-period allocation LP has its own tableau in alloc.
+binding, with the row layout of scipy's method "highs" and presolve off, so
+results equal linprog(method="highs", options={"presolve": False}) bit for
+bit. Presolve is off because on the package's small LPs it is most of a
+solve: a feasible 28-row multistage LP takes about 0.11 ms without it and
+0.34 ms with it (2-core x86-64 VM). The unpresolved dual simplex also
+returns a Farkas ray for every infeasible LP. HighsModel keeps one
+constraint matrix for many costs and right-hand sides (one per capacity
+objective, for its plans and regret records); solve_lp solves one LP once
+(the extensive form, mslp.solve_mslp). The per-period allocation LP has its
+own tableau in alloc.
 
 RhsCertifier values one model at many right-hand sides that differ only in
 some entries of b_ub (in capopt, a draw's LP at many capacity plans). An
@@ -16,9 +21,10 @@ affine in those entries (Van Slyke & Wets 1969). Where the basic solution of
 the best stored basis lies in the bounds within CERT_TOL (1e-9, absolute),
 its value is exact up to round-off, within about 1e-13 of HiGHS's; a
 degenerate optimum may be certified by any of its bases, each giving the
-same value. Every other right-hand side is solved cold by HiGHS and its
-basis stored, so infeasible ones, which no basis certifies, get HiGHS's
-verdict.
+same value. A Farkas ray of an infeasible solve is a feasibility cut in the
+same entries: a right-hand side that violates it by more than RAY_TOL per
+unit of the ray is infeasible, which HiGHS's tolerances cannot blur. Every
+other right-hand side is solved cold by HiGHS and its basis or ray stored.
 """
 
 from dataclasses import dataclass
@@ -65,8 +71,8 @@ class HighsModel:
         mat.start_, mat.index_, mat.value_ = A.indptr, A.indices, A.data
         lp.col_lower_, lp.col_upper_ = np.zeros(A.shape[1]), self._upper
         self._highs = h = _core._Highs()
-        for key, value in (("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1)):
-            h.setOptionValue(key, value)  # scipy's settings; strategy 1: dual simplex
+        for key, value in (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1)):
+            h.setOptionValue(key, value)  # strategy 1: dual simplex
 
     def _row_bounds(self, b_eq, b_ub):
         """HiGHS's row bounds: [-inf, b_ub] for A_ub's rows, then [b_eq, b_eq]."""
@@ -96,13 +102,15 @@ class HighsModel:
 
 
 CERT_TOL = 1e-9  # absolute bound tolerance of a certified basic solution
+RAY_TOL = 1e-6  # Farkas gap per unit of |y| + |A'y| that proves infeasibility
 CERT_CHUNK = 256  # right-hand sides certified per vectorized pass
 
 
 class RhsCertifier:
     """min c'x on model at many right-hand sides: each row p of a matrix P
     replaces the entries rows of b_ub (an array; empty when the model has no
-    A_ub). It keeps the optimal basis of each of its solves.
+    A_ub). It keeps the optimal basis of each of its feasible solves and the
+    Farkas ray of each infeasible one.
 
     In HiGHS's form, A x - r = 0 with column bounds [0, upper] and row
     bounds [row_lower, row_upper]; only the upper bounds of the rows `rows`
@@ -111,6 +119,13 @@ class RhsCertifier:
     z_B = B^-1 (v0 + D p), B the square basic block of [A | -I], and the
     cost are affine in p: a lower bound on the cost at every p, and the
     exact cost wherever z_B lies in its bounds.
+
+    HiGHS's dual ray y of an infeasible LP is a row vector with y'r = d'x
+    for d = A'y, y <= 0 on the rows held at their upper bound (A_ub's). Its
+    Farkas gap, the least y'r over the row bounds minus the most d'x over
+    the column box, is affine in p too, and every p where it is positive is
+    infeasible. A ray that meets an infinite bound on its side (y > 0 on an
+    A_ub row, d > 0 on an unbounded column) proves nothing and is dropped.
     """
 
     def __init__(self, model: HighsModel, c, b_eq, b_ub, rows):
@@ -122,6 +137,7 @@ class RhsCertifier:
         self._row_lower, self._row_upper = model._row_bounds(b_eq, b_ub)
         self._row_upper[rows] = 0.0
         self._cuts: List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._rays: List[np.ndarray] = []  # [gap at p = 0, gap's p terms] per unit of ray
 
     def _add(self) -> int:
         """Store the optimal basis of the model's last solve; returns its index."""
@@ -159,34 +175,61 @@ class RhsCertifier:
         ok = np.min(P @ sG.T + s0, axis=1, initial=np.inf) >= -CERT_TOL
         return ok, P @ grad + const
 
+    def _add_ray(self) -> bool:
+        """Store the Farkas ray of the model's last (infeasible) solve;
+        False when HiGHS gives none or it proves nothing."""
+        h = self._model._highs
+        found, y = h.getDualRay()[1:]
+        if not found:
+            return False
+        y = np.asarray(y, dtype=float)
+        d, u = self._A.T @ y, self._model._upper
+        below, above, up = y < 0, y > 0, d > 0
+        # an infinite bound on the ray's side makes the gap -inf
+        gap0 = (y[below] @ self._row_upper[below] + y[above] @ self._row_lower[above]
+                - d[up] @ u[up])
+        if not np.isfinite(gap0):
+            return False
+        scale = np.abs(y).sum() + np.abs(d).sum()
+        self._rays.append(np.concatenate([[gap0], (below * y) @ self._D]) / scale)
+        return True
+
+    def _infeasible(self, rays: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """Mask of the rows of P that some of these rays proves infeasible."""
+        gaps = P @ rays[:, 1:].T + rays[:, 0]
+        return np.max(gaps, axis=1, initial=-np.inf) > RAY_TOL
+
     def costs(self, P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Each row of P's LP cost, nan where infeasible, and the mask of
         rows HiGHS solved.
 
-        In chunks of CERT_CHUNK rows: each row's best cut over the stored
-        bases is certified if that basis's basic columns and rows lie in
-        their bounds within CERT_TOL. Every other row is solved cold, in
-        order, and its basis stored; the rows still pending are then
-        checked against that basis only. An infeasible row is never
-        certified, so HiGHS gives every feasibility verdict. An unbounded
-        LP raises RuntimeError.
+        In chunks of CERT_CHUNK rows: a row that a stored ray proves
+        infeasible is nan; each other row's best cut over the stored bases
+        is certified if that basis's basic columns and rows lie in their
+        bounds within CERT_TOL. Every other row is solved cold, in order,
+        and its basis or ray stored; the rows still pending are then
+        checked against that basis or ray only. A feasibility verdict is
+        HiGHS's or a ray's, which HiGHS's cold solve would give too. An
+        unbounded LP raises RuntimeError.
         """
         cost = np.full(len(P), np.nan)
         solved = np.zeros(len(P), dtype=bool)
         for lo in range(0, len(P), CERT_CHUNK):
-            chunk = P[lo : lo + CERT_CHUNK]
+            chunk, out = P[lo : lo + CERT_CHUNK], cost[lo : lo + CERT_CHUNK]
             pending = np.arange(len(chunk))
+            if self._rays:
+                pending = pending[~self._infeasible(np.array(self._rays), chunk)]
             if self._cuts:
                 const = np.array([cut[0] for cut in self._cuts])
                 grads = np.array([cut[1] for cut in self._cuts])
-                best = np.argmax(chunk @ grads.T + const, axis=1)
-                certified = np.zeros(len(chunk), dtype=bool)
+                best = np.argmax(chunk[pending] @ grads.T + const, axis=1)
+                certified = np.zeros(pending.size, dtype=bool)
                 for j in np.unique(best):
                     at = np.flatnonzero(best == j)
-                    ok, c = self._check(j, chunk[at])
+                    ok, c = self._check(j, chunk[pending[at]])
                     certified[at[ok]] = True
-                    cost[lo + at[ok]] = c[ok]
-                pending = np.flatnonzero(~certified)
+                    out[pending[at[ok]]] = c[ok]
+                pending = pending[~certified]
             while pending.size:
                 i, pending = pending[0], pending[1:]
                 b_ub = self._b_ub.copy()
@@ -195,12 +238,13 @@ class RhsCertifier:
                 solved[lo + i] = True
                 if res.status == "unbounded":
                     raise RuntimeError(f"unexpected LP status {res.status}")
-                if res.status != "optimal":
-                    continue
-                cost[lo + i] = res.objective
-                ok, c = self._check(self._add(), chunk[pending])
-                cost[lo + pending[ok]] = c[ok]
-                pending = pending[~ok]
+                if res.status == "optimal":
+                    out[i] = res.objective
+                    ok, c = self._check(self._add(), chunk[pending])
+                    out[pending[ok]] = c[ok]
+                    pending = pending[~ok]
+                elif self._add_ray():
+                    pending = pending[~self._infeasible(self._rays[-1][None], chunk[pending])]
         return cost, solved
 
 

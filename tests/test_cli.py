@@ -515,7 +515,9 @@ def test_monte_carlo_outputs(example_dir, capsys):
     assert stats[("counts", "certified")] + stats[("counts", "lp_solves")] == 60
     assert stats[("counts", "lp_solves")] >= 1
     certified, solves = int(stats[("counts", "certified")]), int(stats[("counts", "lp_solves")])
-    assert f"{certified} certified by a stored basis / {solves} LP solves" in capsys.readouterr().out
+    assert f"{certified} certified by a stored basis or ray / {solves} LP solves" in (
+        capsys.readouterr().out
+    )
     assert stats[("total_cost", "min")] >= 439.2 - 1e-6
     assert (out / "best_plan.json").exists()
 
