@@ -9,20 +9,21 @@ capacity, per-entry availability (current stock plus inflow), per-exit space
 (storage bound minus current stock), and nonnegativity. Infeasibility is a
 signal: the action A_t is excluded from the feasible action set rather than
 penalized; the DP's stage tables (dp._StageTables) decide that set.
-Single-lane problems have a closed form (split_volume), the rest a dense
-tableau (tableau_simplex). Infeasibility of the rest is decided first from
-the summed limits of each constraint family (source caps, entry
-availability, exit space): each family holds every (source, lane) column in
-at most one row, so a volume above a covering family's sum cannot be moved.
-The problems that pass go to the tableau, whose phase 1 decides. Its fixed
-pivot rule decides which cost-tied allocation, and so which next state, the
-DP sees; that, not speed, is why it stays (one reused lp.HighsModel solves
-these LPs faster, at other vertices). solve_allocations(problem, limits)
-answers one problem at each row of a matrix of (availability, space) limits,
-as the DP's states at one action need, so a batch shares volume, costs and
-caps by construction. The tableau pivots its general rows in lockstep, each
-on its own tableau and basis, so every row gets the vertex it gets alone,
-bit for bit. solve_allocation is a batch of one.
+Every problem, on one lane or many, is decided the same way. Infeasibility
+is decided first from the summed limits of each constraint family (source
+caps, entry availability, exit space): each family holds every (source,
+lane) column in at most one row, so a volume above a covering family's sum
+cannot be moved. The problems that pass go to a dense tableau
+(tableau_simplex), whose phase 1 decides. Its fixed pivot rule decides
+which cost-tied allocation, and so which next state, the DP sees; that, not
+speed, is why it stays (one reused lp.HighsModel solves these LPs faster, at
+other vertices).
+solve_allocations(problem, limits) answers one problem at each row of a
+matrix of (volume, availability, space) limits, as the DP's states and
+actions need, so a batch shares costs and caps by construction. The tableau
+pivots the rows in lockstep, each on its own tableau and basis, so every row
+gets the vertex it gets alone, bit for bit. solve_allocation is a batch of
+one.
 
 The state transition applies the per-lane move totals and the realized
 inflows/outflows, clamping to the stock bounds. Excess inflow above an entry
@@ -91,31 +92,6 @@ def holding_cost(state: SystemState, costs: CostSpec) -> float:
         else:
             total += costs.exit_backorder[j] * (-s)
     return total
-
-
-def split_volume(
-    total: float, caps: List[float], rates: List[float]
-) -> Optional[Tuple[float, List[float]]]:
-    """Cheapest-first split of a volume across sources sharing one lane.
-
-    Returns (cost, per-source moves) or None when total exceeds the summed
-    caps. Rate ties break toward the earlier source, matching the sorted
-    variable order the simplex would use.
-    """
-    if total > sum(caps) + 1e-9:
-        return None
-    order = sorted(range(len(caps)), key=lambda k: (rates[k], k))
-    left = total
-    moves = [0.0] * len(caps)
-    cost = 0.0
-    for k in order:
-        take = min(left, caps[k])
-        moves[k] = take
-        cost += take * rates[k]
-        left -= take
-        if left <= 1e-12:
-            break
-    return cost, moves
 
 
 EPS = 1e-9
@@ -262,24 +238,26 @@ def tableau_simplex(c, A_eq, b_eq, A_ub, b_ub) -> List[Optional[np.ndarray]]:
 
 def solve_allocation(problem: AllocationProblem):
     """Cost-minimal feasible allocation, or INFEASIBLE (solve_allocations of one row)."""
-    row = [*problem.entry_available.values(), *problem.exit_space.values()]
+    row = [problem.total_volume, *problem.entry_available.values(), *problem.exit_space.values()]
     return solve_allocations(problem, [row])[0]
 
 
 def solve_allocations(problem: AllocationProblem, limits) -> list:
     """Cost-minimal feasible allocation, or INFEASIBLE, of problem at each row of limits.
 
-    A row's values replace those of entry_available, then exit_space, in the
-    dicts' key order (ValueError unless limits is 2-D with one column per
-    key; ValueError naming a source, entry or exit of lane_costs that has no
-    limit). A negative source cap makes every row INFEASIBLE. One lane: a
-    closed-form greedy fill, once per batch, and each row checks its entry
-    and exit limit. Otherwise a row whose volume exceeds, by more than 1e-7,
-    the summed limits of a constraint family (source caps, entry
-    availability, exit space) is INFEASIBLE: each family covers every
-    (source, lane) column, so phase 1 would reject it at that margin. The other rows go through
-    tableau_simplex in one batch, whose phase 1 decides. The simplex sees
-    entry availability and exit space clipped to the volume: no lane can
+    A row is (volume, entry limits..., exit limits...): its values replace
+    total_volume, then those of entry_available and exit_space in the
+    dicts' key order (ValueError unless limits is 2-D with one column for
+    the volume and one per key; ValueError naming a source, entry or exit
+    of lane_costs that has no limit). A negative source cap makes every row
+    INFEASIBLE. A zero-volume row moves nothing, so it is answered alone:
+    INFEASIBLE only where one of its limits is negative. Any other row whose
+    volume exceeds, by more than 1e-7, the summed limits of a constraint
+    family (source caps, entry availability, exit space) is INFEASIBLE: each
+    family covers every (source, lane) column, so phase 1 would reject it at
+    that margin. The other rows go through tableau_simplex in one batch,
+    whose phase 1 decides, on one lane as on many. The simplex sees entry
+    availability and exit space clipped to the row's volume: no lane can
     carry more, so the feasible set is the same, and the allocation returned
     among cost-tied ones depends only on the clipped row. The DP's stage
     tables rely on this to share one solve between all states with equal
@@ -294,41 +272,30 @@ def solve_allocations(problem: AllocationProblem, limits) -> list:
     L = np.asarray(limits, dtype=float)
     if not len(L):
         return []
-    width = len(entries) + len(exits)
+    width = 1 + len(entries) + len(exits)
     if L.ndim != 2 or L.shape[1] != width:
-        raise ValueError(f"limits need 2-D rows of width {width} (the problem's entry and "
-                         f"exit locations); got shape {L.shape}")
+        raise ValueError(f"limits need 2-D rows of width {width} (the volume, then the "
+                         f"problem's entry and exit locations); got shape {L.shape}")
     K = len(L)
-    A = float(problem.total_volume)
     keys = sorted(problem.lane_costs)
     if any(v < 0 for v in caps.values()):  # no x >= 0 has x_k <= cap_k < 0
         return [INFEASIBLE] * K
-    if A <= 1e-12:
-        zero = Allocation({k: 0.0 for k in keys}, 0.0)
-        return [zero if ok else INFEASIBLE for ok in (L >= 0).all(axis=1)]
-    avail, space = dict(zip(entries, L.T)), dict(zip(exits, L.T[len(entries):]))
-    lanes = {lane for _, lane in keys}
-    if len(lanes) == 1:
-        ((i, j),) = lanes
-        split = split_volume(A, [caps[k] for k, _ in keys], [problem.lane_costs[k] for k in keys])
-        if split is None:
-            return [INFEASIBLE] * K
-        sol = Allocation(dict(zip(keys, split[1])), split[0])
-        fits = np.ones(K, dtype=bool)
-        for side, loc in ((avail, i), (space, j)):
-            fits &= A <= side[loc] + 1e-9
-        return [sol if f else INFEASIBLE for f in fits.tolist()]
+    A = L[:, 0]
+    idle = A <= 1e-12
+    zero = Allocation({k: 0.0 for k in keys}, 0.0)
+    out = [zero if ok else INFEASIBLE for ok in idle & (L[:, 1:] >= 0).all(axis=1)]
 
-    # General case: one variable per (source, lane), one 0/1 row per source
-    # cap, entry availability and exit space (the last two clipped to A).
-    # Each family's rows cover every column, so its summed limits bound
-    # sum(x) = A; phase 1 would leave at least the excess in its artificials
-    # and reject above 1e-7, so the same margin answers such a row here. The
-    # caps are scalars, the same for every row, so their family is checked once.
+    # One variable per (source, lane), one 0/1 row per source cap, entry
+    # availability and exit space (the last two clipped to the volume). Each
+    # family's rows cover every column, so its summed limits bound sum(x) =
+    # A; phase 1 would leave at least the excess in its artificials and
+    # reject above 1e-7, so the same margin answers such a row here. The
+    # caps are scalars, the same for every row.
     locs = [(k, i, j) for (k, (i, j)) in keys]
     where = np.array(locs)
-    clip = [{loc: np.minimum(v, A) for loc, v in side.items()} for side in (avail, space)]
-    ok = np.ones(K, dtype=bool)
+    clipped = np.minimum(L[:, 1:], A[:, None]).T
+    clip = (dict(zip(entries, clipped)), dict(zip(exits, clipped[len(entries):])))
+    ok = ~idle
     rows, rhs = [], []
     for col, family in enumerate((caps, *clip)):
         ok &= A <= sum(family[loc] for loc in sorted({loc[col] for loc in locs})) + 1e-7
@@ -340,12 +307,10 @@ def solve_allocations(problem: AllocationProblem, limits) -> list:
     b_ub = np.empty((K, len(rhs)))
     for r, v in enumerate(rhs):
         b_ub[:, r] = v
-    out = [INFEASIBLE] * K
     todo = np.flatnonzero(ok)
     if todo.size:
         c = np.array([problem.lane_costs[k] for k in keys])
-        b_eq = np.full((todo.size, 1), A)
-        xs = tableau_simplex(c, np.ones((1, len(keys))), b_eq, rows, b_ub[todo])
+        xs = tableau_simplex(c, np.ones((1, len(keys))), A[todo, None], rows, b_ub[todo])
         for at, x in zip(todo, xs):
             if x is not None:
                 out[at] = Allocation({k: float(v) for k, v in zip(keys, x)}, float(c @ x))

@@ -450,6 +450,22 @@ def optimize_capacity(
 MC_CHUNK = 256 * CERT_CHUNK  # plans drawn, valued and written per pass
 
 
+def summarize(values: Sequence[float]) -> Dict[str, float]:
+    """min/q1/median/mean/q3/max with linear-interpolation quantiles."""
+    if len(values) == 0:
+        raise ValueError("cannot summarize an empty list")
+    arr = np.asarray(values, dtype=float)
+    q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75], method="linear")
+    return {
+        "min": float(arr.min()),
+        "q1": float(q1),
+        "median": float(med),
+        "mean": float(arr.mean()),
+        "q3": float(q3),
+        "max": float(arr.max()),
+    }
+
+
 def monte_carlo_search(
     obj: CapacityObjective,
     count: int,
@@ -472,8 +488,6 @@ def monte_carlo_search(
     (lp_solves; on a DP-valued objective, which has no certificate, every
     plan).
     """
-    from .evaluation import summarize
-
     if count < 1:
         raise ValueError("count must be >= 1")
     inst = obj.instance
@@ -505,11 +519,13 @@ def monte_carlo_search(
                 if best is None or chunk[k] < best[0]:
                     best = (chunk[k], samples[k].astype(float))
             if writer is not None:
-                for k, (plan, cost) in enumerate(zip(flat, chunk), lo):
-                    caps = ",".join(str(int(c)) for c in plan)
-                    feasible = not np.isnan(cost)
-                    val = repr(float(cost)) if feasible else ""
-                    writer.write(f"{k},{caps},{int(feasible)},{val}\n")
+                row = "%d," * (2 + flat.shape[1]) + "%s\n"  # id, caps, feasible, cost
+                ids = range(lo, lo + len(flat))
+                ok = (~np.isnan(chunk)).tolist()
+                writer.write("".join(
+                    row % (k, *plan, f, repr(c) if f else "")
+                    for k, plan, f, c in zip(ids, flat.tolist(), ok, chunk.tolist())
+                ))
 
     if best is None:
         raise InfeasibleLP("no feasible capacity sample found")

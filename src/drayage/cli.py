@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-instance", help="write a synthetic instance.json")
-    g.add_argument("--seed", type=_seed, required=True)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--entries", type=int, default=1)
     g.add_argument("--exits", type=int, default=1)
     g.add_argument("--strategic", type=int, default=1, help="number of strategic bids")

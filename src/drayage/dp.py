@@ -20,14 +20,15 @@ actions. Every table reads its allocations from one memo of
 solve_allocations results, keyed per period on (a, min(avail, a),
 min(space, a), spot rates): no lane carries more than a, so larger bounds
 never bind, solve_allocations solves exactly that clipped problem, and all
-states sharing it share one solve. A network table sends the memo misses of
-each action to one solve_allocations call, as the clipped rows of one
-template problem over the kernel's locations; it pivots them as one batch
-and returns the vertices of separate solves. Single-entry single-exit
-instances need one solve per action, at unclipped bounds (a, a): the cost
-depends only on the action and z, so it is broadcast over the states, whose
-own feasibility and successors are clip arithmetic. rollout reads each
-step's allocation through the same memo, keyed the same way, so every
+states sharing it share one solve. Each memo lookup sends its misses to one
+solve_allocations call, as (a, clipped row) rows of one template problem
+over the kernel's locations; it pivots them as one batch and returns the
+vertices of separate solves. A network table looks up one action at a
+time. Single-entry single-exit instances need one solve per action, at
+unclipped bounds (a, a), so their table looks up every action at once: the
+cost depends only on the action and z, so it is broadcast over the states,
+whose own feasibility and successors are clip arithmetic. rollout reads
+each step's allocation through the same memo, keyed the same way, so every
 network shape takes one path and an on-sample step solves nothing.
 
 solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
@@ -39,8 +40,6 @@ otherwise; solve_scenario's policies carry none.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import filterfalse, groupby
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -289,9 +288,7 @@ class _StageTables:
     instance (None on networks) and selects the table's arithmetic. Tables
     and allocations share one memo across calls, for every network shape: a
     single-lane kernel holds one entry per period, distinct spot rate and
-    action (88 on a bundled single-lane example). solve_allocations orders
-    sources by id, as the instances here list them, so single-lane costs
-    equal a cheapest-first split in instance order.
+    action (88 on a bundled single-lane example).
     """
 
     def __init__(self, instance: Instance, plan: CapacityPlan):
@@ -340,14 +337,19 @@ class _StageTables:
         return self._network_table(t, z, stage, actions)
 
     def _stage(self, t: int, z: ExogenousRealization):
-        """The memo's inputs for period t under z: (spot rates, lane costs,
-        source caps), built once per period and spot rates, which the memo's
-        keys already take to fix the costs."""
+        """The memo's inputs for period t under z: (spot rates, template
+        problem), built once per period and spot rates, which the memo's keys
+        already take to fix the costs. The template holds the lane costs and
+        source caps; its volume and limits come with each row."""
         rates = realization_key(z, self.instance)[2]
         stage = self._stages.get((t, rates))
         if stage is None:
+            idx = self.indexer
             caps = {k: float(v) for k, v in plan_caps_at(self.plan, t).items()}
-            stage = self._stages[t, rates] = (rates, lane_costs(self.instance, z, t), caps)
+            template = AllocationProblem(0.0, lane_costs(self.instance, z, t), caps,
+                                         dict.fromkeys(idx.entry_ids, 0),
+                                         dict.fromkeys(idx.exit_ids, 0))
+            stage = self._stages[t, rates] = (rates, template)
         return stage
 
     def _lane_table(self, t, z, stage):
@@ -408,24 +410,19 @@ class _StageTables:
 
     def _solve(self, t, problems, stage):
         """((cost, moves out of each entry, moves into each exit), Allocation)
-        of each (action, clipped row) in period t, through the memo; each
-        run of misses at one action goes to one solve_allocations call.
+        of each (action, clipped row) in period t, through the memo; all the
+        misses go to one solve_allocations call, one (action, *clipped row)
+        limits row each, whatever their actions.
 
         The cost is inf and the allocation INFEASIBLE when none exists.
         """
-        rates, costs, src_caps = stage
+        rates, template = stage
         memo = self._memo
         keys = [(t, a, tuple(row), rates) for a, row in problems]
-        try:
-            return [memo[key] for key in keys]
-        except KeyError:
-            pass
-        idx = self.indexer
-        entries, exits = dict.fromkeys(idx.entry_ids, 0), dict.fromkeys(idx.exit_ids, 0)
-        for a, run in groupby(filterfalse(memo.__contains__, keys), key=itemgetter(1)):
-            miss = list(run)
-            template = AllocationProblem(a, costs, src_caps, entries, exits)
-            sols = solve_allocations(template, [key[2] for key in miss])
+        miss = [key for key in keys if key not in memo]
+        if miss:
+            idx = self.indexer
+            sols = solve_allocations(template, [(a, *row) for _, a, row, _ in miss])
             for key, sol in zip(miss, sols):
                 if sol is INFEASIBLE:
                     flows = (np.inf,) + (0.0,) * len(key[2])

@@ -1,4 +1,7 @@
-"""Regret profiles, generalization diagnostics, and summary statistics.
+"""Regret profiles and generalization diagnostics.
+
+The summary statistics (summarize) live in capopt, beside the Monte Carlo
+sweep that reports them, and are re-exported here.
 
 A regret profile is one LP-valued CapacityObjective over all its scenarios:
 each scenario's multistage LP is built once, into the objective's rows, and
@@ -17,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capopt import CapacityObjective, _caps_to_plan, reservation_cost
+from .capopt import CapacityObjective, _caps_to_plan, reservation_cost, summarize
 from .model import CapacityPlan, Instance, Scenario
 
 
@@ -27,22 +30,6 @@ class RegretRecord:
     optimal_objective: float
     achieved_objective: float
     regret: float
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """min/q1/median/mean/q3/max with linear-interpolation quantiles."""
-    if len(values) == 0:
-        raise ValueError("cannot summarize an empty list")
-    arr = np.asarray(values, dtype=float)
-    q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75], method="linear")
-    return {
-        "min": float(arr.min()),
-        "q1": float(q1),
-        "median": float(med),
-        "mean": float(arr.mean()),
-        "q3": float(q3),
-        "max": float(arr.max()),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from drayage.alloc import (
     plan_caps_at,
     solve_allocation,
     solve_allocations,
-    split_volume,
     tableau_simplex,
     transition,
 )
@@ -31,20 +30,50 @@ def test_holding_cost_reference_values(capacity_instance):
     assert holding_cost(SystemState({1: 0}, {2: 0}), costs) == 0.0
 
 
-def test_split_volume_prefers_cheap_source():
-    cost, moves = split_volume(6.0, [4.0, 4.0], [14.7, 7.0])
-    assert moves == [2.0, 4.0]
-    assert cost == pytest.approx(57.4)
+def _one_lane(volume, caps, rates, avail=10.0, space=10.0):
+    """Sources 1, 2, ... on lane (1, 2), with the given caps and rates."""
+    return AllocationProblem(
+        volume,
+        {(k, (1, 2)): r for k, r in enumerate(rates, start=1)},
+        dict(enumerate(caps, start=1)),
+        {1: avail},
+        {2: space},
+    )
 
 
-def test_split_volume_ties_break_to_first_source():
-    cost, moves = split_volume(3.0, [2.0, 2.0], [5.0, 5.0])
-    assert moves == [2.0, 1.0]
-    assert cost == pytest.approx(15.0)
+def test_one_lane_fills_the_cheaper_source_first():
+    got = solve_allocation(_one_lane(6.0, [4.0, 4.0], [14.7, 7.0]))
+    assert got.moves == {(1, (1, 2)): 2.0, (2, (1, 2)): 4.0}
+    assert got.cost == pytest.approx(57.4)
 
 
-def test_split_volume_overflow_is_none():
-    assert split_volume(9.0, [4.0, 4.0], [1.0, 2.0]) is None
+def test_one_lane_rate_tie_costs_rate_times_volume():
+    # which tied source moves what is the tableau's choice; every output
+    # reads only the cost and the lane total
+    got = solve_allocation(_one_lane(3.0, [2.0, 2.0], [5.0, 5.0]))
+    assert got.cost == pytest.approx(15.0)
+    assert got.lane_totals() == {(1, 2): pytest.approx(3.0)}
+
+
+def test_one_lane_volume_above_the_caps_is_infeasible():
+    assert solve_allocation(_one_lane(9.0, [4.0, 4.0], [1.0, 2.0])) is INFEASIBLE
+
+
+def test_margin_verdict_does_not_depend_on_the_lane_count():
+    # a limit 5e-8 short of the volume is within phase 1's 1e-7 on one lane
+    # as with an unused second lane; 2e-7 short is not
+    for short, feasible in ((5e-8, True), (2e-7, False)):
+        for limit in ("avail", "cap"):
+            caps = {1: 3.0 - short if limit == "cap" else 9.0}
+            avail = 3.0 - short if limit == "avail" else 9.0
+            one = AllocationProblem(3.0, {(1, (1, 3)): 5.0}, caps, {1: avail}, {3: 9.0})
+            two = AllocationProblem(3.0, {(1, (1, 3)): 5.0, (1, (2, 3)): 5.0}, caps,
+                                    {1: avail, 2: 0.0}, {3: 9.0})
+            got = [solve_allocation(p) for p in (one, two)]
+            assert [g is not INFEASIBLE for g in got] == [feasible] * 2, (short, limit)
+            if feasible:
+                assert got[0].moves[(1, (1, 3))] == got[1].moves[(1, (1, 3))] == 3.0 - short
+                assert got[0].cost == got[1].cost
 
 
 def test_allocation_matches_brute_force_single_lane():
@@ -264,22 +293,24 @@ def test_tableau_batch_solves_each_problem_as_alone(monkeypatch):
 
 
 def _limits_row(problem):
-    """The problem's entry availability then exit space, in dict order."""
-    return [*problem.entry_available.values(), *problem.exit_space.values()]
+    """The problem's volume, entry availability then exit space, in dict order."""
+    return [problem.total_volume, *problem.entry_available.values(),
+            *problem.exit_space.values()]
 
 
 def test_solve_allocations_matches_one_at_a_time():
-    # one action at many states of each network shape, every row checked
-    # against a lone solve: zero-volume, family-sum infeasible, phase-1
-    # infeasible and feasible rows of 2 x 2, 2 x 1 and 1 x 2 networks, and
-    # the single-lane closed form's batch on 1 x 1
+    # one action, then mixed actions, at many states of each network shape,
+    # every row checked against a lone solve: zero-volume, family-sum
+    # infeasible, phase-1 infeasible and feasible rows of 2 x 2, 1 x 1, 2 x 1
+    # and 1 x 2 networks
     rng = np.random.default_rng(31)
     for n_entries, n_exits in ((2, 2), (1, 1), (2, 1), (1, 2)):
         for _ in range(20):
             inst = micro_instance(rng, n_entries=n_entries, n_exits=n_exits)
             z = micro_scenario(rng, inst).realizations[0]
             caps = {s.id: float(rng.integers(0, 4)) for s in inst.sources}
-            for action in (0, int(rng.integers(1, 7))):
+            one = int(rng.integers(1, 7))
+            for actions in ([0] * 10, [one] * 10, rng.integers(0, 7, 10).tolist()):
                 problems = [
                     build_problem(
                         SystemState(
@@ -288,7 +319,7 @@ def test_solve_allocations_matches_one_at_a_time():
                         ),
                         action, z, caps, inst, period=1,
                     )
-                    for _ in range(10)
+                    for action in actions
                 ]
                 rows = [_limits_row(p) for p in problems]
                 for got, problem in zip(solve_allocations(problems[0], rows), problems):
@@ -299,15 +330,15 @@ def test_solve_allocations_matches_one_at_a_time():
 
 
 def test_solve_allocations_checks_the_limits_shape():
-    problem = _two_entry_problem(1.0)  # entries 1, 2 and exit 3: width 3
+    problem = _two_entry_problem(1.0)  # volume, entries 1, 2 and exit 3: width 4
     assert solve_allocations(problem, []) == []
-    assert solve_allocations(problem, np.zeros((0, 3))) == []
-    with pytest.raises(ValueError, match=r"width 3.*\(2, 4\)"):
-        solve_allocations(problem, np.ones((2, 4)))
-    with pytest.raises(ValueError, match=r"width 3.*\(3,\)"):
-        solve_allocations(problem, [5.0, 5.0, 5.0])
-    with pytest.raises(ValueError, match=r"width 3.*\(1, 1, 3\)"):
-        solve_allocations(problem, np.ones((1, 1, 3)))
+    assert solve_allocations(problem, np.zeros((0, 4))) == []
+    with pytest.raises(ValueError, match=r"width 4.*\(2, 3\)"):
+        solve_allocations(problem, np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"width 4.*\(4,\)"):
+        solve_allocations(problem, [1.0, 5.0, 5.0, 5.0])
+    with pytest.raises(ValueError, match=r"width 4.*\(1, 1, 4\)"):
+        solve_allocations(problem, np.ones((1, 1, 4)))
 
 
 def test_lane_location_or_source_without_a_limit_raises():
@@ -344,9 +375,9 @@ def test_negative_source_cap_is_infeasible():
         zero = AllocationProblem(0.0, problem.lane_costs, problem.source_caps,
                                  problem.entry_available, problem.exit_space)
         assert solve_allocation(zero) is INFEASIBLE
-        rows = [_limits_row(problem), np.zeros(len(_limits_row(problem)))]
-        assert solve_allocations(problem, rows) == [INFEASIBLE, INFEASIBLE]
-        assert solve_allocations(zero, rows) == [INFEASIBLE, INFEASIBLE]
+        rows = [_limits_row(problem), _limits_row(zero), np.zeros(len(_limits_row(problem)))]
+        assert solve_allocations(problem, rows) == [INFEASIBLE] * 3
+        assert solve_allocations(zero, rows) == [INFEASIBLE] * 3
 
 
 def _tableau_of(problem):

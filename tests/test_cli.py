@@ -62,6 +62,16 @@ def test_gen_instance_deterministic(tmp_path):
     assert c.read_bytes() != a.read_bytes()
 
 
+def test_gen_instance_seed_defaults_to_zero(tmp_path):
+    # like every other subcommand's --seed; the bundled example never reads it
+    assert run_cli("gen-instance", "--example", "capacity",
+                   "--out", str(tmp_path / "example.json")) == 0
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli("gen-instance", "--entries", "2", "--out", str(a)) == 0
+    assert run_cli("gen-instance", "--seed", "0", "--entries", "2", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_gen_instance_validates(tmp_path):
     out = tmp_path / "g.json"
     assert run_cli("gen-instance", "--seed", "5", "--out", str(out)) == 0

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import brute_force_allocation
 from drayage.alloc import (
     INFEASIBLE,
+    AllocationProblem,
     holding_cost,
     solve_allocation,
     build_problem,
-    split_volume,
     transition,
 )
 from drayage.capopt import quadratic_parameterization, reservation_cost
@@ -91,53 +92,56 @@ def test_holding_cost_monotone_in_magnitude(e1, x1, e2, x2):
 
 
 # ---------------------------------------------------------------------------
-# Volume splitting
+# One-lane allocation
 
 
-@MANY
-@given(
+def one_lane(total, cap1, cap2, r1, r2, avail):
+    """Two sources on lane (1, 2); the exit has room for any volume drawn."""
+    return AllocationProblem(
+        total_volume=float(total),
+        lane_costs={(1, (1, 2)): round(r1, 2), (2, (1, 2)): round(r2, 2)},
+        source_caps={1: float(cap1), 2: float(cap2)},
+        entry_available={1: float(avail)},
+        exit_space={2: 13.0},
+    )
+
+
+one_lane_cases = (
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=0, max_value=8),
     st.integers(min_value=0, max_value=8),
     st.floats(min_value=1.0, max_value=30.0, allow_nan=False),
     st.floats(min_value=1.0, max_value=30.0, allow_nan=False),
+    st.integers(min_value=0, max_value=13),
 )
-def test_split_volume_optimal_and_conserving(total, cap1, cap2, r1, r2):
-    caps = (float(cap1), float(cap2))
-    rates = (round(r1, 2), round(r2, 2))
-    got = split_volume(float(total), caps, rates)
-    if total > cap1 + cap2:
-        assert got is None
-        return
-    assert got is not None
-    cost, moves = got
-    assert sum(moves) == pytest.approx(total, abs=1e-12)
-    assert all(m <= c + 1e-12 for m, c in zip(moves, caps))
-    best = min(
-        m1 * rates[0] + (total - m1) * rates[1]
-        for m1 in range(int(cap1) + 1)
-        if total - m1 <= cap2 and total - m1 >= 0
-    )
-    assert cost == pytest.approx(best, abs=1e-9)
 
 
 @MANY
-@given(
-    st.integers(min_value=0, max_value=11),
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=0, max_value=8),
-    st.floats(min_value=1.0, max_value=30.0, allow_nan=False),
-    st.floats(min_value=1.0, max_value=30.0, allow_nan=False),
-)
-def test_split_volume_cost_monotone_in_total(total, cap1, cap2, r1, r2):
-    caps = (float(cap1), float(cap2))
-    rates = (round(r1, 2), round(r2, 2))
-    lo = split_volume(float(total), caps, rates)
-    hi = split_volume(float(total + 1), caps, rates)
-    if hi is None:
+@given(*one_lane_cases)
+def test_one_lane_allocation_optimal_and_conserving(total, cap1, cap2, r1, r2, avail):
+    problem = one_lane(total, cap1, cap2, r1, r2, avail)
+    got = solve_allocation(problem)
+    best = brute_force_allocation(problem)
+    if best is None:
+        assert got is INFEASIBLE
         return
-    assert lo is not None  # feasibility is monotone downward in volume
-    assert lo[0] <= hi[0] + 1e-12
+    assert got is not INFEASIBLE
+    moves = [got.moves[(k, (1, 2))] for k in (1, 2)]
+    assert sum(moves) == pytest.approx(total, abs=1e-12)
+    assert all(0.0 <= m <= c + 1e-12 for m, c in zip(moves, (cap1, cap2)))
+    assert got.cost == pytest.approx(best, abs=1e-9)
+
+
+@MANY
+@given(*one_lane_cases)
+def test_one_lane_allocation_cost_monotone_in_volume(total, cap1, cap2, r1, r2, avail):
+    lo, hi = (one_lane(v, cap1, cap2, r1, r2, avail) for v in (total, total + 1))
+    got_lo, got_hi = solve_allocation(lo), solve_allocation(hi)
+    assert (got_hi is INFEASIBLE) == (brute_force_allocation(hi) is None)
+    if got_hi is INFEASIBLE:
+        return
+    assert got_lo is not INFEASIBLE  # feasibility is monotone downward in volume
+    assert got_lo.cost <= got_hi.cost + 1e-12
 
 
 # ---------------------------------------------------------------------------
