@@ -39,7 +39,7 @@ from scipy.optimize import minimize
 from .dp import solve_expected
 from .lp import CERT_CHUNK, HighsModel, LPResult, RhsCertifier, solve_lp
 from .model import CapacityPlan, Instance, Scenario
-from .mslp import InfeasibleLP, build_mslp
+from .mslp import InfeasibleLP, build_mslp, scenario_rows
 from .scenario import SampleSet, sample_scenarios
 
 PENALTY = 1.0e7
@@ -89,15 +89,15 @@ class CapacityObjective:
 
     An LP-valued objective has fixed recourse (Van Slyke & Wets 1969): only
     the costs and right-hand sides of a draw's multistage LP depend on the
-    draw. It keeps one layout, the first draw's zero-plan MultistageLP, and
-    arrays costs, b_eq and b_ub whose row k is draw k's (weight weights[k]).
-    A plan writes its capacities into a copy of a b_ub row at cap_index
-    (cap_matrix: those rows of A_ub). Every LP it solves (plan values,
-    operability, the regret optimum) is solved cold, in this process, on one
-    lp.HighsModel of the layout built on first use; nothing goes through
-    lp.solve_lp or mslp.solve_mslp. plan_values values a batch of plans from
-    the optimal bases and Farkas rays of a few of those solves. close()
-    drops the model.
+    draw. It builds one layout, the first draw's zero-plan MultistageLP,
+    and mslp.scenario_rows writes arrays costs, b_eq and b_ub on it whose
+    row k is draw k's (weight weights[k]). A plan writes its capacities
+    into a copy of a b_ub row at cap_index (cap_matrix: those rows of A_ub).
+    Every LP it solves (plan values, operability, the regret optimum) is
+    solved cold, in this process, on one lp.HighsModel of the layout built
+    on first use; nothing goes through lp.solve_lp or mslp.solve_mslp.
+    plan_values values a batch of plans from the optimal bases and Farkas
+    rays of a few of those solves. close() drops the model.
     """
 
     instance: Instance
@@ -118,24 +118,17 @@ class CapacityObjective:
         self.box_upper.setflags(write=False)
         if self.sample_set is not None:
             return
-        # one build per draw; of every draw but the first, only the rows are kept
-        zero = _caps_to_plan(self.instance, np.zeros_like(self.box_upper))
-        rows = []
-        for sc, _ in self.weighted_scenarios:
-            lp = build_mslp(self.instance, sc, zero, initial="free")
-            if not rows:
-                self.layout = lp
-            rows.append((lp.c, lp.b_eq, lp.b_ub))
-        self.costs, self.b_eq, self.b_ub = (np.array(col) for col in zip(*rows))
+        scenarios = [sc for sc, _ in self.weighted_scenarios]
+        zero = _caps_to_plan(inst, np.zeros_like(self.box_upper))
+        self.layout = build_mslp(inst, scenarios[0], zero, initial="free")
+        self.costs, self.b_eq, self.b_ub = scenario_rows(self.layout, inst, scenarios)
         self.weights = [float(w) for _, w in self.weighted_scenarios]
         self.cap_index = self.layout.cap_row_index(self.source_ids)
         self.cap_matrix = self.layout.A_ub[self.cap_index]
 
     def flow_denominator(self) -> float:
         """Weighted total exogenous flow (cost-per-TEU denominator)."""
-        return float(
-            sum(w * total_flow(sc) for sc, w in self.weighted_scenarios) or 1.0
-        )
+        return _sum_in_order([w * total_flow(sc) for sc, w in self.weighted_scenarios]) or 1.0
 
     @property
     def model(self) -> HighsModel:  # the layout's, built on first use
@@ -227,10 +220,11 @@ def sample_objective(
     Capacity enters a draw's LP only through its cap rows, so a draw that is
     infeasible at box_upper is infeasible at every plan in the box; keeping
     it would pin the whole objective at the penalty value and erase the
-    argmax. The objective builds each draw's LP once; the draws that fail at
-    box_upper are dropped (count kept as dropped_scenarios) and the kept
-    rows reweighted to 1/kept. Per-plan infeasibility inside the box still
-    penalizes as usual. Raises InfeasibleLP when no draw is operable.
+    argmax. The objective writes every draw's rows into one layout; the
+    draws that fail at box_upper are dropped (count kept as
+    dropped_scenarios) and the kept rows reweighted to 1/kept. Per-plan
+    infeasibility inside the box still penalizes as usual. Raises
+    InfeasibleLP when no draw is operable.
     """
     obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, 1.0) for sc in scenarios))
     box = obj.box_upper

@@ -4,10 +4,10 @@ The summary statistics (summarize) live in capopt, beside the Monte Carlo
 sweep that reports them, and are re-exported here.
 
 A regret profile is one LP-valued CapacityObjective over all its scenarios:
-each scenario's multistage LP is built once, into the objective's rows, and
-both numbers of a record are solved on the objective's one HiGHS model.
-The achieved value is the scenario's row at the shared plan. The
-per-scenario optimum is exact: the same row at the box caps, with the
+one multistage-LP layout with a row of costs and right-hand sides per
+scenario, and both numbers of a record are solved on the objective's one
+HiGHS model. The achieved value is the scenario's row at the shared plan.
+The per-scenario optimum is exact: the same row at the box caps, with the
 reservation rates folded into the move costs, collapses the joint
 (capacity, operations) minimum to one LP. This keeps the dominance property
 regret >= 0 exact up to LP tolerance, which a finite-difference
@@ -36,6 +36,12 @@ class RegretRecord:
 # Per-scenario optimum
 
 
+def _folded_costs(obj: CapacityObjective, costs: np.ndarray) -> np.ndarray:
+    """Cost rows of obj with each move's reservation rate added: each move
+    column sits in exactly one cap row, its source-period's."""
+    return costs + obj.rates_array.ravel() @ obj.cap_matrix
+
+
 def per_scenario_optimum(obj: CapacityObjective, k: int = 0) -> Tuple[CapacityPlan, float]:
     """Best capacity plan and objective for scenario k of an LP objective alone.
 
@@ -47,9 +53,7 @@ def per_scenario_optimum(obj: CapacityObjective, k: int = 0) -> Tuple[CapacityPl
     scenario, no plan can, and the result is the box plan with objective -inf.
     """
     box = obj.box_upper
-    # each move column sits in exactly one cap row, so this adds its rate
-    c = obj.costs[k] + obj.rates_array.ravel() @ obj.cap_matrix
-    res = obj.solve_at(k, box, c)
+    res = obj.solve_at(k, box, _folded_costs(obj, obj.costs[k]))
     if res.status == "infeasible":
         return _caps_to_plan(obj.instance, box), -math.inf
     usage = obj.cap_matrix @ res.x
@@ -67,19 +71,23 @@ def regret_profile(
 ) -> List[RegretRecord]:
     """One record per scenario: per-scenario optimum minus shared-plan value.
 
-    A scenario only the shared plan cannot operate gets achieved = -inf and
-    regret = +inf; one no plan can operate (a cap above action_max is
-    redundant, so the box is the best plan) gets optimal = achieved = -inf
-    and regret NaN, with no achieved solve. Reports skip both.
+    The optimum is per_scenario_optimum's value, from the same folded costs
+    (folded once for the whole profile); its plan is not built. A scenario
+    only the shared plan cannot operate gets achieved = -inf and regret =
+    +inf; one no plan can operate (a cap above action_max is redundant, so
+    the box is the best plan) gets optimal = achieved = -inf and regret NaN,
+    with no achieved solve. Reports skip both.
     """
     if not scenarios:
         return []
     obj = CapacityObjective(instance, weighted_scenarios=tuple((sc, 1.0) for sc in scenarios))
     caps = shared_plan.as_array(obj.source_ids)
     reserved = reservation_cost(shared_plan, obj.rates)
+    folded = _folded_costs(obj, obj.costs)
     records = []
     for k in range(len(scenarios)):
-        _, opt_value = per_scenario_optimum(obj, k)
+        best = obj.solve_at(k, obj.box_upper, folded[k])
+        opt_value = -math.inf if best.status == "infeasible" else -best.objective
         res = None if opt_value == -math.inf else obj.solve_at(k, caps)
         # 0.0 - objective, as value_of_caps sums it: an objective of 0 gives +0.0
         value = None if res is None or res.status == "infeasible" else 0.0 - res.objective

@@ -16,8 +16,9 @@ the bounds as hard constraints. Where the DP's optimal path clamps, the LP
 can be infeasible or its cost can exceed the DP cost.
 
 Moves are priced by alloc.lane_costs, as the DP prices them. Only c, b_eq
-and b_ub depend on the scenario, and each move column has a single 1 among
-the cap rows, in its source-period's row.
+and b_ub depend on the scenario, and scenario_rows alone writes those
+entries. Each move column has a single 1 among the cap rows, in its
+source-period's row.
 
 Costs are minimized here; callers that want the value convention negate.
 """
@@ -65,6 +66,9 @@ class MultistageLP:
     splus_cols: Dict[Tuple[int, int], int]
     sminus_cols: Dict[Tuple[int, int], int]
     cap_rows: Dict[Tuple[int, int], int]  # (source, period) -> A_ub row
+    entry_rows: Dict[Tuple[int, int], int]  # (entry, period) -> A_eq balance row
+    exit_rows: Dict[Tuple[int, int], int]  # (exit, period) -> A_eq balance row
+    avail_rows: Dict[Tuple[int, int], int]  # (entry, period) -> A_ub availability row
 
     def cap_row_index(self, source_ids: Sequence[int]) -> List[int]:
         """The cap rows of A_ub, source by source, period by period."""
@@ -91,21 +95,15 @@ def build_mslp(
     equality rows; "free" leaves it a decision within bounds, realizing the
     best-initial-state value in one solve.
 
-    In the package, only capopt.CapacityObjective calls this: it builds
-    each scenario's LP once, at the zero plan with a free initial state,
-    keeps the first as its layout and of every one only c, b_eq and b_ub,
-    the parts that depend on the scenario. Every capacity evaluation, the
-    operability check, the extensive form and the regret record's optimum
-    and achieved value (evaluation.regret_profile) start from those rows.
+    The layout (matrices, column box, index maps, the cap rows' plan) is
+    built without the scenario; scenario_rows then writes its c, b_eq and
+    b_ub. In the package, only capopt.CapacityObjective calls this, once per
+    objective, at the zero plan with a free initial state: it keeps the LP
+    as its layout and has scenario_rows write every scenario's rows into it.
     """
-    if len(scenario.realizations) != instance.horizon:
-        raise ValueError("scenario length does not match horizon")
     if initial not in ("fixed", "free"):
         raise ValueError(f"unknown initial mode {initial!r}")
-    tau = instance.horizon
-    net = instance.network
-    b = instance.bounds
-    costs = instance.costs
+    tau, net, b, costs = instance.horizon, instance.network, instance.bounds, instance.costs
     a_entry, a_plus, a_minus = _terminal_slope_maps(instance)
     periods = range(1, tau + 1)
     stages = range(1, tau + 2)  # the stocks run one period past the horizon
@@ -120,11 +118,8 @@ def build_mslp(
         upper.extend(map(float, ub))
         return dict(zip(keys, range(start, len(cvec))))
 
-    rates = [lane_costs(instance, z, t) for t, z in zip(periods, scenario.realizations)]
     keys = [(s.id, lane, t) for s in instance.sources for lane in sorted(s.lanes) for t in periods]
-    move_cols = add_cols(
-        keys, [rates[t - 1][(sid, lane)] for sid, lane, t in keys], [np.inf] * len(keys)
-    )
+    move_cols = add_cols(keys, [0.0] * len(keys), [np.inf] * len(keys))
 
     def stock_cols(locs, holding, terminal, bound):
         keys = [(k, t) for k in locs for t in stages]
@@ -142,14 +137,11 @@ def build_mslp(
         out_of[(t, i)].append(col)
         into[(t, j)].append(col)
 
-    def with_moves(row: Dict[int, float], cols: List[int], coef: float) -> Dict[int, float]:
-        """row with coef set on the move columns cols."""
-        for col in cols:
-            row[col] = coef
-        return row
-
+    # rows are ({column: coefficient}, right-hand side); a scenario's flow
+    # rows hold 0.0 until scenario_rows writes its flows
     eq_rows: List[Tuple[Dict[int, float], float]] = []
     ub_rows: List[Tuple[Dict[int, float], float]] = []
+    entry_rows, exit_rows, avail_rows, cap_rows = {}, {}, {}, {}
 
     if initial == "fixed":
         s1 = instance.initial_state
@@ -160,67 +152,80 @@ def build_mslp(
             eq_rows.append(({splus_cols[(j, 1)]: 1.0}, float(max(v, 0))))
             eq_rows.append(({sminus_cols[(j, 1)]: 1.0}, float(-min(v, 0))))
 
-    for t, z in zip(periods, scenario.realizations):
+    for t in periods:
         # entry balance: e[i,t+1] - e[i,t] + outbound moves = inflow
         for i in net.entries:
-            row = {entry_cols[(i, t + 1)]: 1.0, entry_cols[(i, t)]: -1.0}
-            eq_rows.append((with_moves(row, out_of[(t, i)], 1.0), float(z.inflow[i])))
+            entry_rows[(i, t)] = len(eq_rows)
+            eq_rows.append(({entry_cols[(i, t + 1)]: 1.0, entry_cols[(i, t)]: -1.0,
+                             **dict.fromkeys(out_of[(t, i)], 1.0)}, 0.0))
         # exit balance: (sp - sm)[t+1] - (sp - sm)[t] - inbound moves = -outflow
         for j in net.exits:
-            row = {
-                splus_cols[(j, t + 1)]: 1.0,
-                sminus_cols[(j, t + 1)]: -1.0,
-                splus_cols[(j, t)]: -1.0,
-                sminus_cols[(j, t)]: 1.0,
-            }
-            eq_rows.append((with_moves(row, into[(t, j)], -1.0), float(-z.outflow[j])))
+            exit_rows[(j, t)] = len(eq_rows)
+            eq_rows.append(({splus_cols[(j, t + 1)]: 1.0, sminus_cols[(j, t + 1)]: -1.0,
+                             splus_cols[(j, t)]: -1.0, sminus_cols[(j, t)]: 1.0,
+                             **dict.fromkeys(into[(t, j)], -1.0)}, 0.0))
 
-    cap_rows: Dict[Tuple[int, int], int] = {}
     for s in instance.sources:
         for t in periods:
             cap_rows[(s.id, t)] = len(ub_rows)
             row = {move_cols[(s.id, lane, t)]: 1.0 for lane in sorted(s.lanes)}
             ub_rows.append((row, float(plan.capacity[s.id][t - 1])))
-    for t, z in zip(periods, scenario.realizations):
+    for t in periods:
         # availability: outbound moves <= e[i,t] + inflow
         for i in net.entries:
-            row = with_moves({entry_cols[(i, t)]: -1.0}, out_of[(t, i)], 1.0)
-            ub_rows.append((row, float(z.inflow[i])))
+            avail_rows[(i, t)] = len(ub_rows)
+            ub_rows.append(({entry_cols[(i, t)]: -1.0, **dict.fromkeys(out_of[(t, i)], 1.0)}, 0.0))
         # space before outflow: inbound moves + (sp - sm)[t] <= exit bound
         for j in net.exits:
-            row = {splus_cols[(j, t)]: 1.0, sminus_cols[(j, t)]: -1.0}
-            ub_rows.append((with_moves(row, into[(t, j)], 1.0), float(b.exit_max[j])))
+            ub_rows.append(({splus_cols[(j, t)]: 1.0, sminus_cols[(j, t)]: -1.0,
+                             **dict.fromkeys(into[(t, j)], 1.0)}, float(b.exit_max[j])))
         # the scalar action grid caps total volume per period
-        row = {}
-        for i in net.entries:
-            with_moves(row, out_of[(t, i)], 1.0)
-        ub_rows.append((row, float(b.action_max)))
+        out = [col for i in net.entries for col in out_of[(t, i)]]
+        ub_rows.append((dict.fromkeys(out, 1.0), float(b.action_max)))
 
     def densify(rows):
         A = np.zeros((len(rows), len(cvec)))
-        rhs = np.zeros(len(rows))
-        for r, (row, v) in enumerate(rows):
-            for col, coef in row.items():
-                A[r, col] = coef
-            rhs[r] = v
-        return A, rhs
+        for r, (row, _) in enumerate(rows):
+            A[r, list(row)] = list(row.values())
+        return A, np.array([v for _, v in rows])
 
-    A_eq, b_eq = densify(eq_rows)
-    A_ub, b_ub = densify(ub_rows)
-    return MultistageLP(
-        horizon=tau,
-        c=np.array(cvec),
-        A_eq=A_eq,
-        b_eq=b_eq,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        upper=np.array(upper),
-        move_cols=move_cols,
-        entry_cols=entry_cols,
-        splus_cols=splus_cols,
-        sminus_cols=sminus_cols,
-        cap_rows=cap_rows,
+    (A_eq, b_eq), (A_ub, b_ub) = densify(eq_rows), densify(ub_rows)
+    lp = MultistageLP(
+        horizon=tau, c=np.array(cvec), A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
+        upper=np.array(upper), move_cols=move_cols, entry_cols=entry_cols,
+        splus_cols=splus_cols, sminus_cols=sminus_cols, cap_rows=cap_rows,
+        entry_rows=entry_rows, exit_rows=exit_rows, avail_rows=avail_rows,
     )
+    lp.c, lp.b_eq, lp.b_ub = (rows[0] for rows in scenario_rows(lp, instance, [scenario]))
+    return lp
+
+
+def scenario_rows(
+    lp: MultistageLP, instance: Instance, scenarios: Sequence[Scenario]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays costs, b_eq and b_ub whose row k is scenarios[k]'s c, b_eq
+    and b_ub on lp's layout: lp's own vectors with the scenario's move costs
+    (alloc.lane_costs), its inflows on the entry-balance and availability
+    rows and minus its outflows on the exit-balance rows written in. Raises
+    ValueError for a scenario whose length is not the horizon.
+    """
+    moves, entry, avail, exit_ = [], [], [], []
+    for sc in scenarios:
+        z = sc.realizations
+        if len(z) != lp.horizon:
+            raise ValueError("scenario length does not match horizon")
+        rates = [lane_costs(instance, zt, t) for t, zt in enumerate(z, 1)]
+        moves += [rates[t - 1][(sid, lane)] for sid, lane, t in lp.move_cols]
+        entry += [float(z[t - 1].inflow[i]) for i, t in lp.entry_rows]
+        avail += [float(z[t - 1].inflow[i]) for i, t in lp.avail_rows]
+        # negate before converting: an outflow of 0 gives +0.0, not -0.0
+        exit_ += [float(-z[t - 1].outflow[j]) for j, t in lp.exit_rows]
+    n = len(scenarios)
+    costs, b_eq, b_ub = (np.tile(v, (n, 1)) for v in (lp.c, lp.b_eq, lp.b_ub))
+    for rows, at, values in ((costs, lp.move_cols, moves), (b_eq, lp.entry_rows, entry),
+                             (b_ub, lp.avail_rows, avail), (b_eq, lp.exit_rows, exit_)):
+        rows[:, list(at.values())] = np.reshape(values, (n, len(at)))
+    return costs, b_eq, b_ub
 
 
 def solve_mslp(lp: MultistageLP) -> MSLPSolution:

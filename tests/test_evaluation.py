@@ -113,9 +113,10 @@ def test_regret_nonnegative_on_sampled_scenarios(capacity_instance, tuned_plan):
         assert r.optimal_objective >= r.achieved_objective or math.isnan(r.regret)
 
 
-def test_regret_builds_one_lp_per_scenario(capacity_instance, tuned_plan, monkeypatch):
-    # The optimum and the achieved value share the scenario's row, from the
-    # objective's one build_mslp call, and the profile's one HiGHS model.
+def test_regret_builds_one_layout_per_profile(capacity_instance, tuned_plan, monkeypatch):
+    # The optimum and the achieved value share the scenario's row, written
+    # into the profile's one layout (one build_mslp call), and are solved on
+    # the profile's one HiGHS model.
     from drayage import capopt, lp
 
     builds, models = [], []
@@ -135,7 +136,7 @@ def test_regret_builds_one_lp_per_scenario(capacity_instance, tuned_plan, monkey
     assert builds == [] and models == []
     scenarios = sample_scenarios(capacity_instance, 5, 31)
     records = regret_profile(capacity_instance, tuned_plan, scenarios)
-    assert len(builds) == len(scenarios)
+    assert len(builds) == 1
     assert len(models) == 1
     monkeypatch.undo()
     for sc, r in zip(scenarios, records):

@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from drayage.capopt import scenario_objective
+from drayage.alloc import lane_costs
+from drayage.capopt import sample_objective, scenario_objective
 from drayage.dp import solve_scenario
 from drayage.evaluation import per_scenario_optimum
 from drayage import reference
@@ -17,7 +18,7 @@ from drayage.model import (
     generate_default_plan,
     generate_instance,
 )
-from drayage.mslp import INTEGRALITY_TOL, InfeasibleLP, build_mslp, solve_mslp
+from drayage.mslp import INTEGRALITY_TOL, InfeasibleLP, build_mslp, scenario_rows, solve_mslp
 from drayage.scenario import sample_scenarios
 
 from helpers import relaxation_triple
@@ -290,6 +291,52 @@ def test_cap_rows_and_shared_layout(shape, initial):
         assert getattr(lp, name) == getattr(other, name)
     for name in ("c", "b_eq", "b_ub"):
         assert not np.array_equal(getattr(lp, name), getattr(other, name))
+
+
+def _no_outflow(scenario):
+    return Scenario(tuple(
+        dataclasses.replace(z, outflow=dict.fromkeys(z.outflow, 0)) for z in scenario.realizations
+    ))
+
+
+@pytest.mark.parametrize("initial", ["fixed", "free"])
+@pytest.mark.parametrize("shape", [None, (2, 1), (1, 2), (2, 2)],
+                         ids=["capacity", "2x1", "1x2", "2x2"])
+def test_scenario_rows_equal_per_scenario_builds(shape, initial):
+    inst = _layout_instance(shape)
+    assert inst.spot_sources
+    scenarios = sample_scenarios(inst, 5, 1)
+    scenarios.insert(2, _no_outflow(scenarios[0]))
+    plan = generate_default_plan(0, inst)
+    layout = build_mslp(inst, scenarios[0], plan, initial=initial)
+    costs, b_eq, b_ub = scenario_rows(layout, inst, scenarios)
+    assert costs.shape == (len(scenarios), layout.c.size)
+    for k, sc in enumerate(scenarios):
+        own = build_mslp(inst, sc, plan, initial=initial)
+        for rows, name in ((costs, "c"), (b_eq, "b_eq"), (b_ub, "b_ub")):
+            assert rows[k].tobytes() == getattr(own, name).tobytes()
+        # the written entries are the scenario's own flows and move costs
+        z = sc.realizations
+        for (i, t), row in layout.entry_rows.items():
+            assert b_eq[k, row] == b_ub[k, layout.avail_rows[(i, t)]] == z[t - 1].inflow[i]
+        for (j, t), row in layout.exit_rows.items():
+            assert b_eq[k, row] == -z[t - 1].outflow[j]
+            assert not np.signbit(b_eq[k, row]) or z[t - 1].outflow[j] > 0
+        for (sid, lane, t), col in layout.move_cols.items():
+            assert costs[k, col] == lane_costs(inst, z[t - 1], t)[(sid, lane)]
+
+
+def test_scenario_rows_check_every_length(capacity_instance, demo_scenario):
+    lp = build_mslp(capacity_instance, demo_scenario, generate_default_plan(0, capacity_instance))
+    reals = demo_scenario.realizations
+    for bad in (Scenario(reals[:-1]), Scenario(reals + reals[:1])):
+        for k in range(3):
+            batch = [demo_scenario] * 3
+            batch[k] = bad
+            with pytest.raises(ValueError, match="scenario length does not match horizon"):
+                scenario_rows(lp, capacity_instance, batch)
+            with pytest.raises(ValueError, match="scenario length does not match horizon"):
+                sample_objective(capacity_instance, batch)
 
 
 # ---------------------------------------------------------------------------
