@@ -15,21 +15,25 @@ state reached. The finite entries of a state's column are its feasible
 actions under z, {0..A*}; nothing else in the package decides that set. Each
 table is consumed as soon as it is built. The sweeps take a weighted sum over
 z and a maximum over the actions allocatable under every z, with one tie
-rule for every network shape; evaluate_policy gathers at the policy's
-actions. Every table reads its allocations from one memo of
-solve_allocations results, keyed per period on (a, min(avail, a),
-min(space, a), spot rates): no lane carries more than a, so larger bounds
-never bind, solve_allocations solves exactly that clipped problem, and all
-states sharing it share one solve. Each memo lookup sends its misses to one
-solve_allocations call, as (a, clipped row) rows of one template problem
-over the kernel's locations; it pivots them as one batch and returns the
-vertices of separate solves. A network table looks up one action at a
-time. Single-entry single-exit instances need one solve per action, at
-unclipped bounds (a, a), so their table looks up every action at once: the
-cost depends only on the action and z, so it is broadcast over the states,
-whose own feasibility and successors are clip arithmetic. rollout reads
-each step's allocation through the same memo, keyed the same way, so every
-network shape takes one path and an on-sample step solves nothing.
+rule for every network shape. evaluate_policy makes one pass per period:
+at_actions returns each state's cost and next at the policy's action under
+every realization of the period, and they are summed in order. Every table
+reads its allocations from one memo of solve_allocations results, keyed per
+period on (a, min(avail, a), min(space, a), spot rates): no lane carries
+more than a, so larger bounds never bind, solve_allocations solves exactly
+that clipped problem, and all states sharing it share one solve. Each memo
+lookup sends its misses to one solve_allocations call, as (a, clipped row)
+rows of one template problem over the kernel's locations; it pivots them as
+one batch and returns the vertices of separate solves. A network table
+looks up one action at a time (at_actions fills one per realization at the
+policy's actions). Single-entry single-exit instances need one solve per
+action, at unclipped bounds (a, a): the cost depends only on the action and
+the spot rates, so it is looked up for every action at once and broadcast
+over the states, whose own feasibility and successors are clip arithmetic,
+written once over a broadcast action grid: (actions, 1) for a table,
+(1, states) for a policy's actions under (realizations, 1) flows. rollout
+reads each step's allocation through the same memo, keyed the same way, so
+every network shape takes one path and an on-sample step solves nothing.
 
 solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
 evaluate_policy and rollout reuse that kernel, memo included, when they are
@@ -62,7 +66,7 @@ from .model import (
     Scenario,
     SystemState,
 )
-from .scenario import SampleSet, realization_key
+from .scenario import SampleSet
 
 
 class UndefinedPolicyState(Exception):
@@ -281,7 +285,9 @@ class _StageTables:
 
     ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation, so the
     finite part of column s is the state's feasible action set) and
-    ``next[a, s]``; ``allocation(t, a, state, z)`` returns one state's
+    ``next[a, s]``; ``at_actions(t, zs, actions)`` returns only each state's
+    entry at its own action, under each z of one period, as ``cost[k, s]``
+    and ``next[k, s]``; ``allocation(t, a, state, z)`` returns one state's
     allocation. ``hold`` and ``terminal`` are every state's holding_cost
     and terminal_value, derived on first use, once per kernel (a rollout
     reads neither). ``lane`` is the (entry, exit) pair of a single-lane
@@ -303,6 +309,7 @@ class _StageTables:
         ne = len(idx.entry_ids)
         self.entry = digits[:, :ne]
         self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
+        self._spot_lanes = [(s.id, lane) for s in instance.spot_sources for lane in s.lanes]
         self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
         self._stages: Dict[Tuple, Tuple] = {}
 
@@ -323,25 +330,42 @@ class _StageTables:
         """terminal_value of every state."""
         return np.array([terminal_value(s, self.instance.costs) for s in self.indexer.all_states()])
 
-    def table(
-        self, t: int, z: ExogenousRealization, actions: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stage tables of period t under z.
-
-        With ``actions`` (one per state), a network table is filled only at
-        those entries; the rest stay infeasible.
-        """
+    def table(self, t: int, z: ExogenousRealization) -> Tuple[np.ndarray, np.ndarray]:
+        """Stage tables of period t under z."""
         stage = self._stage(t, z)
         if self.lane is not None:
-            return self._lane_table(t, z, stage)
-        return self._network_table(t, z, stage, actions)
+            a = np.arange(self.n_actions)[:, None]
+            feasible, nxt = self._lane_moves(a, z.inflow[self.lane[0]], z.outflow[self.lane[1]])
+            return np.where(feasible, self._lane_costs(t, stage)[:, None], np.inf), nxt
+        return self._network_table(t, z, stage)
+
+    def at_actions(
+        self, t: int, zs: Sequence[ExogenousRealization], actions: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each state's entry of the stage tables of period t at its action
+        ``actions[s]`` (in 0..n_actions-1) under each z of zs: cost and next
+        as two (len(zs), n_states) arrays, one pass for the period."""
+        stages = [self._stage(t, z) for z in zs]
+        if self.lane is None:
+            cols = np.arange(len(actions))
+            tables = [self._network_table(t, z, stage, actions) for z, stage in zip(zs, stages)]
+            return (np.array([cost[actions, cols] for cost, _ in tables]),
+                    np.array([nxt[actions, cols] for _, nxt in tables]))
+        costs = {rates: self._lane_costs(t, (rates, template))
+                 for rates, template in dict(stages).items()}
+        i, j = self.lane
+        q = np.array([z.inflow[i] for z in zs])[:, None]
+        d = np.array([z.outflow[j] for z in zs])[:, None]
+        feasible, nxt = self._lane_moves(actions[None, :], q, d)
+        cost = np.array([costs[rates] for rates, _ in stages])[:, actions]
+        return np.where(feasible, cost, np.inf), nxt
 
     def _stage(self, t: int, z: ExogenousRealization):
         """The memo's inputs for period t under z: (spot rates, template
         problem), built once per period and spot rates, which the memo's keys
         already take to fix the costs. The template holds the lane costs and
         source caps; its volume and limits come with each row."""
-        rates = realization_key(z, self.instance)[2]
+        rates = tuple(z.spot_rates[s][lane] for s, lane in self._spot_lanes)
         stage = self._stages.get((t, rates))
         if stage is None:
             idx = self.indexer
@@ -352,23 +376,27 @@ class _StageTables:
             stage = self._stages[t, rates] = (rates, template)
         return stage
 
-    def _lane_table(self, t, z, stage):
+    def _lane_costs(self, t, stage) -> np.ndarray:
+        """The transport cost of every action on the one lane, through the
+        memo: bounds of at least a never bind, so the key (a, a) serves every
+        state with that much stock and space, and _lane_moves masks the others."""
+        solved = self._solve(t, [(a, (a, a)) for a in range(self.n_actions)], stage)
+        return np.array([flows[0] for flows, _ in solved])
+
+    def _lane_moves(self, a, q, d) -> Tuple[np.ndarray, np.ndarray]:
+        """Feasibility and next-state index of moving a on the one lane from
+        every state under inflow q and outflow d, broadcast against the states:
+        a (n_actions, 1) action grid, or (1, n_states) with (len(zs), 1) flows."""
         i, j = self.lane
         b = self.instance.bounds
         back = b.exit_backorder_max[j]
-        # bounds of at least a never bind: the key (a, a) serves every state with
-        # that much stock and space, and `feasible` masks the others
-        solved = self._solve(t, [(a, (a, a)) for a in range(self.n_actions)], stage)
-        cost = np.array([flows[0] for flows, _ in solved])[:, None]
-        a = np.arange(self.n_actions)[:, None]
         e, s = self.entry[:, 0], self.exit[:, 0]
-        e_next = np.clip(e - a + z.inflow[i], 0, b.entry_max[i])
-        s_next = np.clip(s + a - z.outflow[j], -back, b.exit_max[j]) + back
-        feasible = (a <= e + z.inflow[i]) & (a <= b.exit_max[j] - s)
-        nxt = e_next * self.indexer.shape[1] + s_next
-        return np.where(feasible, cost, np.inf), nxt
+        e_next = np.clip(e - a + q, 0, b.entry_max[i])
+        s_next = np.clip(s + a - d, -back, b.exit_max[j]) + back
+        feasible = (a <= e + q) & (a <= b.exit_max[j] - s)
+        return feasible, e_next * self.indexer.shape[1] + s_next
 
-    def _network_table(self, t, z, stage, actions):
+    def _network_table(self, t, z, stage, actions=None):
         inst, idx = self.instance, self.indexer
         b = inst.bounds
         ne = len(idx.entry_ids)
@@ -535,10 +563,11 @@ def evaluate_policy(
 ) -> ValueTable:
     """Value of a FIXED policy under the sample weights (no maximization).
 
-    Reads the stage tables at the policy's actions. Those come from the
-    allocation memo of the policy's kernel when the policy was solved by
-    solve_expected for this instance and plan (on the policy's own sample no
-    allocation is solved again); otherwise from a new kernel.
+    Reads the stage tables at the policy's actions, one pass per period over
+    all of its realizations. Those come from the allocation memo of the
+    policy's kernel when the policy was solved by solve_expected for this
+    instance and plan (on the policy's own sample no allocation is solved
+    again); otherwise from a new kernel.
     Raises UndefinedPolicyState when an action is not allocatable under some
     realization of its period.
     """
@@ -549,26 +578,26 @@ def evaluate_policy(
     tau, n = instance.horizon, indexer.n_states
     if policy.actions.shape != (tau, n):
         raise ValueError(f"policy table shape {policy.actions.shape}, expected {(tau, n)}")
-    cols = np.arange(n)
     values = np.empty((tau + 1, n))
     values[tau] = kernel.terminal
     for t in range(tau, 0, -1):
         acts = policy.actions[t - 1]
-        undefined = (acts < 0) | (acts >= kernel.n_actions)
-        rows = np.clip(acts, 0, kernel.n_actions - 1)
-        total = -kernel.hold
-        for z, w in per_period[t - 1]:
-            cost, nxt = kernel.table(t, z, rows)
-            c = cost[rows, cols]
-            undefined |= ~np.isfinite(c)
-            c = np.where(undefined, 0.0, c)
-            total = total + w * (-c + values[t][nxt[rows, cols]])
+        data = per_period[t - 1]
+        cost, nxt = kernel.at_actions(
+            t, [z for z, _ in data], np.clip(acts, 0, kernel.n_actions - 1)
+        )
+        undefined = (acts < 0) | (acts >= kernel.n_actions) | ~np.isfinite(cost).all(axis=0)
         if undefined.any():
             si = int(np.argmax(undefined))
             raise UndefinedPolicyState(
                 f"policy action {int(acts[si])} infeasible at period {t} "
                 f"state {indexer.state_of(si)}"
             )
+        terms = np.array([w for _, w in data])[:, None] * (-cost + values[t][nxt])
+        # in realization order after the holding cost; np.sum would move the last bits
+        total = -kernel.hold
+        for term in terms:
+            total = total + term
         values[t - 1] = total
     return ValueTable(tau, indexer, values)
 
@@ -608,8 +637,9 @@ def rollout(
                 f"policy action {a} infeasible at period {t} state {state}"
             )
         imm = holding_cost(state, instance.costs) + sol.cost
-        nxt = transition(state, sol.lane_totals(), z, instance.bounds)
-        steps.append(TrajectoryStep(t, state, a, sol.lane_totals(), imm, nxt))
+        totals = sol.lane_totals()
+        nxt = transition(state, totals, z, instance.bounds)
+        steps.append(TrajectoryStep(t, state, a, totals, imm, nxt))
         total += imm
         state = nxt
     total -= terminal_value(state, instance.costs)

@@ -361,6 +361,31 @@ def loop_policy_values(instance, policy, sample, plan, gamma: float = 1.0) -> np
     return values
 
 
+def undefined_action_message(instance, policy, sample, plan) -> Optional[str]:
+    """The UndefinedPolicyState message evaluate_policy owes the policy, or
+    None, by a direct allocation solve per state and distinct draw.
+
+    Periods are checked from the last one back, as the evaluation runs, and
+    states in index order: the first action outside 0..action_max, or not
+    allocatable under some draw of its period, is named.
+    """
+    from drayage.dp import StateIndexer
+    from drayage.scenario import realization_key
+
+    indexer = StateIndexer.for_instance(instance)
+    for t in range(instance.horizon, 0, -1):
+        draws = {realization_key(z, instance): z for z in sample.realizations[t - 1]}
+        caps = plan_caps_at(plan, t)
+        for si, state in enumerate(indexer.all_states()):
+            a = int(policy.actions[t - 1, si])
+            if not 0 <= a <= instance.bounds.action_max or any(
+                solve_allocation(build_problem(state, a, z, caps, instance, t)) is INFEASIBLE
+                for z in draws.values()
+            ):
+                return f"policy action {a} infeasible at period {t} state {state}"
+    return None
+
+
 def direct_rollout(instance, policy, scenario, plan, start):
     """A rollout that solves every step's allocation directly.
 

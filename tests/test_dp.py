@@ -39,6 +39,7 @@ from helpers import (
     loop_policy_values,
     micro_instance,
     random_plan,
+    undefined_action_message,
 )
 
 
@@ -251,6 +252,65 @@ def test_evaluate_policy_equals_per_state_loop(capacity_instance, tuned_plan):
     assert np.array_equal(ev.values, loop_policy_values(inst, pt, sample, plan))
 
 
+def test_evaluate_policy_at_actions_equals_per_state_loop(
+    policy_instance, baseline_plan, tuned_plan
+):
+    # one pass per period at the policy's actions keeps the loop's sums bit for bit
+    inst = policy_instance
+    folded = build_sample_set(inst, 6, 1)
+    assert any(len(p) < 6 for p in folded.distinct(inst))  # duplicate draws fold
+    _, own = solve_expected(inst, folded, tuned_plan)
+    # solved on the support, evaluated on another sample: the policy's own
+    # kernel, and a fresh one for the same policy without it
+    _, full = solve_expected(inst, build_sample_set(inst, 0, 0, mode="enumerate"), baseline_plan)
+    other = build_sample_set(inst, 4, 3)
+    bare = PolicyTable(full.horizon, full.indexer, full.actions)
+    # a solve_scenario policy carries no kernel
+    scenario = reference.example_scenario(inst)
+    _, perfect = solve_scenario(inst, scenario, tuned_plan)
+    cases = [
+        (own, folded, tuned_plan),
+        (full, other, baseline_plan),
+        (bare, other, baseline_plan),
+        (perfect, scenario_sample_set(scenario), tuned_plan),
+    ]
+    for policy, sample, plan in cases:
+        got = evaluate_policy(inst, policy, sample, plan).values
+        assert np.array_equal(got, loop_policy_values(inst, policy, sample, plan))
+
+
+def test_evaluate_policy_names_the_first_undefined_action(policy_instance, tuned_plan):
+    # infeasible and out-of-range actions, in periods with several
+    # realizations, raise naming the same period, state and action as the
+    # direct solves, checking periods from the last one back
+    cases = []
+    single = build_sample_set(policy_instance, 3, 2)
+    assert all(len(p) > 1 for p in single.distinct(policy_instance))
+    cases.append((policy_instance, single, tuned_plan))
+    cases.append(_network_case())
+    for inst, sample, plan in cases:
+        _, pt = solve_expected(inst, sample, plan)
+        policies = [_all_at_action_max(pt, inst)]
+        for bad in (-1, inst.bounds.action_max + 1):
+            for t, si in ((inst.horizon, 3), (1, pt.indexer.n_states // 2)):
+                acts = pt.actions.copy()
+                acts[t - 1, si] = bad
+                policies.append(PolicyTable(pt.horizon, pt.indexer, acts))
+        for policy in policies:
+            want = undefined_action_message(inst, policy, sample, plan)
+            assert want is not None
+            with pytest.raises(UndefinedPolicyState) as err:
+                evaluate_policy(inst, policy, sample, plan)
+            assert str(err.value) == want
+    forced = _all_at_action_max(solve_expected(*cases[0])[1], policy_instance)
+    with pytest.raises(UndefinedPolicyState) as err:
+        evaluate_policy(policy_instance, forced, single, tuned_plan)
+    assert str(err.value) == (
+        "policy action 10 infeasible at period 4 state "
+        "SystemState(entry_stock={1: 0}, exit_stock={2: -10})"
+    )
+
+
 def _all_at_action_max(policy, instance):
     return PolicyTable(
         policy.horizon,
@@ -419,6 +479,34 @@ def test_policy_kernel_serves_only_its_own_instance_and_plan():
             assert repr(rollout(other_inst, pt, sc, other_plan, inst.initial_state)) == repr(
                 direct_rollout(other_inst, pt, sc, other_plan, inst.initial_state)
             )
+
+
+def test_stage_key_is_the_realization_keys_spot_rates(
+    policy_instance, capacity_instance, baseline_plan
+):
+    # the kernel keys its stages and memo on the spot rates read from its own
+    # (source, lane) list; they must be realization_key's, or memo keys and
+    # SampleSet.distinct folding would disagree
+    cases = [
+        (policy_instance, build_sample_set(policy_instance, 0, 0, mode="enumerate"), baseline_plan),
+        (capacity_instance, build_sample_set(capacity_instance, 30, 1), baseline_plan),
+    ]
+    shape = dict(n_entries=2, n_exits=2, n_bids=1, n_spot=2, horizon=2,
+                 cost_mean=12.0, cost_sd=4.0, cost_min=2.0, capacity_levels=2)
+    for seed in (0, 1):
+        inst = generate_instance(seed, shape)
+        assert sum(len(s.lanes) for s in inst.spot_sources) > 2
+        cases.append((inst, build_sample_set(inst, 5, seed), generate_default_plan(seed, inst)))
+    for inst, sample, plan in cases:
+        _, pt = solve_expected(inst, sample, plan)
+        kernel = pt.kernel
+        for t, period in enumerate(sample.distinct(inst), start=1):
+            keys = [realization_key(z, inst) for z, _ in period]
+            assert len(set(keys)) == len(keys)
+            assert [kernel._stage(t, z)[0] for z, _ in period] == [k[2] for k in keys]
+            rates = {k[2] for k in keys}
+            assert {r for s, r in kernel._stages if s == t} == rates
+            assert {key[3] for key in kernel._memo if key[0] == t} == rates
 
 
 # ---------------------------------------------------------------------------
