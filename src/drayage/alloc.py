@@ -9,21 +9,21 @@ capacity, per-entry availability (current stock plus inflow), per-exit space
 (storage bound minus current stock), and nonnegativity. Infeasibility is a
 signal: the action A_t is excluded from the feasible action set rather than
 penalized; the DP's stage tables (dp._StageTables) decide that set.
-Every problem, on one lane or many, is decided the same way. Infeasibility
-is decided first from the summed limits of each constraint family (source
-caps, entry availability, exit space): each family holds every (source,
-lane) column in at most one row, so a volume above a covering family's sum
-cannot be moved. The problems that pass go to a dense tableau
-(tableau_simplex), whose phase 1 decides. Its fixed pivot rule decides
-which cost-tied allocation, and so which next state, the DP sees; that, not
-speed, is why it stays (one reused lp.HighsModel solves these LPs faster, at
-other vertices).
-solve_allocations(problem, limits) answers one problem at each row of a
-matrix of (volume, availability, space) limits, as the DP's states and
-actions need, so a batch shares costs and caps by construction. The tableau
-pivots the rows in lockstep, each on its own tableau and basis, so every row
-gets the vertex it gets alone, bit for bit. solve_allocation is a batch of
-one.
+Every problem, on one lane or many, is decided the same way: by the summed
+limits of each constraint family (source caps, entry availability, exit
+space), each of which covers every (source, lane) column, and then by a
+dense tableau (tableau_simplex), whose phase 1 decides. Its fixed pivot
+rule decides which cost-tied allocation, and so which next state, the DP
+sees; that, not speed, is why it stays (one reused lp.HighsModel solves
+these LPs faster, at other vertices).
+
+solve_allocations works on arrays: a cost per (source, lane) column, a cap
+per source, and one (volume, availability, space) limits row per problem,
+as the DP's states and actions need, so a batch shares costs and caps by
+construction. The tableau pivots the rows in lockstep, each on its own
+tableau and basis, so every row gets the vertex it gets alone, bit for bit.
+solve_allocation is the dict form of one problem (AllocationProblem in,
+Allocation or INFEASIBLE out); lane_totals sums moves per lane for both.
 
 The state transition applies the per-lane move totals and the realized
 inflows/outflows, clamping to the stock bounds. Excess inflow above an entry
@@ -32,13 +32,12 @@ open and is a deliberate design decision.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import (
     Bounds,
-    CapacityPlan,
     CostSpec,
     ExogenousRealization,
     Instance,
@@ -75,10 +74,19 @@ class Allocation:
     cost: float
 
     def lane_totals(self) -> Dict[Lane, float]:
-        out: Dict[Lane, float] = {}
-        for (_, lane), m in self.moves.items():
-            out[lane] = out.get(lane, 0.0) + m
-        return out
+        return lane_totals(self.moves, self.moves.values())
+
+
+def lane_totals(keys: Sequence[Tuple[int, Lane]], moves) -> Dict[Lane, object]:
+    """The moves on each lane, summed over its (source, lane) keys in order.
+
+    moves holds one entry per key: a float, or an array (one value per
+    problem) that is summed elementwise.
+    """
+    out: Dict[Lane, object] = {}
+    for (_, lane), m in zip(keys, moves):
+        out[lane] = out.get(lane, 0.0) + m
+    return out
 
 
 def holding_cost(state: SystemState, costs: CostSpec) -> float:
@@ -236,85 +244,99 @@ def tableau_simplex(c, A_eq, b_eq, A_ub, b_ub) -> List[Optional[np.ndarray]]:
     return out
 
 
-def solve_allocation(problem: AllocationProblem):
-    """Cost-minimal feasible allocation, or INFEASIBLE (solve_allocations of one row)."""
-    row = [problem.total_volume, *problem.entry_available.values(), *problem.exit_space.values()]
-    return solve_allocations(problem, [row])[0]
-
-
-def solve_allocations(problem: AllocationProblem, limits) -> list:
-    """Cost-minimal feasible allocation, or INFEASIBLE, of problem at each row of limits.
-
-    A row is (volume, entry limits..., exit limits...): its values replace
-    total_volume, then those of entry_available and exit_space in the
-    dicts' key order (ValueError unless limits is 2-D with one column for
-    the volume and one per key; ValueError naming a source, entry or exit
-    of lane_costs that has no limit). A negative source cap makes every row
-    INFEASIBLE. A zero-volume row moves nothing, so it is answered alone:
-    INFEASIBLE only where one of its limits is negative. Any other row whose
-    volume exceeds, by more than 1e-7, the summed limits of a constraint
-    family (source caps, entry availability, exit space) is INFEASIBLE: each
-    family covers every (source, lane) column, so phase 1 would reject it at
-    that margin. The other rows go through tableau_simplex in one batch,
-    whose phase 1 decides, on one lane as on many. The simplex sees entry
-    availability and exit space clipped to the row's volume: no lane can
-    carry more, so the feasible set is the same, and the allocation returned
-    among cost-tied ones depends only on the clipped row. The DP's stage
-    tables rely on this to share one solve between all states with equal
-    clipped bounds.
+def allocation_layout(keys, sources, entries, exits):
+    """solve_allocations' layout of the (source, lane) keys: the sorted keys
+    (its columns), the sorted sources (the order of caps) and cols, for
+    limits rows that hold the volume, then the entries' limits, then the
+    exits', each in ascending id order. ValueError naming a source, entry or
+    exit of a key that is not listed.
     """
-    entries, exits = list(problem.entry_available), list(problem.exit_space)
-    caps = problem.source_caps
-    for k, (i, j) in problem.lane_costs:
-        for name, loc, listed in (("source", k, caps), ("entry", i, entries), ("exit", j, exits)):
+    ids = [sorted(x) for x in (sources, entries, exits)]
+    for k, (i, j) in keys:
+        for name, loc, listed in zip(("source", "entry", "exit"), (k, i, j), ids):
             if loc not in listed:
                 raise ValueError(f"lane cost {(k, (i, j))} uses {name} {loc}, which has no limit")
+    keys, (sources, entries, exits) = sorted(keys), ids
+    cols = [(sources.index(k), 1 + entries.index(i), 1 + len(entries) + exits.index(j))
+            for k, (i, j) in keys]
+    return keys, sources, np.array(cols, dtype=int).reshape(-1, 3)
+
+
+def solve_allocation(problem: AllocationProblem):
+    """Cost-minimal feasible allocation, or INFEASIBLE: solve_allocations of
+    one row in allocation_layout (ValueError naming a source, entry or exit
+    of lane_costs that has no limit)."""
+    keys, sources, cols = allocation_layout(problem.lane_costs, problem.source_caps,
+                                            problem.entry_available, problem.exit_space)
+    row = [problem.total_volume, *(v for _, v in sorted(problem.entry_available.items())),
+           *(v for _, v in sorted(problem.exit_space.items()))]
+    cost, moves = solve_allocations([problem.lane_costs[k] for k in keys],
+                                    [problem.source_caps[k] for k in sources], cols, [row])
+    if cost[0] == np.inf:
+        return INFEASIBLE
+    return Allocation(dict(zip(keys, moves[0].tolist())), float(cost[0]))
+
+
+def solve_allocations(costs, caps, cols, limits) -> Tuple[np.ndarray, np.ndarray]:
+    """Cost-minimal feasible allocation at each row of limits: cost (K,),
+    inf where a row is infeasible, and moves (K, n_cols), zero there.
+
+    Column c is a (source, lane) pair at costs[c] $/TEU; cols[c] holds its
+    source's index into caps and the limits columns of its entry and exit. A
+    limits row is the volume, then the entry availability and exit space
+    limits (ValueError unless limits is 2-D and holds every column cols
+    names). Each family's rows go into the tableau in ascending index order,
+    and that order picks the vertex among cost-tied allocations: lay the
+    problem out with allocation_layout, in ascending id order.
+
+    A negative cap makes every row infeasible; a zero-volume row moves
+    nothing and is infeasible only where a limit is negative. The tableau
+    sees availability and space clipped to the volume (no lane carries
+    more), so the vertex depends only on the clipped row, and the DP's stage
+    tables share one solve between all states with equal clipped bounds.
+    Each family of rows covers every column, so a row whose volume exceeds a
+    family's summed limits by more than 1e-7, phase 1's margin, is
+    infeasible without a tableau; the others go through tableau_simplex in
+    one batch.
+    """
+    c = np.asarray(costs, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    cols = np.asarray(cols, dtype=int).reshape(c.size, 3)
     L = np.asarray(limits, dtype=float)
-    if not len(L):
-        return []
-    width = 1 + len(entries) + len(exits)
-    if L.ndim != 2 or L.shape[1] != width:
-        raise ValueError(f"limits need 2-D rows of width {width} (the volume, then the "
-                         f"problem's entry and exit locations); got shape {L.shape}")
     K = len(L)
-    keys = sorted(problem.lane_costs)
-    if any(v < 0 for v in caps.values()):  # no x >= 0 has x_k <= cap_k < 0
-        return [INFEASIBLE] * K
+    cost, moves = np.full(K, np.inf), np.zeros((K, c.size))
+    if not K:
+        return cost, moves
+    width = 1 + cols[:, 1:].max(initial=0)
+    if L.ndim != 2 or L.shape[1] < width:
+        raise ValueError(f"limits need 2-D rows of at least {width} columns (the volume "
+                         f"and every limit cols names); got shape {L.shape}")
+    if (caps < 0).any():  # no x >= 0 has x_k <= cap_k < 0
+        return cost, moves
     A = L[:, 0]
     idle = A <= 1e-12
-    zero = Allocation({k: 0.0 for k in keys}, 0.0)
-    out = [zero if ok else INFEASIBLE for ok in idle & (L[:, 1:] >= 0).all(axis=1)]
+    cost[idle & (L[:, 1:] >= 0).all(axis=1)] = 0.0
 
-    # One variable per (source, lane), one 0/1 row per source cap, entry
-    # availability and exit space (the last two clipped to the volume). Each
-    # family's rows cover every column, so its summed limits bound sum(x) =
-    # A; phase 1 would leave at least the excess in its artificials and
-    # reject above 1e-7, so the same margin answers such a row here. The
-    # caps are scalars, the same for every row.
-    locs = [(k, i, j) for (k, (i, j)) in keys]
-    where = np.array(locs)
-    clipped = np.minimum(L[:, 1:], A[:, None]).T
-    clip = (dict(zip(entries, clipped)), dict(zip(exits, clipped[len(entries):])))
+    # one 0/1 row per location that holds a column, in ascending index order
+    clipped = np.minimum(L, A[:, None])
     ok = ~idle
     rows, rhs = [], []
-    for col, family in enumerate((caps, *clip)):
-        ok &= A <= sum(family[loc] for loc in sorted({loc[col] for loc in locs})) + 1e-7
-        for loc in sorted(family):
-            row = where[:, col] == loc
-            if row.any():
-                rows.append(row)
-                rhs.append(family[loc])
-    b_ub = np.empty((K, len(rhs)))
-    for r, v in enumerate(rhs):
-        b_ub[:, r] = v
+    for family, limit in enumerate((np.broadcast_to(caps, (K, caps.size)), clipped, clipped)):
+        at = cols[:, family]
+        used = sorted(set(at.tolist()))
+        ok &= A <= sum(limit[:, r] for r in used) + 1e-7
+        for r in used:
+            rows.append(at == r)
+            rhs.append(limit[:, r])
     todo = np.flatnonzero(ok)
     if todo.size:
-        c = np.array([problem.lane_costs[k] for k in keys])
-        xs = tableau_simplex(c, np.ones((1, len(keys))), A[todo, None], rows, b_ub[todo])
+        b_ub = np.column_stack(rhs)[todo]
+        xs = tableau_simplex(c, np.ones((1, c.size)), A[todo, None], rows, b_ub)
         for at, x in zip(todo, xs):
             if x is not None:
-                out[at] = Allocation({k: float(v) for k, v in zip(keys, x)}, float(c @ x))
-    return out
+                cost[at] = float(c @ x)
+                moves[at] = x
+    return cost, moves
 
 
 def lane_costs(
@@ -331,40 +353,11 @@ def lane_costs(
     return out
 
 
-def build_problem(
-    state: SystemState,
-    action: float,
-    realization: ExogenousRealization,
-    caps: Dict[int, float],
-    instance: Instance,
-    period: int = 1,
-) -> AllocationProblem:
-    """Assemble the allocation problem for one period (1-based): the
-    state-level reference the tests check the DP's stage tables against (the
-    package itself has no caller)."""
-    avail = {
-        i: state.entry_stock[i] + realization.inflow[i] for i in instance.network.entries
-    }
-    space = {
-        j: instance.bounds.exit_max[j] - state.exit_stock[j]
-        for j in instance.network.exits
-    }
-    return AllocationProblem(
-        total_volume=action,
-        lane_costs=lane_costs(instance, realization, period),
-        source_caps={k: float(v) for k, v in caps.items()},
-        entry_available=avail,
-        exit_space=space,
-    )
-
-
-def lane_flows(
-    lane_totals: Dict[Lane, float]
-) -> Tuple[Dict[int, float], Dict[int, float]]:
+def lane_flows(totals: Dict[Lane, float]) -> Tuple[Dict[int, float], Dict[int, float]]:
     """Moves out of each entry and into each exit (locations without a move are absent)."""
     out_by_entry: Dict[int, float] = {}
     in_by_exit: Dict[int, float] = {}
-    for (i, j), m in lane_totals.items():
+    for (i, j), m in totals.items():
         out_by_entry[i] = out_by_entry.get(i, 0.0) + m
         in_by_exit[j] = in_by_exit.get(j, 0.0) + m
     return out_by_entry, in_by_exit
@@ -389,7 +382,3 @@ def transition(
         exit_[j] = int(round(min(max(raw, lo), hi)))
     return SystemState(entry, exit_)
 
-
-def plan_caps_at(plan: CapacityPlan, period: int) -> Dict[int, float]:
-    """Per-source capacity column for a 1-based period."""
-    return {k: v[period - 1] for k, v in plan.capacity.items()}

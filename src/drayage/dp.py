@@ -17,23 +17,20 @@ table is consumed as soon as it is built. The sweeps take a weighted sum over
 z and a maximum over the actions allocatable under every z, with one tie
 rule for every network shape. evaluate_policy makes one pass per period:
 at_actions returns each state's cost and next at the policy's action under
-every realization of the period, and they are summed in order. Every table
-reads its allocations from one memo of solve_allocations results, keyed per
-period on (a, min(avail, a), min(space, a), spot rates): no lane carries
-more than a, so larger bounds never bind, solve_allocations solves exactly
-that clipped problem, and all states sharing it share one solve. Each memo
-lookup sends its misses to one solve_allocations call, as (a, clipped row)
-rows of one template problem over the kernel's locations; it pivots them as
-one batch and returns the vertices of separate solves. A network table
-looks up one action at a time (at_actions fills one per realization at the
-policy's actions). Single-entry single-exit instances need one solve per
-action, at unclipped bounds (a, a): the cost depends only on the action and
-the spot rates, so it is looked up for every action at once and broadcast
-over the states, whose own feasibility and successors are clip arithmetic,
-written once over a broadcast action grid: (actions, 1) for a table,
-(1, states) for a policy's actions under (realizations, 1) flows. rollout
-reads each step's allocation through the same memo, keyed the same way, so
-every network shape takes one path and an on-sample step solves nothing.
+every realization of the period, and they are summed in order.
+
+Every table reads its allocations from one memo, keyed per period on (a,
+min(avail, a), min(space, a), spot rates): no lane carries more than a, so
+larger bounds never bind and all states sharing a clipped row share one
+solve. A value holds the allocation's (cost, moves out of each entry, moves
+into each exit) and its moves per (source, lane) column. Each lookup sends
+its misses, as limits rows, to one solve_allocations call against the
+period's cost and cap vectors. A network table looks up one action at a
+time. A single-lane table looks up every action at once at unclipped bounds
+(a, a), since its cost depends only on the action and the spot rates, and
+broadcasts it over the states, whose feasibility and successors are clip
+arithmetic over a broadcast action grid. rollout reads each step's
+allocation through the same memo, so an on-sample step solves nothing.
 
 solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
 evaluate_policy and rollout reuse that kernel, memo included, when they are
@@ -49,12 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alloc import (
-    INFEASIBLE,
-    AllocationProblem,
+    allocation_layout,
     holding_cost,
     lane_costs,
     lane_flows,
-    plan_caps_at,
+    lane_totals,
     solve_allocations,
     transition,
 )
@@ -170,10 +166,10 @@ class PolicyTable:
 
     ``kernel`` is the stage-table kernel of the solve_expected call that made
     the policy (None otherwise). It keeps that call's allocation memo alive
-    for evaluate_policy and rollout to read: about 240 B per entry (what
-    clearing it frees), 534 entries on the network-policy benchmark instance
-    and 88 on a bundled single-lane example (4 periods, 2 spot rates, 11
-    actions).
+    for evaluate_policy and rollout to read. Clearing it frees (tracemalloc)
+    about 340 B per entry on the network-policy benchmark instance (534
+    entries) and 550 B on a generated 2 x 2 network (12,679 entries); a
+    bundled single-lane example holds 88.
     """
 
     horizon: int
@@ -288,13 +284,15 @@ class _StageTables:
     ``next[a, s]``; ``at_actions(t, zs, actions)`` returns only each state's
     entry at its own action, under each z of one period, as ``cost[k, s]``
     and ``next[k, s]``; ``allocation(t, a, state, z)`` returns one state's
-    allocation. ``hold`` and ``terminal`` are every state's holding_cost
-    and terminal_value, derived on first use, once per kernel (a rollout
+    allocation cost and lane totals. ``hold`` and ``terminal`` are every
+    state's holding_cost and terminal_value, derived on first use (a rollout
     reads neither). ``lane`` is the (entry, exit) pair of a single-lane
-    instance (None on networks) and selects the table's arithmetic. Tables
-    and allocations share one memo across calls, for every network shape: a
-    single-lane kernel holds one entry per period, distinct spot rate and
-    action (88 on a bundled single-lane example).
+    instance (None on networks) and selects the table's arithmetic.
+
+    The allocation LP is laid out by alloc.allocation_layout, in ascending
+    id order whatever order the network lists its locations in: the
+    tableau's row order picks among cost-tied vertices. ValueError unless
+    the plan covers every source and period.
     """
 
     def __init__(self, instance: Instance, plan: CapacityPlan):
@@ -310,7 +308,17 @@ class _StageTables:
         self.entry = digits[:, :ne]
         self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
         self._spot_lanes = [(s.id, lane) for s in instance.spot_sources for lane in s.lanes]
-        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], object]] = {}
+        self._keys, self._sources, self._cols = allocation_layout(
+            [(s.id, lane) for s in instance.sources for lane in s.lanes],
+            [s.id for s in instance.sources], idx.entry_ids, idx.exit_ids)
+        # takes a memo row (volume, then limits in indexer order) to the layout's id order
+        self._order = np.concatenate([[0], 1 + np.argsort(idx.entry_ids),
+                                      1 + ne + np.argsort(idx.exit_ids)])
+        for k in self._sources:
+            have = len(plan.capacity.get(k, ()))
+            if have < instance.horizon:
+                raise ValueError(f"plan has no capacity for source {k} in period {have + 1}")
+        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], Sequence[float]]] = {}
         self._stages: Dict[Tuple, Tuple] = {}
 
     @cached_property
@@ -351,29 +359,28 @@ class _StageTables:
             tables = [self._network_table(t, z, stage, actions) for z, stage in zip(zs, stages)]
             return (np.array([cost[actions, cols] for cost, _ in tables]),
                     np.array([nxt[actions, cols] for _, nxt in tables]))
-        costs = {rates: self._lane_costs(t, (rates, template))
-                 for rates, template in dict(stages).items()}
+        costs = {rates: self._lane_costs(t, stage)
+                 for rates, stage in {stage[0]: stage for stage in stages}.items()}
         i, j = self.lane
         q = np.array([z.inflow[i] for z in zs])[:, None]
         d = np.array([z.outflow[j] for z in zs])[:, None]
         feasible, nxt = self._lane_moves(actions[None, :], q, d)
-        cost = np.array([costs[rates] for rates, _ in stages])[:, actions]
+        cost = np.array([costs[stage[0]] for stage in stages])[:, actions]
         return np.where(feasible, cost, np.inf), nxt
 
     def _stage(self, t: int, z: ExogenousRealization):
-        """The memo's inputs for period t under z: (spot rates, template
-        problem), built once per period and spot rates, which the memo's keys
-        already take to fix the costs. The template holds the lane costs and
-        source caps; its volume and limits come with each row."""
+        """The memo's inputs for period t under z: (spot rates, cost per
+        column, cap per source), built once per period and spot rates, which
+        the memo's keys already take to fix the costs."""
         rates = tuple(z.spot_rates[s][lane] for s, lane in self._spot_lanes)
         stage = self._stages.get((t, rates))
         if stage is None:
-            idx = self.indexer
-            caps = {k: float(v) for k, v in plan_caps_at(self.plan, t).items()}
-            template = AllocationProblem(0.0, lane_costs(self.instance, z, t), caps,
-                                         dict.fromkeys(idx.entry_ids, 0),
-                                         dict.fromkeys(idx.exit_ids, 0))
-            stage = self._stages[t, rates] = (rates, template)
+            costs = lane_costs(self.instance, z, t)
+            stage = self._stages[t, rates] = (
+                rates,
+                np.array([costs[key] for key in self._keys]),
+                np.array([float(self.plan.capacity[k][t - 1]) for k in self._sources]),
+            )
         return stage
 
     def _lane_costs(self, t, stage) -> np.ndarray:
@@ -391,8 +398,9 @@ class _StageTables:
         b = self.instance.bounds
         back = b.exit_backorder_max[j]
         e, s = self.entry[:, 0], self.exit[:, 0]
-        e_next = np.clip(e - a + q, 0, b.entry_max[i])
-        s_next = np.clip(s + a - d, -back, b.exit_max[j]) + back
+        # np.int64 bounds: a Python int bound makes np.clip on integers slower
+        e_next = np.clip(e - a + q, np.int64(0), np.int64(b.entry_max[i]))
+        s_next = np.clip(s + a - d, np.int64(-back), np.int64(b.exit_max[j])) + back
         feasible = (a <= e + q) & (a <= b.exit_max[j] - s)
         return feasible, e_next * self.indexer.shape[1] + s_next
 
@@ -423,45 +431,45 @@ class _StageTables:
             alive, sols = states[ok], sols[ok]
             cost[a, alive] = sols[:, 0]
             # alloc.transition's arithmetic, vectorized
-            e_next = np.rint(np.clip(self.entry[alive] - sols[:, 1 : 1 + ne] + q, 0, e_max))
+            e_next = np.rint(np.clip(self.entry[alive] - sols[:, 1 : 1 + ne] + q, 0.0, e_max))
             x_next = np.rint(np.clip(self.exit[alive] + sols[:, 1 + ne :] - d, -back, x_max))
             digits = np.hstack([e_next, x_next + back]).astype(int)
             nxt[a, alive] = np.ravel_multi_index(tuple(digits.T), idx.shape)
         return cost, nxt
 
     def allocation(self, t: int, a: int, state: SystemState, z: ExogenousRealization):
-        """The allocation of a units at ``state`` under z in period t, through the memo."""
+        """(cost, lane totals) of moving a units at ``state`` under z in
+        period t, through the memo; the cost is inf when no allocation exists."""
         idx, b = self.indexer, self.instance.bounds
         row = [min(state.entry_stock[i] + z.inflow[i], a) for i in idx.entry_ids]
         row += [min(b.exit_max[j] - state.exit_stock[j], a) for j in idx.exit_ids]
-        return self._solve(t, [(a, row)], self._stage(t, z))[0][1]
+        (flows, moves), = self._solve(t, [(a, row)], self._stage(t, z))
+        return flows[0], lane_totals(self._keys, moves)
 
     def _solve(self, t, problems, stage):
-        """((cost, moves out of each entry, moves into each exit), Allocation)
-        of each (action, clipped row) in period t, through the memo; all the
-        misses go to one solve_allocations call, one (action, *clipped row)
-        limits row each, whatever their actions.
+        """((cost, moves out of each entry, moves into each exit), moves per
+        column) of each (action, clipped row) in period t, through the memo;
+        all the misses go to one solve_allocations call, one (action,
+        *clipped row) limits row each, whatever their actions.
 
-        The cost is inf and the allocation INFEASIBLE when none exists.
+        When no allocation exists the cost is inf, every flow 0.0 and the
+        move list empty.
         """
-        rates, template = stage
+        rates, costs, caps = stage
         memo = self._memo
         keys = [(t, a, tuple(row), rates) for a, row in problems]
         miss = [key for key in keys if key not in memo]
         if miss:
             idx = self.indexer
-            sols = solve_allocations(template, [(a, *row) for _, a, row, _ in miss])
-            for key, sol in zip(miss, sols):
-                if sol is INFEASIBLE:
-                    flows = (np.inf,) + (0.0,) * len(key[2])
-                else:
-                    out, into = lane_flows(sol.lane_totals())
-                    flows = (
-                        (sol.cost,)
-                        + tuple(out.get(i, 0.0) for i in idx.entry_ids)
-                        + tuple(into.get(j, 0.0) for j in idx.exit_ids)
-                    )
-                memo[key] = (flows, sol)
+            limits = np.array([(a, *row) for _, a, row, _ in miss], dtype=float)[:, self._order]
+            cost, moves = solve_allocations(costs, caps, self._cols, limits)
+            out, into = lane_flows(lane_totals(self._keys, moves.T))
+            zero = np.zeros(len(miss))
+            flows = np.column_stack([cost] + [out.get(i, zero) for i in idx.entry_ids]
+                                    + [into.get(j, zero) for j in idx.exit_ids])
+            infeasible = ((np.inf,) + (0.0,) * (flows.shape[1] - 1), ())  # shared by the batch
+            for key, f, m, ok in zip(miss, flows.tolist(), moves.tolist(), cost < np.inf):
+                memo[key] = (tuple(f), m) if ok else infeasible
         return [memo[key] for key in keys]
 
 
@@ -584,7 +592,7 @@ def evaluate_policy(
         acts = policy.actions[t - 1]
         data = per_period[t - 1]
         cost, nxt = kernel.at_actions(
-            t, [z for z, _ in data], np.clip(acts, 0, kernel.n_actions - 1)
+            t, [z for z, _ in data], np.clip(acts, np.int64(0), np.int64(kernel.n_actions - 1))
         )
         undefined = (acts < 0) | (acts >= kernel.n_actions) | ~np.isfinite(cost).all(axis=0)
         if undefined.any():
@@ -631,13 +639,12 @@ def rollout(
     for t in range(1, instance.horizon + 1):
         z = scenario.realizations[t - 1]
         a = policy.action(t, state)
-        sol = kernel.allocation(t, a, state, z)
-        if sol is INFEASIBLE:
+        cost, totals = kernel.allocation(t, a, state, z)
+        if cost == np.inf:
             raise UndefinedPolicyState(
                 f"policy action {a} infeasible at period {t} state {state}"
             )
-        imm = holding_cost(state, instance.costs) + sol.cost
-        totals = sol.lane_totals()
+        imm = holding_cost(state, instance.costs) + cost
         nxt = transition(state, totals, z, instance.bounds)
         steps.append(TrajectoryStep(t, state, a, totals, imm, nxt))
         total += imm

@@ -15,12 +15,12 @@ import numpy as np
 from drayage.alloc import (
     INFEASIBLE,
     AllocationProblem,
-    build_problem,
     holding_cost,
-    plan_caps_at,
+    lane_costs,
     solve_allocation,
+    transition,
 )
-from drayage.dp import terminal_value
+from drayage.dp import StateIndexer, Trajectory, TrajectoryStep, terminal_value
 from drayage.model import (
     Bounds,
     CapacityPlan,
@@ -34,7 +34,7 @@ from drayage.model import (
     UncertaintySpec,
     validate_instance,
 )
-from drayage.scenario import sample_scenarios
+from drayage.scenario import realization_key, sample_scenarios
 
 
 def _two_point(rng, lo, hi) -> Dict[int, float]:
@@ -261,8 +261,6 @@ def enumerate_policy_value(
     gamma), and they share their continuations instead of enumerating them
     again; without it each call enumerates afresh.
     """
-    from drayage.alloc import transition
-
     if period > instance.horizon:
         return terminal_value(state, instance.costs)
     memo = {} if memo is None else memo
@@ -285,6 +283,38 @@ def enumerate_policy_value(
             best = v
     memo[key] = best
     return best
+
+
+def build_problem(
+    state: SystemState,
+    action: float,
+    realization: ExogenousRealization,
+    caps: Dict[int, float],
+    instance: Instance,
+    period: int = 1,
+) -> AllocationProblem:
+    """The allocation problem of one state and action in one period
+    (1-based): the state-level reference the DP's stage tables are checked
+    against."""
+    avail = {
+        i: state.entry_stock[i] + realization.inflow[i] for i in instance.network.entries
+    }
+    space = {
+        j: instance.bounds.exit_max[j] - state.exit_stock[j]
+        for j in instance.network.exits
+    }
+    return AllocationProblem(
+        total_volume=action,
+        lane_costs=lane_costs(instance, realization, period),
+        source_caps={k: float(v) for k, v in caps.items()},
+        entry_available=avail,
+        exit_space=space,
+    )
+
+
+def plan_caps_at(plan: CapacityPlan, period: int) -> Dict[int, float]:
+    """Per-source capacity column for a 1-based period."""
+    return {k: v[period - 1] for k, v in plan.capacity.items()}
 
 
 def brute_force_allocation(problem: AllocationProblem) -> Optional[float]:
@@ -335,10 +365,6 @@ def loop_policy_values(instance, policy, sample, plan, gamma: float = 1.0) -> np
     same accumulation order (-holding, then += w * (-cost + gamma * V') per
     distinct realization), so the results must agree bit for bit.
     """
-    from drayage.alloc import transition
-    from drayage.dp import StateIndexer
-    from drayage.scenario import realization_key
-
     indexer = StateIndexer.for_instance(instance)
     tau = instance.horizon
     values = np.empty((tau + 1, indexer.n_states))
@@ -369,9 +395,6 @@ def undefined_action_message(instance, policy, sample, plan) -> Optional[str]:
     states in index order: the first action outside 0..action_max, or not
     allocatable under some draw of its period, is named.
     """
-    from drayage.dp import StateIndexer
-    from drayage.scenario import realization_key
-
     indexer = StateIndexer.for_instance(instance)
     for t in range(instance.horizon, 0, -1):
         draws = {realization_key(z, instance): z for z in sample.realizations[t - 1]}
@@ -392,9 +415,6 @@ def direct_rollout(instance, policy, scenario, plan, start):
     The per-step loop rollout ran before it read the stage-table memo, kept
     as the reference: the trajectories must agree bit for bit (``repr``).
     """
-    from drayage.alloc import transition
-    from drayage.dp import Trajectory, TrajectoryStep
-
     state, steps, total = start, [], 0.0
     for t, z in enumerate(scenario.realizations, start=1):
         a = policy.action(t, state)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from drayage import dp, evaluation, reference
-from drayage.alloc import INFEASIBLE, build_problem, plan_caps_at, solve_allocation
+from drayage.alloc import INFEASIBLE, solve_allocation
 from drayage.capopt import (
     OptConfig,
     objective,
@@ -32,9 +32,11 @@ from drayage.scenario import build_sample_set, sample_scenarios
 from helpers import (
     all_states,
     brute_force_allocation,
+    build_problem,
     enumerate_policy_value,
     micro_instance,
     micro_scenario,
+    plan_caps_at,
     random_plan,
     relaxation_triple,
 )

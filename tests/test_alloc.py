@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import brute_force_allocation, micro_instance, micro_scenario
+from helpers import (
+    brute_force_allocation,
+    build_problem,
+    micro_instance,
+    micro_scenario,
+    plan_caps_at,
+)
 from drayage import alloc
 from drayage.alloc import (
     INFEASIBLE,
     AllocationProblem,
-    build_problem,
     holding_cost,
-    plan_caps_at,
     solve_allocation,
     solve_allocations,
     tableau_simplex,
@@ -293,9 +297,16 @@ def test_tableau_batch_solves_each_problem_as_alone(monkeypatch):
 
 
 def _limits_row(problem):
-    """The problem's volume, entry availability then exit space, in dict order."""
-    return [problem.total_volume, *problem.entry_available.values(),
-            *problem.exit_space.values()]
+    """The problem's volume, entry availability then exit space, each in id order."""
+    return [problem.total_volume, *(v for _, v in sorted(problem.entry_available.items())),
+            *(v for _, v in sorted(problem.exit_space.items()))]
+
+
+def _arrays(problem):
+    """solve_allocations' (costs, caps, cols) of a problem."""
+    keys, sources, cols = alloc.allocation_layout(
+        problem.lane_costs, problem.source_caps, problem.entry_available, problem.exit_space)
+    return [problem.lane_costs[k] for k in keys], [problem.source_caps[k] for k in sources], cols
 
 
 def test_solve_allocations_matches_one_at_a_time():
@@ -322,28 +333,34 @@ def test_solve_allocations_matches_one_at_a_time():
                     for action in actions
                 ]
                 rows = [_limits_row(p) for p in problems]
-                for got, problem in zip(solve_allocations(problems[0], rows), problems):
+                cost, moves = solve_allocations(*_arrays(problems[0]), rows)
+                assert cost.shape == (len(rows),)
+                assert moves.shape == (len(rows), len(problems[0].lane_costs))
+                for c, m, problem in zip(cost, moves, problems):
                     want = solve_allocation(problem)
-                    assert (got is INFEASIBLE) == (want is INFEASIBLE)
-                    if want is not INFEASIBLE:
-                        assert repr(got) == repr(want)
+                    if want is INFEASIBLE:
+                        assert c == np.inf and not m.any()
+                    else:
+                        assert repr(float(c)) == repr(want.cost)
+                        assert m.tobytes() == np.array(list(want.moves.values())).tobytes()
 
 
 def test_solve_allocations_checks_the_limits_shape():
-    problem = _two_entry_problem(1.0)  # volume, entries 1, 2 and exit 3: width 4
-    assert solve_allocations(problem, []) == []
-    assert solve_allocations(problem, np.zeros((0, 4))) == []
-    with pytest.raises(ValueError, match=r"width 4.*\(2, 3\)"):
-        solve_allocations(problem, np.ones((2, 3)))
-    with pytest.raises(ValueError, match=r"width 4.*\(4,\)"):
-        solve_allocations(problem, [1.0, 5.0, 5.0, 5.0])
-    with pytest.raises(ValueError, match=r"width 4.*\(1, 1, 4\)"):
-        solve_allocations(problem, np.ones((1, 1, 4)))
+    arrays = _arrays(_two_entry_problem(1.0))  # limits columns 1, 2 (entries) and 3 (exit)
+    for empty in ([], np.zeros((0, 4))):
+        cost, moves = solve_allocations(*arrays, empty)
+        assert cost.shape == (0,) and moves.shape == (0, 4)
+    with pytest.raises(ValueError, match=r"4 columns.*\(2, 3\)"):
+        solve_allocations(*arrays, np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"\(4,\)"):
+        solve_allocations(*arrays, [1.0, 5.0, 5.0, 5.0])
+    with pytest.raises(ValueError, match=r"\(1, 1, 4\)"):
+        solve_allocations(*arrays, np.ones((1, 1, 4)))
 
 
 def test_lane_location_or_source_without_a_limit_raises():
     # one reading of a missing key on every shape: a ValueError naming it,
-    # whatever the volume or the limits rows
+    # whatever the volume
     one_lane = {(1, (1, 2)): 1.0}
     network = _two_entry_problem(3.0).lane_costs
     cases = [
@@ -358,8 +375,6 @@ def test_lane_location_or_source_without_a_limit_raises():
     for problem, missing in cases:
         with pytest.raises(ValueError, match=missing):
             solve_allocation(problem)
-        with pytest.raises(ValueError, match=missing):
-            solve_allocations(problem, np.zeros((2, len(_limits_row(problem)))))
 
 
 def test_negative_source_cap_is_infeasible():
@@ -376,8 +391,8 @@ def test_negative_source_cap_is_infeasible():
                                  problem.entry_available, problem.exit_space)
         assert solve_allocation(zero) is INFEASIBLE
         rows = [_limits_row(problem), _limits_row(zero), np.zeros(len(_limits_row(problem)))]
-        assert solve_allocations(problem, rows) == [INFEASIBLE] * 3
-        assert solve_allocations(zero, rows) == [INFEASIBLE] * 3
+        cost, moves = solve_allocations(*_arrays(problem), rows)
+        assert (cost == np.inf).all() and not moves.any()
 
 
 def _tableau_of(problem):

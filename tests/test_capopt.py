@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from drayage import capopt
+from drayage import capopt, lp, mslp
 from drayage.capopt import (
     CapacityObjective,
     OptConfig,
@@ -691,8 +691,6 @@ def test_exact_matches_folded_optimum_on_one_scenario(capacity_instance, demo_sc
 def test_exact_reads_its_cost_from_one_solve(capacity_instance, monkeypatch):
     # The extensive form is the only LP solved: no block is solved again to
     # price the lowered plan.
-    from drayage import lp, mslp
-
     obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 20, 0))
     calls = {"lp": 0, "model": 0}
 

@@ -33,11 +33,13 @@ from drayage import reference
 
 from helpers import (
     all_states,
+    build_problem,
     direct_rollout,
     dry_scenario,
     enumerate_policy_value,
     loop_policy_values,
     micro_instance,
+    plan_caps_at,
     random_plan,
     undefined_action_message,
 )
@@ -377,9 +379,9 @@ def test_network_sweep_solves_each_clipped_problem_at_most_once(
     calls = []  # one entry per limits row solved
     real = alloc.solve_allocations
 
-    def counting(problem, limits):
+    def counting(costs, caps, cols, limits):
         calls.extend(limits)
-        return real(problem, limits)
+        return real(costs, caps, cols, limits)
 
     monkeypatch.setattr("drayage.dp.solve_allocations", counting)
     one_lane = [
@@ -507,6 +509,67 @@ def test_stage_key_is_the_realization_keys_spot_rates(
             rates = {k[2] for k in keys}
             assert {r for s, r in kernel._stages if s == t} == rates
             assert {key[3] for key in kernel._memo if key[0] == t} == rates
+
+
+def test_memo_allocations_hold_on_networks_listed_out_of_id_order():
+    # the tableau's rows go in ascending location id, whatever order the
+    # network lists its entries and exits in: on reversed 2 x 2 networks
+    # every memo entry equals a direct solve at a state that reads it
+    shape = dict(n_entries=2, n_exits=2, n_bids=2, n_spot=1, horizon=2,
+                 cost_mean=12.0, cost_sd=4.0, cost_min=2.0, capacity_levels=2)
+    for seed in range(3):
+        inst = generate_instance(seed, shape)
+        net = inst.network
+        inst = replace(inst, network=replace(net, entries=net.entries[::-1], exits=net.exits[::-1]))
+        assert inst.network.entries == tuple(sorted(inst.network.entries, reverse=True))
+        plan = generate_default_plan(seed, inst)
+        sample = build_sample_set(inst, 3, seed, mode="iid")
+        _, pt = solve_expected(inst, sample, plan)
+        kernel, b = pt.kernel, inst.bounds
+
+        # one (state, realization) per memo key
+        found = {}
+        for t, period in enumerate(sample.distinct(inst), start=1):
+            for z, _ in period:
+                rates = kernel._stage(t, z)[0]
+                for state in kernel.indexer.all_states():
+                    for a in range(b.action_max + 1):
+                        row = tuple(min(state.entry_stock[i] + z.inflow[i], a)
+                                    for i in inst.network.entries)
+                        row += tuple(min(b.exit_max[j] - state.exit_stock[j], a)
+                                     for j in inst.network.exits)
+                        found.setdefault((t, a, row, rates), (state, z))
+        assert set(kernel._memo) <= set(found)
+        lanes = sorted(inst.network.lanes)
+        for t, a, row, rates in list(kernel._memo):
+            state, z = found[t, a, row, rates]
+            cost, totals = kernel.allocation(t, a, state, z)
+            want = alloc.solve_allocation(
+                build_problem(state, a, z, plan_caps_at(plan, t), inst, t)
+            )
+            if want is alloc.INFEASIBLE:
+                assert cost == np.inf
+                continue
+            want_totals = want.lane_totals()
+            assert set(totals) == set(want_totals)
+            assert np.array_equal([cost], [want.cost])
+            assert np.array_equal([totals.get(l, 0.0) for l in lanes],
+                                  [want_totals.get(l, 0.0) for l in lanes])
+
+
+def test_kernel_rejects_a_plan_without_every_period_of_every_source(
+    capacity_instance, baseline_plan
+):
+    sample = build_sample_set(capacity_instance, 0, 0, mode="enumerate")
+    tau = capacity_instance.horizon
+    short = CapacityPlan({k: v[: tau - 2] for k, v in baseline_plan.capacity.items()})
+    first = min(baseline_plan.capacity)
+    with pytest.raises(ValueError, match=f"source {first} in period {tau - 1}"):
+        solve_expected(capacity_instance, sample, short)
+    last = max(baseline_plan.capacity)
+    missing = CapacityPlan({k: v for k, v in baseline_plan.capacity.items() if k != last})
+    with pytest.raises(ValueError, match=f"source {last} in period 1"):
+        solve_expected(capacity_instance, sample, missing)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from drayage import capopt, lp
 from drayage.capopt import objective, reservation_cost, sample_objective, scenario_objective
 from drayage.evaluation import (
     RegretRecord,
@@ -117,8 +118,6 @@ def test_regret_builds_one_layout_per_profile(capacity_instance, tuned_plan, mon
     # The optimum and the achieved value share the scenario's row, written
     # into the profile's one layout (one build_mslp call), and are solved on
     # the profile's one HiGHS model.
-    from drayage import capopt, lp
-
     builds, models = [], []
     build, init = capopt.build_mslp, lp.HighsModel.__init__
 

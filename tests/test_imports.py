@@ -1,4 +1,5 @@
-"""Package layout: every module imports the package's modules at module level."""
+"""Package layout: every module of the package, and every test module, imports
+the package's modules at module level."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,14 @@ def _package_imports_in_functions(path):
 def test_no_function_local_package_imports():
     # a function-local import hides an import cycle between modules
     modules = sorted(Path(drayage.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    found = {p.name: hits for p in modules if (hits := _package_imports_in_functions(p))}
+    assert found == {}
+
+
+def test_no_function_local_package_imports_in_tests():
+    # a test that imports inside its body hides what the suite depends on
+    modules = sorted(Path(__file__).parent.glob("*.py"))
     assert len(modules) > 5
     found = {p.name: hits for p in modules if (hits := _package_imports_in_functions(p))}
     assert found == {}

@@ -1,25 +1,32 @@
 """Property suites for the pure functions (1000+ generated cases each)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_allocation
+from helpers import (
+    all_states,
+    brute_force_allocation,
+    build_problem,
+    micro_instance,
+    plan_caps_at,
+    random_plan,
+)
 from drayage.alloc import (
     INFEASIBLE,
     AllocationProblem,
     holding_cost,
     solve_allocation,
-    build_problem,
     transition,
 )
 from drayage.capopt import quadratic_parameterization, reservation_cost
 from drayage.dp import StateIndexer, _StageTables, terminal_value
 from drayage.evaluation import summarize
 from drayage.model import CapacityPlan, ExogenousRealization, SystemState
-from drayage.scenario import realization_probability
+from drayage.scenario import enumerate_support, realization_probability
 from drayage import reference
 
 CAP = reference.example_instance("capacity")
@@ -330,12 +337,6 @@ def test_allocation_unchanged_by_clipping_bounds_to_volume(shape, seed):
     # The DP memoizes allocations on min(avail, a) and min(space, a); that is
     # exact only if the solver's answer, including which of several
     # cost-tied allocations it returns, depends on nothing else.
-    from dataclasses import replace
-
-    from drayage.alloc import INFEASIBLE, plan_caps_at
-    from drayage.scenario import enumerate_support
-    from helpers import all_states, micro_instance, random_plan
-
     rng = np.random.Generator(np.random.Philox(seed))
     inst = micro_instance(rng, n_entries=shape[0], n_exits=shape[1])
     plan = random_plan(rng, inst)
