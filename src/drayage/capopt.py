@@ -127,8 +127,15 @@ class CapacityObjective:
         self.cap_matrix = self.layout.A_ub[self.cap_index]
 
     def flow_denominator(self) -> float:
-        """Weighted total exogenous flow (cost-per-TEU denominator)."""
-        return _sum_in_order([w * total_flow(sc) for sc, w in self.weighted_scenarios]) or 1.0
+        """Weighted total exogenous flow (cost-per-TEU denominator): over the
+        scenarios, or over each period's draws of the sample set."""
+        if self.sample_set is None:
+            terms = [w * total_flow(sc) for sc, w in self.weighted_scenarios]
+        else:
+            s = self.sample_set
+            terms = [w * (sum(z.inflow.values()) + sum(z.outflow.values()))
+                     for zs, ws in zip(s.realizations, s.weights) for z, w in zip(zs, ws)]
+        return _sum_in_order(terms) or 1.0
 
     @property
     def model(self) -> HighsModel:  # the layout's, built on first use

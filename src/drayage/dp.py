@@ -8,29 +8,29 @@ better); solvers therefore maximize. Three entry points share one kernel:
                    the SampleSet enumerates the support, SAA otherwise)
   evaluate_policy  the same tables read at a fixed policy's actions
 
-The kernel builds, for each period t and distinct realization z, a stage
-table over (action a, state s): cost[a, s], the transport cost of moving a
-units at s (inf when no allocation exists), and next[a, s], the index of the
-state reached. The finite entries of a state's column are its feasible
-actions under z, {0..A*}; nothing else in the package decides that set. Each
-table is consumed as soon as it is built. The sweeps take a weighted sum over
-z and a maximum over the actions allocatable under every z, with one tie
-rule for every network shape. evaluate_policy makes one pass per period:
-at_actions returns each state's cost and next at the policy's action under
-every realization of the period, and they are summed in order.
+The kernel's one table method, tables(t, zs), returns for each distinct
+realization z of period t a stage table over (action a, state s):
+cost[z, a, s], the transport cost of moving a units at s (inf when no
+allocation exists), and next[z, a, s], the index of the state reached. The
+finite entries of a state's column are its feasible actions under z,
+{0..A*}; nothing else in the package decides that set. The sweep calls it
+once per period: a weighted sum over z, realization by realization, and a
+maximum over the actions allocatable under every z, with one tie rule for
+every network shape. evaluate_policy passes the policy's actions and gets
+only those entries, cost[z, s] and next[z, s], summed in order after hold.
 
 Every table reads its allocations from one memo, keyed per period on (a,
 min(avail, a), min(space, a), spot rates): no lane carries more than a, so
 larger bounds never bind and all states sharing a clipped row share one
 solve. A value holds the allocation's (cost, moves out of each entry, moves
-into each exit) and its moves per (source, lane) column. Each lookup sends
-its misses, as limits rows, to one solve_allocations call against the
-period's cost and cap vectors. A network table looks up one action at a
-time. A single-lane table looks up every action at once at unclipped bounds
-(a, a), since its cost depends only on the action and the spot rates, and
-broadcasts it over the states, whose feasibility and successors are clip
-arithmetic over a broadcast action grid. rollout reads each step's
-allocation through the same memo, so an on-sample step solves nothing.
+into each exit) and its moves per lane. Each lookup sends its misses, as
+limits rows, to one solve_allocations call against the period's cost and
+cap vectors. A network table looks up one action at a time. A single-lane
+table looks up every action at once at unclipped bounds (a, a), since its
+cost depends only on the action and the spot rates, and broadcasts it over
+the states, whose feasibility and successors are clip arithmetic over a
+broadcast action grid. rollout reads each step's cost and lane totals
+through the same memo, so an on-sample step solves nothing.
 
 solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
 evaluate_policy and rollout reuse that kernel, memo included, when they are
@@ -166,10 +166,10 @@ class PolicyTable:
 
     ``kernel`` is the stage-table kernel of the solve_expected call that made
     the policy (None otherwise). It keeps that call's allocation memo alive
-    for evaluate_policy and rollout to read. Clearing it frees (tracemalloc)
-    about 340 B per entry on the network-policy benchmark instance (534
-    entries) and 550 B on a generated 2 x 2 network (12,679 entries); a
-    bundled single-lane example holds 88.
+    for evaluate_policy and rollout to read. Clearing the memo frees
+    (tracemalloc, started before the solve) about 310 B per entry on the
+    network-policy benchmark instance (534 entries) and 470 B on a generated
+    2 x 2 network (12,679 entries); a bundled single-lane example holds 88.
     """
 
     horizon: int
@@ -279,12 +279,14 @@ def _unique_rows(rows: np.ndarray, a: int) -> Tuple[np.ndarray, np.ndarray]:
 class _StageTables:
     """The Bellman kernel (see the module docstring) for one instance and plan.
 
-    ``table(t, z)`` returns ``cost[a, s]`` (inf = no allocation, so the
-    finite part of column s is the state's feasible action set) and
-    ``next[a, s]``; ``at_actions(t, zs, actions)`` returns only each state's
-    entry at its own action, under each z of one period, as ``cost[k, s]``
-    and ``next[k, s]``; ``allocation(t, a, state, z)`` returns one state's
-    allocation cost and lane totals. ``hold`` and ``terminal`` are every
+    ``tables(t, zs)`` returns ``cost[k, a, s]`` (inf = no allocation, so the
+    finite part of column s is the state's feasible action set under zs[k])
+    and ``next[k, a, s]``; ``tables(t, zs, actions)`` returns only each
+    state's entry at its own action, ``cost[k, s]`` and ``next[k, s]``.
+    ``allocation(t, a, state, z)`` returns one state's allocation cost and
+    lane totals. The memo keeps each allocation's moves per lane, in the
+    order each lane first appears in the layout's keys (``_lanes``), the
+    order alloc.lane_totals sums them in. ``hold`` and ``terminal`` are every
     state's holding_cost and terminal_value, derived on first use (a rollout
     reads neither). ``lane`` is the (entry, exit) pair of a single-lane
     instance (None on networks) and selects the table's arithmetic.
@@ -305,8 +307,12 @@ class _StageTables:
         self.lane = (net.entries[0], net.exits[0]) if one_lane else None
         digits = np.array(np.unravel_index(np.arange(idx.n_states), idx.shape)).T
         ne = len(idx.entry_ids)
+        b = instance.bounds
+        self._e_max = np.array([b.entry_max[i] for i in idx.entry_ids])
+        self._x_max = np.array([b.exit_max[j] for j in idx.exit_ids])
+        self._back = np.array(idx.exit_offsets)
         self.entry = digits[:, :ne]
-        self.exit = digits[:, ne:] - np.array(idx.exit_offsets)
+        self.exit = digits[:, ne:] - self._back
         self._spot_lanes = [(s.id, lane) for s in instance.spot_sources for lane in s.lanes]
         self._keys, self._sources, self._cols = allocation_layout(
             [(s.id, lane) for s in instance.sources for lane in s.lanes],
@@ -318,7 +324,8 @@ class _StageTables:
             have = len(plan.capacity.get(k, ()))
             if have < instance.horizon:
                 raise ValueError(f"plan has no capacity for source {k} in period {have + 1}")
-        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], Sequence[float]]] = {}
+        self._lanes = tuple(dict.fromkeys(lane for _, lane in self._keys))
+        self._memo: Dict[Tuple, Tuple[Tuple[float, ...], Tuple[float, ...]]] = {}
         self._stages: Dict[Tuple, Tuple] = {}
 
     @cached_property
@@ -338,34 +345,27 @@ class _StageTables:
         """terminal_value of every state."""
         return np.array([terminal_value(s, self.instance.costs) for s in self.indexer.all_states()])
 
-    def table(self, t: int, z: ExogenousRealization) -> Tuple[np.ndarray, np.ndarray]:
-        """Stage tables of period t under z."""
-        stage = self._stage(t, z)
-        if self.lane is not None:
-            a = np.arange(self.n_actions)[:, None]
-            feasible, nxt = self._lane_moves(a, z.inflow[self.lane[0]], z.outflow[self.lane[1]])
-            return np.where(feasible, self._lane_costs(t, stage)[:, None], np.inf), nxt
-        return self._network_table(t, z, stage)
-
-    def at_actions(
-        self, t: int, zs: Sequence[ExogenousRealization], actions: np.ndarray
+    def tables(
+        self, t: int, zs: Sequence[ExogenousRealization], actions: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each state's entry of the stage tables of period t at its action
-        ``actions[s]`` (in 0..n_actions-1) under each z of zs: cost and next
-        as two (len(zs), n_states) arrays, one pass for the period."""
+        """Stage tables of period t under each z of zs: cost and next as two
+        (len(zs), n_actions, n_states) arrays, or, given each state's action
+        ``actions[s]`` (in 0..n_actions-1), two (len(zs), n_states) arrays
+        of each state's entry at its action."""
         stages = [self._stage(t, z) for z in zs]
         if self.lane is None:
-            cols = np.arange(len(actions))
-            tables = [self._network_table(t, z, stage, actions) for z, stage in zip(zs, stages)]
-            return (np.array([cost[actions, cols] for cost, _ in tables]),
-                    np.array([nxt[actions, cols] for _, nxt in tables]))
+            cost, nxt = zip(*(self._network_table(t, z, stage, actions)
+                              for z, stage in zip(zs, stages)))
+            return np.array(cost), np.array(nxt)
         costs = {rates: self._lane_costs(t, stage)
                  for rates, stage in {stage[0]: stage for stage in stages}.items()}
+        a = np.arange(self.n_actions)[:, None] if actions is None else actions
         i, j = self.lane
-        q = np.array([z.inflow[i] for z in zs])[:, None]
-        d = np.array([z.outflow[j] for z in zs])[:, None]
-        feasible, nxt = self._lane_moves(actions[None, :], q, d)
-        cost = np.array([costs[stage[0]] for stage in stages])[:, actions]
+        flows = (len(zs),) + (1,) * a.ndim  # realizations lead, a's shape follows
+        q = np.array([z.inflow[i] for z in zs]).reshape(flows)
+        d = np.array([z.outflow[j] for z in zs]).reshape(flows)
+        feasible, nxt = self._lane_moves(a, q, d)
+        cost = np.array([costs[stage[0]] for stage in stages])[:, a]
         return np.where(feasible, cost, np.inf), nxt
 
     def _stage(self, t: int, z: ExogenousRealization):
@@ -392,32 +392,29 @@ class _StageTables:
 
     def _lane_moves(self, a, q, d) -> Tuple[np.ndarray, np.ndarray]:
         """Feasibility and next-state index of moving a on the one lane from
-        every state under inflow q and outflow d, broadcast against the states:
-        a (n_actions, 1) action grid, or (1, n_states) with (len(zs), 1) flows."""
-        i, j = self.lane
-        b = self.instance.bounds
-        back = b.exit_backorder_max[j]
-        e, s = self.entry[:, 0], self.exit[:, 0]
+        every state under inflow q and outflow d, broadcast against the states: an
+        (n_actions, 1) grid with (len(zs), 1, 1) flows, or (n_states,) with (len(zs), 1)."""
         # np.int64 bounds: a Python int bound makes np.clip on integers slower
-        e_next = np.clip(e - a + q, np.int64(0), np.int64(b.entry_max[i]))
-        s_next = np.clip(s + a - d, np.int64(-back), np.int64(b.exit_max[j])) + back
-        feasible = (a <= e + q) & (a <= b.exit_max[j] - s)
+        e_max, x_max, back = self._e_max[0], self._x_max[0], self._back[0]
+        e, s = self.entry[:, 0], self.exit[:, 0]
+        e_next = np.clip(e - a + q, np.int64(0), e_max)
+        s_next = np.clip(s + a - d, -back, x_max) + back
+        feasible = (a <= e + q) & (a <= x_max - s)
         return feasible, e_next * self.indexer.shape[1] + s_next
 
     def _network_table(self, t, z, stage, actions=None):
-        inst, idx = self.instance, self.indexer
-        b = inst.bounds
+        """One network stage table under z, as tables() returns it for one z."""
+        idx = self.indexer
         ne = len(idx.entry_ids)
         q = np.array([z.inflow[i] for i in idx.entry_ids])
         d = np.array([z.outflow[j] for j in idx.exit_ids])
-        e_max = np.array([b.entry_max[i] for i in idx.entry_ids])
-        x_max = np.array([b.exit_max[j] for j in idx.exit_ids])
-        back = np.array(idx.exit_offsets)
+        e_max, x_max, back = self._e_max, self._x_max, self._back
         bounds = np.hstack([self.entry + q, x_max - self.exit])  # avail | space
 
         n = idx.n_states
-        cost = np.full((self.n_actions, n), np.inf)
-        nxt = np.zeros((self.n_actions, n), dtype=int)
+        shape = (self.n_actions, n) if actions is None else (n,)
+        cost = np.full(shape, np.inf)
+        nxt = np.zeros(shape, dtype=int)
         # a sweep tries a only where a - 1 was feasible (feasibility is monotone in a)
         alive = np.arange(n)
         for a in range(self.n_actions):
@@ -429,12 +426,13 @@ class _StageTables:
             sols = np.array([flows for flows, _ in solved])[inv]
             ok = np.isfinite(sols[:, 0])
             alive, sols = states[ok], sols[ok]
-            cost[a, alive] = sols[:, 0]
+            cost_a, nxt_a = (cost[a], nxt[a]) if actions is None else (cost, nxt)
+            cost_a[alive] = sols[:, 0]
             # alloc.transition's arithmetic, vectorized
             e_next = np.rint(np.clip(self.entry[alive] - sols[:, 1 : 1 + ne] + q, 0.0, e_max))
             x_next = np.rint(np.clip(self.exit[alive] + sols[:, 1 + ne :] - d, -back, x_max))
             digits = np.hstack([e_next, x_next + back]).astype(int)
-            nxt[a, alive] = np.ravel_multi_index(tuple(digits.T), idx.shape)
+            nxt_a[alive] = np.ravel_multi_index(tuple(digits.T), idx.shape)
         return cost, nxt
 
     def allocation(self, t: int, a: int, state: SystemState, z: ExogenousRealization):
@@ -443,17 +441,17 @@ class _StageTables:
         idx, b = self.indexer, self.instance.bounds
         row = [min(state.entry_stock[i] + z.inflow[i], a) for i in idx.entry_ids]
         row += [min(b.exit_max[j] - state.exit_stock[j], a) for j in idx.exit_ids]
-        (flows, moves), = self._solve(t, [(a, row)], self._stage(t, z))
-        return flows[0], lane_totals(self._keys, moves)
+        (flows, totals), = self._solve(t, [(a, row)], self._stage(t, z))
+        return flows[0], dict(zip(self._lanes, totals))
 
     def _solve(self, t, problems, stage):
         """((cost, moves out of each entry, moves into each exit), moves per
-        column) of each (action, clipped row) in period t, through the memo;
-        all the misses go to one solve_allocations call, one (action,
-        *clipped row) limits row each, whatever their actions.
+        lane in _lanes order) of each (action, clipped row) in period t,
+        through the memo; all the misses go to one solve_allocations call,
+        one (action, *clipped row) limits row each, whatever their actions.
 
         When no allocation exists the cost is inf, every flow 0.0 and the
-        move list empty.
+        lane totals empty.
         """
         rates, costs, caps = stage
         memo = self._memo
@@ -463,13 +461,15 @@ class _StageTables:
             idx = self.indexer
             limits = np.array([(a, *row) for _, a, row, _ in miss], dtype=float)[:, self._order]
             cost, moves = solve_allocations(costs, caps, self._cols, limits)
-            out, into = lane_flows(lane_totals(self._keys, moves.T))
+            totals = lane_totals(self._keys, moves.T)
+            out, into = lane_flows(totals)
             zero = np.zeros(len(miss))
             flows = np.column_stack([cost] + [out.get(i, zero) for i in idx.entry_ids]
                                     + [into.get(j, zero) for j in idx.exit_ids])
+            per_lane = np.column_stack(list(totals.values()))
             infeasible = ((np.inf,) + (0.0,) * (flows.shape[1] - 1), ())  # shared by the batch
-            for key, f, m, ok in zip(miss, flows.tolist(), moves.tolist(), cost < np.inf):
-                memo[key] = (tuple(f), m) if ok else infeasible
+            for key, f, m, ok in zip(miss, flows.tolist(), per_lane.tolist(), cost < np.inf):
+                memo[key] = (tuple(f), tuple(m)) if ok else infeasible
         return [memo[key] for key in keys]
 
 
@@ -508,11 +508,12 @@ def _sweep(instance, per_period, plan):
     for t in range(tau, 0, -1):
         acc = np.zeros((n_act, n))
         ok = np.ones((n_act, n), dtype=bool)
-        for z, w in per_period[t - 1]:
-            cost, nxt = kernel.table(t, z)
+        data = per_period[t - 1]
+        for (_, w), cost, nxt in zip(data, *kernel.tables(t, [z for z, _ in data])):
             finite = np.isfinite(cost)
             ok &= finite
             acc += w * (-np.where(finite, cost, 0.0) + values[t][nxt])
+        del cost, nxt  # views of the period's tables: free them before the next period's
         ok = np.logical_and.accumulate(ok, axis=0)
         best_v = np.full(n, -np.inf)
         best_a = np.zeros(n, dtype=int)
@@ -591,7 +592,7 @@ def evaluate_policy(
     for t in range(tau, 0, -1):
         acts = policy.actions[t - 1]
         data = per_period[t - 1]
-        cost, nxt = kernel.at_actions(
+        cost, nxt = kernel.tables(
             t, [z for z, _ in data], np.clip(acts, np.int64(0), np.int64(kernel.n_actions - 1))
         )
         undefined = (acts < 0) | (acts >= kernel.n_actions) | ~np.isfinite(cost).all(axis=0)

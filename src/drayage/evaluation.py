@@ -97,18 +97,10 @@ def regret_profile(
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    # average ranks for ties
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # 1-based ranks; tied values share the mean of their positions
+    _, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inv]
 
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:

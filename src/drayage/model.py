@@ -300,10 +300,10 @@ def _truncated_normal(rng: np.random.Generator, mean: float, sd: float, lo: floa
 def generate_instance(seed: int, shape: Dict) -> Instance:
     """Synthetic instance, a pure function of (seed, shape).
 
-    shape keys: n_entries, n_exits, n_bids, n_carriers, n_spot, horizon,
-    cost_mean, cost_sd, cost_min, capacity_levels. Lanes are the full I x J
-    product; each bid is a random nonempty lane subset with a random winning
-    carrier, and each (bid, winner) pair becomes one strategic source.
+    shape keys: n_entries, n_exits, n_bids, n_spot, horizon, cost_mean,
+    cost_sd, cost_min, capacity_levels. Lanes are the full I x J product;
+    each bid is a random nonempty lane subset with a random winning carrier,
+    and each (bid, winner) pair becomes one strategic source.
     Without spot sources the last bid also takes every lane no earlier bid
     drew, so every lane is served. capacity_levels fixes all stock bounds
     and action_max, so capacity plans live on the grid {0..capacity_levels}
@@ -319,12 +319,11 @@ def generate_instance(seed: int, shape: Dict) -> Instance:
     cost_sd = float(shape["cost_sd"])
     cost_min = float(shape["cost_min"])
     levels = int(shape["capacity_levels"])
-    n_carriers = int(shape.get("n_carriers", max(n_bids, 1)))
     if n_entries < 1 or n_exits < 1:
         raise ValueError("shape with zero lanes: need n_entries >= 1 and n_exits >= 1")
     for key, val, lo in (("horizon", horizon, 1), ("n_bids", n_bids, 0), ("n_spot", n_spot, 0),
-                         ("n_carriers", n_carriers, 1), ("capacity_levels", levels, 0),
-                         ("cost_sd", cost_sd, 0), ("cost_min", cost_min, 0)):
+                         ("capacity_levels", levels, 0), ("cost_sd", cost_sd, 0),
+                         ("cost_min", cost_min, 0)):
         if not val >= lo:
             raise ValueError(f"shape {key} is {val}; need {key} >= {lo}")
     if n_bids + n_spot < 1:
@@ -349,7 +348,7 @@ def generate_instance(seed: int, shape: Dict) -> Instance:
             drawn |= set(lanes) - covered
         covered |= drawn
         bid_lanes = tuple(sorted(drawn))
-        rng.integers(0, n_carriers)  # winner draw; identity folded into the source id
+        rng.integers(0, max(n_bids, 1))  # winner draw; identity folded into the source id
         cost = {
             lane: tuple([_truncated_normal(rng, cost_mean, cost_sd, cost_min)] * horizon)
             for lane in bid_lanes

@@ -426,3 +426,19 @@ def direct_rollout(instance, policy, scenario, plan, start):
         total += imm
         state = nxt
     return Trajectory(tuple(steps), total - terminal_value(state, instance.costs))
+
+
+def loop_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based average ranks by a walk over the stably sorted values: the
+    tie loop evaluation._ranks ran before it read np.unique's counts."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -100,6 +100,29 @@ def test_flow_denominator_sums_left_to_right(capacity_instance):
     assert repr(obj.flow_denominator()) == repr(in_order)
 
 
+def test_dp_valued_denominator_is_the_samples_expected_flow(capacity_instance):
+    # each period's draws weighted, added in order; cost per TEU divides by it
+    enum = CapacityObjective(
+        capacity_instance, sample_set=build_sample_set(capacity_instance, 0, 0, mode="enumerate")
+    )
+    iid = CapacityObjective(
+        capacity_instance, sample_set=build_sample_set(capacity_instance, 1000, 0, mode="iid")
+    )
+    for obj in (enum, iid):
+        in_order = 0.0
+        for zs, ws in zip(obj.sample_set.realizations, obj.sample_set.weights):
+            for z, w in zip(zs, ws):
+                in_order += w * (sum(z.inflow.values()) + sum(z.outflow.values()))
+        assert repr(obj.flow_denominator()) == repr(in_order)
+    denom = enum.flow_denominator()
+    assert repr(denom) == "34.399999999999984"
+    assert iid.flow_denominator() == pytest.approx(34.1, abs=0.05)
+    _, stats = monte_carlo_search(enum, 5, seed=0)
+    total, per_teu = stats["total_cost"], stats["cost_per_teu"]
+    assert per_teu["min"] == total["min"] / denom
+    assert per_teu == pytest.approx({k: v / denom for k, v in total.items()}, rel=1e-12)
+
+
 def test_objective_mode_validated(capacity_instance, demo_scenario):
     # LP-valued with weighted_scenarios, DP-valued with sample_set: one of them
     sample = build_sample_set(capacity_instance, 3, 0)

@@ -281,6 +281,34 @@ def test_evaluate_policy_at_actions_equals_per_state_loop(
         assert np.array_equal(got, loop_policy_values(inst, policy, sample, plan))
 
 
+def test_stage_tables_at_actions_equal_the_full_tables_gathered(policy_instance, tuned_plan):
+    # tables(t, zs, actions) is tables(t, zs) read at each state's action,
+    # at the policy's actions and at random ones (infeasible ones included)
+    cases = [
+        (policy_instance, build_sample_set(policy_instance, 0, 0, mode="enumerate"), tuned_plan),
+        (policy_instance, build_sample_set(policy_instance, 50, 0, mode="iid"), tuned_plan),
+        _network_case(),
+    ]
+    inst, sample, plan = _generated_network()
+    net = inst.network
+    inst = replace(inst, network=replace(net, entries=net.entries[::-1], exits=net.exits[::-1]))
+    cases.append((inst, sample, plan))
+    rng = np.random.default_rng(0)
+    for inst, sample, plan in cases:
+        _, pt = solve_expected(inst, sample, plan)
+        kernel = _StageTables(inst, plan)
+        cols = np.arange(kernel.indexer.n_states)
+        for t, period in enumerate(sample.distinct(inst), start=1):
+            zs = [z for z, _ in period]
+            cost, nxt = kernel.tables(t, zs)
+            assert cost.shape == nxt.shape == (len(zs), kernel.n_actions, len(cols))
+            drawn = rng.integers(0, kernel.n_actions, len(cols))
+            for acts in (pt.actions[t - 1], drawn):
+                got_cost, got_next = kernel.tables(t, zs, acts)
+                assert np.array_equal(got_cost, cost[:, acts, cols])
+                assert np.array_equal(got_next, nxt[:, acts, cols])
+
+
 def test_evaluate_policy_names_the_first_undefined_action(policy_instance, tuned_plan):
     # infeasible and out-of-range actions, in periods with several
     # realizations, raise naming the same period, state and action as the
@@ -633,7 +661,7 @@ def test_values_monotone_in_capacity(capacity_instance, demo_scenario, baseline_
 
 def test_feasible_actions_contiguous(capacity_instance, demo_scenario, tuned_plan):
     kernel = _StageTables(capacity_instance, tuned_plan)
-    cost, _ = kernel.table(1, demo_scenario.realizations[0])
+    (cost,), _ = kernel.tables(1, demo_scenario.realizations[:1])
     acts = np.flatnonzero(np.isfinite(cost[:, kernel.indexer.index_of(S08)])).tolist()
     assert acts == list(range(len(acts)))
     assert acts[0] == 0

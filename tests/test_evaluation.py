@@ -11,6 +11,7 @@ from drayage import capopt, lp
 from drayage.capopt import objective, reservation_cost, sample_objective, scenario_objective
 from drayage.evaluation import (
     RegretRecord,
+    _ranks,
     generalization_report,
     per_scenario_optimum,
     regret_profile,
@@ -22,7 +23,7 @@ from drayage.model import CapacityPlan
 from drayage.mslp import InfeasibleLP, build_mslp, solve_mslp
 from drayage.scenario import sample_scenarios
 
-from helpers import dry_scenario, micro_instance, micro_scenario
+from helpers import dry_scenario, loop_ranks, micro_instance, micro_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,15 @@ def test_inoperable_scenario_yields_nan_regret(capacity_instance, tuned_plan):
 
 # ---------------------------------------------------------------------------
 # Generalization report
+
+
+def test_ranks_average_ties_as_the_tie_loop():
+    assert _ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 7, 40):
+        for _ in range(50):
+            values = rng.integers(0, max(n // 3, 1) + 1, n).astype(float)
+            assert _ranks(values).tobytes() == loop_ranks(values).tobytes()
 
 
 def test_report_self_comparison_is_diagonal(capacity_instance, tuned_plan):

@@ -1,7 +1,10 @@
 """Package layout: every module of the package, and every test module, imports
-the package's modules at module level."""
+the package's modules at module level; every function the benchmark's spans
+wrap exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import drayage
@@ -39,3 +42,20 @@ def test_no_function_local_package_imports_in_tests():
     assert len(modules) > 5
     found = {p.name: hits for p in modules if (hits := _package_imports_in_functions(p))}
     assert found == {}
+
+
+def test_bench_spans_name_package_functions():
+    # bench/spans.py wraps these by name; a renamed or deleted function would
+    # leave its per-layer span silently empty
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in spans.LAYERS.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"drayage.{mod}"), fn, None))
+    ]
+    assert missing == []

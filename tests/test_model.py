@@ -172,9 +172,10 @@ def test_generated_instances_without_spot_serve_every_lane():
         (dict(n_spot=-1), "shape n_spot is -1"),
         (dict(capacity_levels=-1), "shape capacity_levels is -1"),
         (dict(cost_sd=-1.0), "shape cost_sd is -1.0"),
-        (dict(n_carriers=0), "shape n_carriers is 0"),
+        (dict(n_exits=0), "shape with zero lanes"),
         (dict(n_bids=0, n_spot=0), "shape has no source"),
         (dict(cost_min=-1.0), "shape cost_min is -1.0"),
+        (dict(cost_min=20.0), "need cost_min < cost_mean"),
     ],
 )
 def test_bad_generator_shape_names_the_key(bad, message):

@@ -287,7 +287,7 @@ def test_feasible_actions_contiguous_from_zero(e, x, q, d, r, c1, c2):
     z = realization(q, d, r)
     caps = {1: float(c1), 2: float(c2)}
     plan = CapacityPlan(capacity={k: (v,) * CAP.horizon for k, v in caps.items()})
-    cost, _ = _StageTables(CAP, plan).table(1, z)
+    (cost,), _ = _StageTables(CAP, plan).tables(1, [z])
     finite = np.isfinite(cost[:, IDX.index_of(state(e, x))])
     acts = np.flatnonzero(finite).tolist()
     assert acts == list(range(len(acts)))
