@@ -7,9 +7,10 @@ failure, 2 usage or input error.
 """
 
 import argparse
+import csv
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +87,32 @@ def _outdir(path: str) -> str:
     return path
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header, then one comma-joined line per row. csv writes each cell
+    as str(), a Python float's repr, so the rows carry Python numbers
+    (tolist(), float()) and every float reads back exactly."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _stocks(state: model.SystemState) -> Tuple[str, str]:
+    """A state's entry and exit columns: multi-location stocks are |-joined
+    in sorted-id order, the order of CostSpec.terminal_slopes."""
+    return tuple(
+        "|".join(str(v) for _, v in sorted(stock.items()))
+        for stock in (state.entry_stock, state.exit_stock)
+    )
+
+
+def _table_rows(indexer: dp.StateIndexer, data: np.ndarray):
+    """(t, entry, exit, entry of data) per period t = 1, 2, ... and state."""
+    labels = [_stocks(s) for s in indexer.all_states()]
+    return ((t, *label, v) for t, row in enumerate(data.tolist(), start=1)
+            for label, v in zip(labels, row))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -144,19 +171,29 @@ def cmd_solve_policy(args) -> int:
     if args.scenario:
         table, policy = dp.solve_scenario(instance, sc, plan)
         traj = dp.rollout(instance, policy, sc, plan, instance.initial_state)
-        traj.to_csv(os.path.join(out, "trajectory.csv"))
+        _write_csv(
+            os.path.join(out, "trajectory.csv"),
+            ("t", "entry", "exit", "action", "immediate_cost", "next_entry", "next_exit"),
+            ((s.period, *_stocks(s.state), s.action, float(s.immediate_cost),
+              *_stocks(s.next_state)) for s in traj.steps),
+        )
         mode = "scenario"
     else:
         table, policy = dp.solve_expected(instance, sample, plan)
         traj = None
         mode = f"sample:{args.sample_mode}"
 
-    table.to_csv(os.path.join(out, "value.csv"))
-    policy.to_csv(os.path.join(out, "policy.csv"))
+    _write_csv(os.path.join(out, "value.csv"), ("t", "entry", "exit", "value"),
+               _table_rows(table.indexer, table.values))
+    _write_csv(os.path.join(out, "policy.csv"), ("t", "entry", "exit", "action"),
+               _table_rows(policy.indexer, policy.actions))
     if len(instance.network.entries) == 1 and len(instance.network.exits) == 1:
         for t in range(1, instance.horizon + 2):
-            dp.value_surface(table, t).to_csv(
-                os.path.join(out, f"value_surface_t{t}.csv")
+            surf = dp.value_surface(table, t)
+            _write_csv(
+                os.path.join(out, f"value_surface_t{t}.csv"), ("entry", "exit", "value"),
+                ((e, x, v) for e, row in zip(surf.entry_levels.tolist(), surf.values.tolist())
+                 for x, v in zip(surf.exit_levels.tolist(), row)),
             )
     v_init = table.value(1, instance.initial_state)
     best_state, v_best = table.best_initial_state()
@@ -201,6 +238,8 @@ def cmd_optimize_capacity(args) -> int:
         sc = _load_scenario(args.scenario, args.scenario_index, instance)
         obj = capopt.scenario_objective(instance, sc)
     else:
+        if args.scenario:
+            raise UsageError("--scenario applies only to --mode scenario; saa mode draws --samples")
         if args.samples < 1:
             raise UsageError("--samples must be >= 1 in saa mode")
         scenarios = scen.sample_scenarios(instance, args.samples, args.seed)
@@ -225,7 +264,8 @@ def cmd_optimize_capacity(args) -> int:
     out = _outdir(args.out)
 
     model.save_plan(result.best_plan, os.path.join(out, "best_plan.json"))
-    result.trace_to_csv(os.path.join(out, "trace.csv"))
+    _write_csv(os.path.join(out, "trace.csv"), ("iter", "objective", "grad_norm"),
+               ((it, float(f), float(gn)) for it, f, gn in result.trace))
     summary = {
         "mode": args.mode,
         "parameterization": args.parameterization,
@@ -279,16 +319,14 @@ def cmd_monte_carlo(args) -> int:
         args.seed,
         samples_out=os.path.join(out, "samples.csv"),
     )
-    evaluation.summary_to_csv(
-        {
-            "total_cost": stats["total_cost"],
-            "cost_per_teu": stats["cost_per_teu"],
-            "counts": {
-                key: stats[key] for key in ("feasible", "infeasible", "certified", "lp_solves")
-            },
-        },
-        os.path.join(out, "summary.csv"),
-    )
+    groups = {
+        "total_cost": stats["total_cost"],
+        "cost_per_teu": stats["cost_per_teu"],
+        "counts": {key: stats[key] for key in ("feasible", "infeasible", "certified", "lp_solves")},
+    }
+    _write_csv(os.path.join(out, "summary.csv"), ("group", "stat", "value"),
+               ((group, stat, value) for group in sorted(groups)
+                for stat, value in groups[group].items()))
     model.save_plan(best_plan, os.path.join(out, "best_plan.json"))
     t = stats["total_cost"]
     print(
@@ -322,19 +360,24 @@ def cmd_regret(args) -> int:
                         seed=args.out_seed)
     rec_in = evaluation.regret_profile(instance, shared, scenarios_in)
     rec_out = evaluation.regret_profile(instance, shared, scenarios_out)
-    evaluation.regret_to_csv(
-        [("in", r) for r in rec_in] + [("out", r) for r in rec_out],
+    _write_csv(
         os.path.join(out, "regret.csv"),
+        ("scenario_id", "optimal", "achieved", "regret", "sample"),
+        ((r.scenario_id, float(r.optimal_objective), float(r.achieved_objective),
+          float(r.regret), label)
+         for label, recs in (("in", rec_in), ("out", rec_out)) for r in recs),
     )
     finite = [[r.regret for r in recs if np.isfinite(r.regret)] for recs in (rec_in, rec_out)]
     try:
-        report = evaluation.generalization_report(
-            rec_in, rec_out, path=os.path.join(out, "generalization.csv")
-        )
+        report = evaluation.generalization_report(rec_in, rec_out)
     except ValueError as e:  # a sample without a finite regret: keep its counts
         report, failure = {}, e
     else:
         failure = None
+        _write_csv(os.path.join(out, "generalization.csv"),
+                   ("percentile", "in_sample", "out_sample"),
+                   ((lv, qi, qo) for lv, (qi, qo) in zip(report["levels"],
+                                                         report["quantile_pairs"])))
     summary = {
         "spearman": report.get("spearman"),
         "median_abs_diagonal_deviation": report.get("median_abs_diagonal_deviation"),
@@ -395,9 +438,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve-policy", help="backward-induction solve and rollout")
     s.add_argument("--instance", required=True)
-    s.add_argument("--scenario", help="scenarios.json path (perfect information)")
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--scenario", help="scenarios.json path (perfect information)")
+    mode.add_argument("--sample-mode", choices=["enumerate", "iid"])
     s.add_argument("--scenario-index", type=int, default=0)
-    s.add_argument("--sample-mode", choices=["enumerate", "iid"])
     s.add_argument("--samples", type=int, default=100, help="draws per period (iid)")
     s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--plan", help="capacity plan JSON (default: seeded plan)")

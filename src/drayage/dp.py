@@ -36,6 +36,9 @@ solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
 evaluate_policy and rollout reuse that kernel, memo included, when they are
 called with the instance and plan it was built for, and build a new one
 otherwise; solve_scenario's policies carry none.
+
+The module returns tables and trajectories; the CLI (drayage solve-policy)
+writes them as CSV.
 """
 
 import math
@@ -156,9 +159,6 @@ class ValueTable:
         i = int(np.argmax(self.values[0]))
         return self.indexer.state_of(i), float(self.values[0, i])
 
-    def to_csv(self, path: str) -> None:
-        _table_to_csv(path, self, self.values, "value", range(1, self.horizon + 2))
-
 
 @dataclass
 class PolicyTable:
@@ -182,28 +182,6 @@ class PolicyTable:
             raise UndefinedPolicyState(f"no policy for period {period}")
         return int(self.actions[period - 1, self.indexer.index_of(state)])
 
-    def to_csv(self, path: str) -> None:
-        _table_to_csv(path, self, self.actions, "action", range(1, self.horizon + 1))
-
-
-def _stock_columns(state: SystemState) -> Tuple[str, str]:
-    """A state's entry and exit CSV columns: multi-location stocks are
-    |-joined in sorted-id order, the order of CostSpec.terminal_slopes."""
-    return tuple(
-        "|".join(str(v) for _, v in sorted(stock.items()))
-        for stock in (state.entry_stock, state.exit_stock)
-    )
-
-
-def _table_to_csv(path, table, data, value_name, periods) -> None:
-    with open(path, "w") as f:
-        f.write(f"t,entry,exit,{value_name}\n")
-        cast = int if np.issubdtype(data.dtype, np.integer) else float
-        labels = [_stock_columns(s) for s in table.indexer.all_states()]
-        for row, t in enumerate(periods):
-            for (entry, exit_), v in zip(labels, data[row]):
-                f.write(f"{t},{entry},{exit_},{cast(v)!r}\n")
-
 
 @dataclass(frozen=True)
 class TrajectoryStep:
@@ -219,17 +197,6 @@ class TrajectoryStep:
 class Trajectory:
     steps: Tuple[TrajectoryStep, ...]
     total_cost: float
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("t,entry,exit,action,immediate_cost,next_entry,next_exit\n")
-            for s in self.steps:
-                e, x = _stock_columns(s.state)
-                ne, nx = _stock_columns(s.next_state)
-                f.write(
-                    f"{s.period},{e},{x},{s.action},"
-                    f"{float(s.immediate_cost)!r},{ne},{nx}\n"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +296,20 @@ class _StageTables:
         self._stages: Dict[Tuple, Tuple] = {}
 
     @cached_property
-    def hold(self) -> np.ndarray:
-        """holding_cost of every state, summed in the same order."""
-        c, idx = self.instance.costs, self.indexer
-        h = np.zeros(idx.n_states)
-        for k, i in enumerate(idx.entry_ids):
-            h += c.entry_holding[i] * self.entry[:, k]
-        for k, j in enumerate(idx.exit_ids):
-            x = self.exit[:, k]
-            h += np.where(x >= 0, c.exit_holding[j] * x, c.exit_backorder[j] * -x)
-        return h
+    def _state_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """holding_cost and terminal_value of every state, in one pass over
+        the states (building them costs more than both rules)."""
+        costs, states = self.instance.costs, self.indexer.all_states()
+        return (np.array([holding_cost(s, costs) for s in states]),
+                np.array([terminal_value(s, costs) for s in states]))
 
-    @cached_property
+    @property
+    def hold(self) -> np.ndarray:
+        return self._state_rows[0]
+
+    @property
     def terminal(self) -> np.ndarray:
-        """terminal_value of every state."""
-        return np.array([terminal_value(s, self.instance.costs) for s in self.indexer.all_states()])
+        return self._state_rows[1]
 
     def tables(
         self, t: int, zs: Sequence[ExogenousRealization], actions: Optional[np.ndarray] = None
@@ -660,13 +626,6 @@ class ValueSurface:
     entry_levels: np.ndarray
     exit_levels: np.ndarray
     values: np.ndarray  # shape (len(entry_levels), len(exit_levels))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("entry,exit,value\n")
-            for r, e in enumerate(self.entry_levels):
-                for c, s in enumerate(self.exit_levels):
-                    f.write(f"{e},{s},{float(self.values[r, c])!r}\n")
 
 
 def value_surface(table: ValueTable, period: int) -> ValueSurface:

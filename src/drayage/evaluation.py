@@ -12,11 +12,14 @@ reservation rates folded into the move costs, collapses the joint
 (capacity, operations) minimum to one LP. This keeps the dominance property
 regret >= 0 exact up to LP tolerance, which a finite-difference
 quasi-Newton search cannot guarantee on a piecewise-linear landscape.
+
+The module returns records and reports; the CLI (drayage regret) writes
+them as regret.csv and generalization.csv.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -114,9 +117,10 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
 def generalization_report(
     in_sample: Sequence[RegretRecord],
     out_sample: Sequence[RegretRecord],
-    path: Optional[str] = None,
 ) -> Dict:
-    """Matched-quantile (Q-Q) comparison of in- vs out-of-sample regret."""
+    """Matched-quantile (Q-Q) comparison of in- vs out-of-sample regret:
+    ``quantile_pairs`` holds the (in, out) quantiles at each of the 101
+    ``levels`` 0, 0.01, ..., 1."""
     if not in_sample or not out_sample:
         raise ValueError("both record lists must be nonempty")
     r_in = np.array([r.regret for r in in_sample])
@@ -131,37 +135,10 @@ def generalization_report(
     q_out = np.quantile(r_out, levels, method="linear")
     pairs = list(zip(q_in.tolist(), q_out.tolist()))
     deviation = float(np.median(np.abs(q_in - q_out)))
-    report = {
+    return {
+        "levels": levels.tolist(),
         "quantile_pairs": pairs,
         "spearman": _spearman(q_in, q_out),
         "median_abs_diagonal_deviation": deviation,
         "skipped_nonfinite": skipped,
     }
-    if path:
-        with open(path, "w") as f:
-            f.write("percentile,in_sample,out_sample\n")
-            for lv, (qi, qo) in zip(levels, pairs):
-                f.write(f"{float(lv)!r},{float(qi)!r},{float(qo)!r}\n")
-    return report
-
-
-def regret_to_csv(
-    records: Sequence[Tuple[str, RegretRecord]], path: str
-) -> None:
-    """Rows of (sample label, record) -> regret.csv."""
-    with open(path, "w") as f:
-        f.write("scenario_id,optimal,achieved,regret,sample\n")
-        for label, r in records:
-            f.write(
-                f"{r.scenario_id},{float(r.optimal_objective)!r},"
-                f"{float(r.achieved_objective)!r},{float(r.regret)!r},{label}\n"
-            )
-
-
-def summary_to_csv(stats: Dict[str, Dict[str, float]], path: str) -> None:
-    """Nested {group: {stat: value}} -> summary.csv rows."""
-    with open(path, "w") as f:
-        f.write("group,stat,value\n")
-        for group in sorted(stats):
-            for stat, value in stats[group].items():
-                f.write(f"{group},{stat},{value!r}\n")

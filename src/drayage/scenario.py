@@ -72,17 +72,16 @@ def _assemble(comps, drawn) -> ExogenousRealization:
     return ExogenousRealization(inflow, outflow, rates, probability)
 
 
-def enumerate_support(
-    instance: Instance, cap: int = SUPPORT_CAP
-) -> List[Tuple[ExogenousRealization, float]]:
+def enumerate_support(instance: Instance) -> List[Tuple[ExogenousRealization, float]]:
     """Full per-period support as (realization, probability) pairs.
 
     Probabilities are products of the component marginals and sum to 1.
-    Raises SupportTooLarge when the product of support sizes exceeds cap.
+    Raises SupportTooLarge when the product of support sizes exceeds
+    SUPPORT_CAP.
     """
     size = exogenous_support_size(instance)
-    if size > cap:
-        raise SupportTooLarge(f"support size {size} exceeds cap {cap}")
+    if size > SUPPORT_CAP:
+        raise SupportTooLarge(f"support size {size} exceeds cap {SUPPORT_CAP}")
     comps = _components(instance)
     out = []
     for combo in itertools.product(*[list(zip(c[2], c[3])) for c in comps]):

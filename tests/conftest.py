@@ -1,6 +1,6 @@
 import pytest
 
-from drayage import reference
+from drayage import cli, reference
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,12 @@ def tuned_plan():
 @pytest.fixture(scope="session")
 def reservation_rates(capacity_instance):
     return {s.id: s.reservation_rate for s in capacity_instance.sources}
+
+
+@pytest.fixture()
+def example_dir(tmp_path):
+    """Bundled example instance plus scenario and both reference plans."""
+    out = tmp_path / "inst.json"
+    assert cli.main(["gen-instance", "--seed", "0", "--example", "capacity",
+                     "--out", str(out)]) == 0
+    return tmp_path

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from drayage import capopt, lp, mslp
+from drayage import capopt, cli, lp, mslp
 from drayage.capopt import (
     CapacityObjective,
     OptConfig,
@@ -308,20 +308,25 @@ def test_reference_search_counts_and_trace(
     assert [row[2] for row in res.trace] == pytest.approx([9.7] * 6 + [0.0], abs=1e-6)
 
 
-def test_trace_csv_roundtrip(tmp_path, capacity_instance, demo_scenario, baseline_plan):
+def test_trace_csv_roundtrip(example_dir, capacity_instance, demo_scenario):
+    # drayage optimize-capacity writes the trace of the search it runs
     obj = scenario_objective(capacity_instance, demo_scenario)
     try:
-        res = optimize_capacity(obj, baseline_plan, SMALL)
+        res = optimize_capacity_quadratic(obj, OptConfig(restarts=0, max_iter=3, seed=0))
     finally:
         obj.close()
-    path = tmp_path / "trace.csv"
-    res.trace_to_csv(str(path))
-    with open(path) as f:
+    out = example_dir / "quad"
+    assert cli.main(["optimize-capacity", "--instance", str(example_dir / "inst.json"),
+                     "--scenario", str(example_dir / "scenario.json"),
+                     "--parameterization", "quadratic", "--restarts", "0", "--max-iter", "3",
+                     "--out", str(out)]) == 0
+    with open(out / "trace.csv") as f:
         rows = list(csv.DictReader(f))
-    assert len(rows) == len(res.trace)
+    assert len(rows) == len(res.trace) > 1
     for row, (it, val, gn) in zip(rows, res.trace):
         assert int(row["iter"]) == it
         assert float(row["objective"]) == pytest.approx(val, abs=0)
+        assert float(row["grad_norm"]) == gn
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,6 @@ def child_env():
     return env
 
 
-@pytest.fixture()
-def example_dir(tmp_path):
-    """Bundled example instance plus scenario and both reference plans."""
-    out = tmp_path / "inst.json"
-    assert run_cli("gen-instance", "--seed", "0", "--example", "capacity",
-                   "--out", str(out)) == 0
-    return tmp_path
-
-
 # ---------------------------------------------------------------------------
 # gen-instance
 
@@ -200,6 +191,20 @@ def test_solve_policy_needs_a_mode(example_dir, monkeypatch):
     monkeypatch.chdir(example_dir)
     rc = run_cli("solve-policy", "--instance", str(example_dir / "inst.json"))
     assert rc == 2
+    assert not (example_dir / "policy_out").exists()
+
+
+def test_solve_policy_scenario_excludes_sample_mode(example_dir, monkeypatch, capsys):
+    # --sample-mode solves the expected-value program instead of the
+    # scenario's: given both, the command cannot tell which is meant
+    monkeypatch.chdir(example_dir)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve-policy", "--instance", "inst.json", "--scenario", "scenario.json",
+                "--sample-mode", "enumerate")
+    assert exc.value.code == 2
+    assert "argument --sample-mode: not allowed with argument --scenario" in (
+        capsys.readouterr().err
+    )
     assert not (example_dir / "policy_out").exists()
 
 
@@ -498,6 +503,16 @@ def test_optimize_capacity_scenario_mode_needs_file(example_dir, monkeypatch):
     monkeypatch.chdir(example_dir)
     rc = run_cli("optimize-capacity", "--instance", str(example_dir / "inst.json"))
     assert rc == 2
+    assert not (example_dir / "capacity_out").exists()
+
+
+def test_optimize_capacity_saa_mode_rejects_scenario_file(example_dir, monkeypatch, capsys):
+    # saa mode draws its own scenarios and would ignore the file
+    monkeypatch.chdir(example_dir)
+    rc = run_cli("optimize-capacity", "--instance", "inst.json", "--mode", "saa",
+                 "--samples", "5", "--scenario", "scenario.json")
+    assert rc == 2
+    assert "--scenario applies only to --mode scenario" in capsys.readouterr().err
     assert not (example_dir / "capacity_out").exists()
 
 

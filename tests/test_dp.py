@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drayage import alloc
+from drayage import alloc, cli
 from drayage.dp import (
     PolicyTable,
     StateIndexer,
@@ -730,22 +730,24 @@ def test_value_surface_period_bounds(capacity_instance, demo_scenario, tuned_pla
 
 
 def test_csv_exports_roundtrip(
-    tmp_path, capacity_instance, demo_scenario, tuned_plan
+    example_dir, capacity_instance, demo_scenario, tuned_plan
 ):
+    # drayage solve-policy writes the tables and trajectory this solve returns
     vt, pt = solve_scenario(capacity_instance, demo_scenario, tuned_plan)
     traj = rollout(capacity_instance, pt, demo_scenario, tuned_plan, S08)
+    out = example_dir / "run"
+    assert cli.main(["solve-policy", "--instance", str(example_dir / "inst.json"),
+                     "--scenario", str(example_dir / "scenario.json"),
+                     "--plan", str(example_dir / "tuned_plan.json"), "--out", str(out)]) == 0
+    assert capacity_instance.initial_state == S08  # the CLI rolls out from here
 
-    vpath = tmp_path / "value.csv"
-    vt.to_csv(str(vpath))
-    with open(vpath) as f:
+    with open(out / "value.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == (capacity_instance.horizon + 1) * vt.indexer.n_states
     probe = next(r for r in rows if r["t"] == "1" and r["entry"] == "0" and r["exit"] == "8")
     assert float(probe["value"]) == vt.value(1, S08)
 
-    ppath = tmp_path / "policy.csv"
-    pt.to_csv(str(ppath))
-    with open(ppath) as f:
+    with open(out / "policy.csv") as f:
         prows = list(csv.DictReader(f))
     assert len(prows) == capacity_instance.horizon * pt.indexer.n_states
     pprobe = next(
@@ -753,9 +755,7 @@ def test_csv_exports_roundtrip(
     )
     assert int(pprobe["action"]) == pt.action(1, S08)
 
-    tpath = tmp_path / "trajectory.csv"
-    traj.to_csv(str(tpath))
-    with open(tpath) as f:
+    with open(out / "trajectory.csv") as f:
         trows = list(csv.DictReader(f))
     assert len(trows) == capacity_instance.horizon
     assert sum(float(r["immediate_cost"]) for r in trows) == pytest.approx(
@@ -763,9 +763,7 @@ def test_csv_exports_roundtrip(
         abs=1e-9,
     )
 
-    spath = tmp_path / "surface.csv"
-    value_surface(vt, 1).to_csv(str(spath))
-    with open(spath) as f:
+    with open(out / "value_surface_t1.csv") as f:
         srows = list(csv.DictReader(f))
     assert len(srows) == 231
     sprobe = next(r for r in srows if r["entry"] == "0" and r["exit"] == "8")

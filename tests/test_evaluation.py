@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from drayage import capopt, lp
+from drayage import capopt, cli, lp
 from drayage.capopt import objective, reservation_cost, sample_objective, scenario_objective
 from drayage.evaluation import (
     RegretRecord,
@@ -15,11 +15,9 @@ from drayage.evaluation import (
     generalization_report,
     per_scenario_optimum,
     regret_profile,
-    regret_to_csv,
     summarize,
-    summary_to_csv,
 )
-from drayage.model import CapacityPlan
+from drayage.model import CapacityPlan, save_plan
 from drayage.mslp import InfeasibleLP, build_mslp, solve_mslp
 from drayage.scenario import sample_scenarios
 
@@ -102,6 +100,7 @@ def test_tuned_plan_has_zero_regret_on_demo(
     assert len(records) == 1
     assert records[0].regret == pytest.approx(0.0, abs=1e-9)
     assert records[0].achieved_objective == pytest.approx(-439.2, abs=1e-9)
+    assert records[0].optimal_objective == pytest.approx(-439.2, abs=1e-9)
 
 
 def test_regret_nonnegative_on_sampled_scenarios(capacity_instance, tuned_plan):
@@ -184,19 +183,27 @@ def test_report_self_comparison_is_diagonal(capacity_instance, tuned_plan):
 
 
 def test_report_skips_nonfinite_and_writes_csv(
-    tmp_path, capacity_instance, tuned_plan
+    example_dir, capacity_instance, tuned_plan
 ):
     scenarios = sample_scenarios(capacity_instance, 6, 41)
     records = regret_profile(capacity_instance, tuned_plan, scenarios)
     nan_rec = RegretRecord(99, -math.inf, -math.inf, math.nan)
-    path = tmp_path / "generalization.csv"
-    report = generalization_report(records + [nan_rec], records, path=str(path))
+    report = generalization_report(records + [nan_rec], records)
     assert report["skipped_nonfinite"] == 1
-    with open(path) as f:
+    assert len(report["levels"]) == len(report["quantile_pairs"]) == 101
+    assert report["levels"][0] == 0.0 and report["levels"][-1] == 1.0
+    # drayage regret writes its report's table, nonfinite regrets skipped
+    rec_in, rec_out, out = _thin_regret_run(example_dir, capacity_instance)
+    thin = generalization_report(rec_in, rec_out)
+    assert thin["skipped_nonfinite"] == 2
+    with open(out / "generalization.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 101
     assert float(rows[0]["percentile"]) == 0.0
     assert float(rows[-1]["percentile"]) == 1.0
+    assert [tuple(map(float, r.values())) for r in rows] == [
+        (lv, qi, qo) for lv, (qi, qo) in zip(thin["levels"], thin["quantile_pairs"])
+    ]
 
 
 def test_report_rejects_empty_or_all_nan():
@@ -208,29 +215,62 @@ def test_report_rejects_empty_or_all_nan():
 
 
 # ---------------------------------------------------------------------------
-# CSV writers
+# CSV files the CLI writes from these records and statistics
 
 
-def test_regret_csv_roundtrip(tmp_path, capacity_instance, demo_scenario, tuned_plan):
-    records = regret_profile(capacity_instance, tuned_plan, [demo_scenario])
-    path = tmp_path / "regret.csv"
-    regret_to_csv([("in", records[0])], str(path))
-    with open(path) as f:
+THIN_PLAN = CapacityPlan({1: (0.0, 6.0, 0.0, 0.0), 2: (0.0,) * 4})
+
+
+def _thin_regret_run(example_dir, instance):
+    """drayage regret of THIN_PLAN on two draws each: of the in-sample draws
+    at seed 19 no plan operates one (regret NaN); of the out-of-sample draws
+    at seed 2 only THIN_PLAN fails one (regret +inf). Returns both samples'
+    records, solved in-process, and the command's output directory."""
+    plan, out = example_dir / "thin_plan.json", example_dir / "reg"
+    save_plan(THIN_PLAN, str(plan))
+    assert cli.main(["regret", "--instance", str(example_dir / "inst.json"),
+                     "--shared-plan", str(plan), "--samples", "2",
+                     "--in-seed", "19", "--out-seed", "2", "--out", str(out)]) == 0
+    rec_in, rec_out = (regret_profile(instance, THIN_PLAN, sample_scenarios(instance, 2, seed))
+                       for seed in (19, 2))
+    return rec_in, rec_out, out
+
+
+def test_regret_csv_roundtrip(example_dir, capacity_instance):
+    rec_in, rec_out, out = _thin_regret_run(example_dir, capacity_instance)
+    with open(out / "regret.csv") as f:
         rows = list(csv.DictReader(f))
-    assert len(rows) == 1
-    assert rows[0]["sample"] == "in"
-    assert float(rows[0]["optimal"]) == pytest.approx(-439.2, abs=1e-9)
-    assert float(rows[0]["regret"]) == pytest.approx(0.0, abs=1e-9)
+    assert len(rows) == 4
+    assert [r["sample"] for r in rows] == ["in", "in", "out", "out"]
+    assert [int(r["scenario_id"]) for r in rows] == [r.scenario_id for r in rec_in + rec_out]
+    # every cell reads back as the record holds it, NaN and +inf included
+    got = np.array([[float(r[k]) for k in ("optimal", "achieved", "regret")] for r in rows])
+    want = np.array([[r.optimal_objective, r.achieved_objective, r.regret]
+                     for r in rec_in + rec_out])
+    assert np.array_equal(got, want, equal_nan=True)  # CSV "nan" keeps no sign bit
+    assert np.isnan(got[:, 2]).sum() == 1 and (got[:, 2] == np.inf).sum() == 1
 
 
-def test_summary_csv_roundtrip(tmp_path):
-    stats = {"total_cost": summarize([1.0, 2.0, 3.0, 4.0]), "n": {"count": 4}}
-    path = tmp_path / "summary.csv"
-    summary_to_csv(stats, str(path))
-    with open(path) as f:
+def test_summary_csv_roundtrip(example_dir, capacity_instance, demo_scenario):
+    # drayage monte-carlo writes the sweep's statistics as (group, stat, value)
+    obj = scenario_objective(capacity_instance, demo_scenario)
+    try:
+        _, stats = capopt.monte_carlo_search(obj, 60, seed=2)
+    finally:
+        obj.close()
+    out = example_dir / "mc"
+    assert cli.main(["monte-carlo", "--instance", str(example_dir / "inst.json"),
+                     "--scenario", str(example_dir / "scenario.json"),
+                     "--count", "60", "--seed", "2", "--out", str(out)]) == 0
+    with open(out / "summary.csv") as f:
         rows = list(csv.DictReader(f))
     got = {(r["group"], r["stat"]): float(r["value"]) for r in rows}
-    assert got[("total_cost", "median")] == 2.5
-    assert got[("n", "count")] == 4.0
+    assert got[("total_cost", "median")] == stats["total_cost"]["median"]
+    assert got[("counts", "feasible")] == stats["feasible"]
+    assert got == {
+        **{("total_cost", k): v for k, v in stats["total_cost"].items()},
+        **{("cost_per_teu", k): v for k, v in stats["cost_per_teu"].items()},
+        **{("counts", k): stats[k] for k in ("feasible", "infeasible", "certified", "lp_solves")},
+    }
     # groups come out sorted for diff-friendly output
     assert [r["group"] for r in rows] == sorted(r["group"] for r in rows)

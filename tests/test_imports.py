@@ -1,6 +1,6 @@
 """Package layout: every module of the package, and every test module, imports
-the package's modules at module level; every function the benchmark's spans
-wrap exists."""
+the package's modules at module level; only the CLI formats output files;
+every function the benchmark's spans wrap exists."""
 
 import ast
 import importlib
@@ -42,6 +42,45 @@ def test_no_function_local_package_imports_in_tests():
     assert len(modules) > 5
     found = {p.name: hits for p in modules if (hits := _package_imports_in_functions(p))}
     assert found == {}
+
+
+class _WriteOpens(ast.NodeVisitor):
+    """(line, dotted enclosing class and function names) of each open() call
+    whose mode writes; a mode that is not a literal counts as writing."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if modes and not (isinstance(modes[0], ast.Constant)
+                              and set(str(modes[0].value)).isdisjoint("wax+")):
+                self.found.append((node.lineno, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_only_the_cli_writes_files():
+    # the solver modules return tables and records and cli formats the files;
+    # model.write_json serves every save_*, and the Monte Carlo sample stream
+    # (up to 10^6 rows) is written one chunk at a time as it is drawn
+    allowed = {"model.write_json", "capopt.monte_carlo_search"}
+    writes = []
+    for path in sorted(Path(drayage.__file__).parent.glob("*.py")):
+        visitor = _WriteOpens()
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        writes += [(f"{path.stem}.{fn}", line) for line, fn in visitor.found]
+    assert {name for name, _ in writes} >= allowed  # the visitor sees the writers it allows
+    stray = [(name, line) for name, line in writes
+             if name not in allowed and not name.startswith("cli.")]
+    assert stray == []
 
 
 def test_bench_spans_name_package_functions():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from drayage import scenario
 from drayage.scenario import (
     SupportTooLarge,
     build_sample_set,
@@ -52,9 +53,10 @@ def test_full_scenario_tree_probability_sums_to_one(capacity_instance):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_support_cap_enforced(capacity_instance):
+def test_support_cap_enforced(capacity_instance, monkeypatch):
+    monkeypatch.setattr(scenario, "SUPPORT_CAP", 5)
     with pytest.raises(SupportTooLarge):
-        enumerate_support(capacity_instance, cap=5)
+        enumerate_support(capacity_instance)
 
 
 def test_sampling_is_deterministic(capacity_instance):
