@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import minimize
 
 from .dp import solve_expected
-from .lp import CERT_CHUNK, HighsModel, LPResult, RhsCertifier, solve_lp
+from .lp import CERT_CHUNK, CscMatrix, HighsModel, LPResult, RhsCertifier, solve_lp
 from .model import CapacityPlan, Instance, Scenario
 from .mslp import InfeasibleLP, build_mslp, scenario_rows
 from .scenario import SampleSet, sample_scenarios
@@ -587,8 +586,46 @@ def optimize_capacity_quadratic(
     return search.result(to_caps(best_x), best_f, best_trace)
 
 
+def _diagonal(block: CscMatrix, n: int, nx: int, cap_rows=None) -> CscMatrix:
+    """nx first-stage columns, then n copies of block down the diagonal.
+    With cap_rows, first-stage column j holds -1 in row cap_rows[j] of
+    every copy; without, the first-stage columns are empty."""
+    m, k = block.shape
+    copy_rows = m * np.arange(n)
+    if cap_rows is None:
+        lead_ptr, lead_rows = np.zeros(nx + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    else:
+        lead_ptr = n * np.arange(nx + 1)
+        lead_rows = (np.asarray(cap_rows)[:, None] + copy_rows).ravel()
+    copy_ptr = block.indptr[-1] * np.arange(n)[:, None] + block.indptr[1:]
+    return CscMatrix(
+        (n * m, nx + n * k),
+        np.concatenate([lead_ptr, lead_ptr[-1] + copy_ptr.ravel()]),
+        np.concatenate([lead_rows, (block.indices + copy_rows[:, None]).ravel()]),
+        np.concatenate([np.full(lead_rows.size, -1.0), np.tile(block.data, n)]),
+    )
+
+
+def extensive_form(obj: CapacityObjective):
+    """The extensive-form LP of an LP-valued objective as lp.solve_lp's
+    arguments (c, A_eq, b_eq, A_ub, b_ub, upper): the first-stage
+    capacities, then one copy of the layout per weighted draw, costs scaled
+    by its weight and cap rows reading moves - x <= 0. The matrices are
+    CscMatrix arrays written from the layout's column pattern: a block's
+    columns are the layout's entries, its rows offset by the block."""
+    layout, n = obj.layout, len(obj.weights)
+    nx = len(obj.cap_index)
+    block_costs = np.array(obj.weights)[:, None] * obj.costs
+    c = np.concatenate([obj.rates_array.ravel(), block_costs.ravel()])
+    upper = np.concatenate([obj.box_upper.ravel(), np.tile(layout.upper, n)])
+    A_ub = _diagonal(CscMatrix.of(layout.A_ub), n, nx, obj.cap_index)
+    A_eq = _diagonal(CscMatrix.of(layout.A_eq), n, nx)
+    return c, A_eq, obj.b_eq.ravel(), A_ub, obj.b_ub.ravel(), upper
+
+
 def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
-    """Exact optimum of an LP-valued objective as one extensive-form LP.
+    """Exact optimum of an LP-valued objective as one extensive-form LP
+    (extensive_form), solved once with lp.solve_lp.
 
     First-stage capacities x in [0, box_upper] are priced at the reservation
     rates. Every weighted scenario adds one multistage-LP block whose cost is
@@ -607,25 +644,10 @@ def optimize_capacity_exact(obj: CapacityObjective) -> OptimizationResult:
     """
     if obj.sample_set is not None:
         raise ValueError("the exact LP needs an LP-valued objective")
-    layout, n = obj.layout, len(obj.weights)
-    nx = len(obj.cap_index)
-    couple = sparse.csr_matrix(
-        (-np.ones(nx), (obj.cap_index, np.arange(nx))), shape=(layout.A_ub.shape[0], nx)
-    )
-    A_ub = sparse.hstack(
-        [sparse.vstack([couple] * n), sparse.block_diag([layout.A_ub] * n)], format="csr"
-    )
-    A_eq = sparse.hstack(
-        [sparse.csr_matrix((n * layout.A_eq.shape[0], nx)), sparse.block_diag([layout.A_eq] * n)],
-        format="csr",
-    )
+    n, nx = len(obj.weights), len(obj.cap_index)
     rates = obj.rates_array.ravel()
     box = obj.box_upper.ravel()
-    upper = np.concatenate([box] + [layout.upper] * n)
-    res = solve_lp(
-        np.concatenate([rates] + [w * c for w, c in zip(obj.weights, obj.costs)]),
-        A_eq, obj.b_eq.ravel(), A_ub, obj.b_ub.ravel(), upper,
-    )
+    res = solve_lp(*extensive_form(obj))
     if res.status == "infeasible":
         raise InfeasibleLP("no capacity plan in the box operates every scenario")
     if res.status != "optimal":

@@ -75,6 +75,18 @@ def _load_scenario(path: str, index: int, instance: model.Instance) -> model.Sce
     return sc
 
 
+def _unread(args, mode: str, *flags: str) -> None:
+    """A UsageError for the first of these flags that was given although
+    mode does not read it (the flags' argparse default is None)."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} is not read in {mode}")
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
 def _seed(text: str) -> int:
     """argparse type of the seed flags: an integer >= 0, as numpy requires."""
     if not text.isdecimal():
@@ -159,10 +171,15 @@ def cmd_solve_policy(args) -> int:
     else:
         plan = model.generate_default_plan(args.seed, instance)
     if args.scenario:
-        sc = _load_scenario(args.scenario, args.scenario_index, instance)
+        _unread(args, "scenario mode", "--samples")
+        sc = _load_scenario(args.scenario, _or(args.scenario_index, 0), instance)
     elif args.sample_mode:
+        sample_mode = f"--sample-mode {args.sample_mode}"
+        _unread(args, sample_mode, "--scenario-index")
+        if args.sample_mode == "enumerate":
+            _unread(args, sample_mode, "--samples")
         sample = scen.build_sample_set(
-            instance, args.samples, args.seed, mode=args.sample_mode
+            instance, _or(args.samples, 100), args.seed, mode=args.sample_mode
         )
     else:
         raise UsageError("need --scenario FILE or --sample-mode {enumerate,iid}")
@@ -232,17 +249,20 @@ def cmd_optimize_capacity(args) -> int:
     instance = _load_instance(args.instance)
     config = _opt_config(args)
 
+    samples = _or(args.samples, 1000)
     if args.mode == "scenario":
         if not args.scenario:
             raise UsageError("scenario mode needs --scenario FILE")
-        sc = _load_scenario(args.scenario, args.scenario_index, instance)
+        _unread(args, "--mode scenario", "--samples")
+        sc = _load_scenario(args.scenario, _or(args.scenario_index, 0), instance)
         obj = capopt.scenario_objective(instance, sc)
     else:
         if args.scenario:
             raise UsageError("--scenario applies only to --mode scenario; saa mode draws --samples")
-        if args.samples < 1:
+        _unread(args, "--mode saa", "--scenario-index")
+        if samples < 1:
             raise UsageError("--samples must be >= 1 in saa mode")
-        scenarios = scen.sample_scenarios(instance, args.samples, args.seed)
+        scenarios = scen.sample_scenarios(instance, samples, args.seed)
         obj = capopt.sample_objective(instance, scenarios)
 
     if args.start:
@@ -287,7 +307,7 @@ def cmd_optimize_capacity(args) -> int:
     model.write_json(os.path.join(out, "summary.json"), summary)
     if obj.dropped_scenarios:
         print(
-            f"dropped {obj.dropped_scenarios} of {args.samples} draws: "
+            f"dropped {obj.dropped_scenarios} of {samples} draws: "
             "no plan in the box operates them"
         )
     if start_objective is None:
@@ -441,8 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = s.add_mutually_exclusive_group()
     mode.add_argument("--scenario", help="scenarios.json path (perfect information)")
     mode.add_argument("--sample-mode", choices=["enumerate", "iid"])
-    s.add_argument("--scenario-index", type=int, default=0)
-    s.add_argument("--samples", type=int, default=100, help="draws per period (iid)")
+    # None: not given; a mode that does not read a flag rejects it
+    s.add_argument("--scenario-index", type=int, help="with --scenario (default 0)")
+    s.add_argument("--samples", type=int, help="draws per period, iid mode (default 100)")
     s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--plan", help="capacity plan JSON (default: seeded plan)")
     s.add_argument("--out", default="policy_out")
@@ -455,8 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--instance", required=True)
     o.add_argument("--mode", choices=["scenario", "saa"], default="scenario")
     o.add_argument("--scenario", help="scenarios.json path (scenario mode)")
-    o.add_argument("--scenario-index", type=int, default=0)
-    o.add_argument("--samples", type=int, default=1000, help="scenario count (saa)")
+    o.add_argument("--scenario-index", type=int, help="scenario mode (default 0)")
+    o.add_argument("--samples", type=int, help="scenario count, saa mode (default 1000)")
     o.add_argument("--seed", type=_seed, default=0)
     o.add_argument(
         "--start", help="plan JSON the result is compared with (default: seeded plan)"

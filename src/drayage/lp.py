@@ -14,6 +14,14 @@ objective, for its plans and regret records); solve_lp solves one LP once
 (the extensive form, mslp.solve_mslp). The per-period allocation LP has its
 own tableau in alloc.
 
+A constraint block is a dense array, a scipy sparse matrix or a CscMatrix:
+the compressed columns HiGHS reads, rows ascending within each column and
+no stored zeros. HighsModel builds its matrix once as a CscMatrix (a dense
+block with numpy; a sparse one canonicalized by scipy) and hands those
+arrays to HiGHS's array form of passModel at every solve. A caller that
+knows a large matrix's pattern (capopt's extensive form) writes its
+CscMatrix directly, so no scipy.sparse assembly runs on the way.
+
 RhsCertifier values one model at many right-hand sides that differ only in
 some entries of b_ub (in capopt, a draw's LP at many capacity plans). An
 optimal basis stays dual feasible there, and its basic solution and cost are
@@ -39,6 +47,7 @@ _STATUS = {
     _core.HighsModelStatus.kInfeasible: "infeasible",
     _core.HighsModelStatus.kUnbounded: "unbounded",
 }
+_COLWISE, _MINIMIZE = int(_core.MatrixFormat.kColwise), int(_core.ObjSense.kMinimize)
 
 
 @dataclass
@@ -46,12 +55,70 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
-    iterations: int  # HiGHS simplex / IPM iterations
+    iterations: int  # HiGHS simplex iterations
+
+
+@dataclass(frozen=True)
+class CscMatrix:
+    """A matrix in the compressed-column form HiGHS reads: column j's
+    entries are data[indptr[j]:indptr[j + 1]], in rows
+    indices[indptr[j]:indptr[j + 1]], ascending, none of them zero."""
+
+    shape: Tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, A) -> "CscMatrix":
+        """A dense array or a scipy sparse matrix (duplicates summed, zeros
+        dropped) as a CscMatrix; a CscMatrix as it is."""
+        if isinstance(A, CscMatrix):
+            return A
+        if sparse.issparse(A):
+            A = sparse.csc_array(A, dtype=float, copy=True)
+            A.sum_duplicates()  # sorts each column's rows
+            A.eliminate_zeros()
+            return cls(A.shape, A.indptr, A.indices, A.data)
+        At = np.asarray(A, dtype=float).T
+        cols, rows = np.nonzero(At)  # column-major, rows ascending
+        indptr = np.zeros(At.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=At.shape[0]), out=indptr[1:])
+        return cls(At.shape[::-1], indptr, rows, At[cols, rows])
+
+    def columns(self) -> np.ndarray:
+        """Each stored entry's column."""
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        A = np.zeros(self.shape)
+        A[self.indices, self.columns()] = self.data
+        return A
+
+
+def _stack(blocks: List[CscMatrix], n_cols: int) -> CscMatrix:
+    """The blocks' rows one under another, as one CscMatrix with n_cols columns."""
+    for b in blocks:
+        if b.shape[1] != n_cols:
+            raise ValueError(f"a constraint block has {b.shape[1]} columns, upper has {n_cols}")
+    if len(blocks) == 1:
+        return blocks[0]
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    # each block's entries are column-major; a stable sort by column keeps
+    # every column's rows in block order, so ascending
+    order = np.argsort(np.concatenate([b.columns() for b in blocks]), kind="stable")
+    indices = np.concatenate([b.indices + off for b, off in zip(blocks, offsets)])[order]
+    data = np.concatenate([b.data for b in blocks])[order]
+    indptr = sum((b.indptr for b in blocks), np.zeros(n_cols + 1, dtype=np.int64))
+    return CscMatrix((int(offsets[-1]), n_cols), indptr, indices, data)
 
 
 class HighsModel:
     """One HiGHS LP with a fixed column box [0, upper] and constraint matrix
-    (rows: A_ub's, then A_eq's; dense, sparse or None).
+    (rows: A_ub's, then A_eq's; each a dense array, a scipy sparse matrix,
+    a CscMatrix or None). The matrix is built once, as a CscMatrix with no
+    stored zeros; HiGHS drops zeros itself, so a solve equals one on the
+    matrix with them.
 
     Every solve passes the model anew, which clears all solver state, so it
     is cold and its result does not depend on earlier solves. (Warm starts,
@@ -60,16 +127,14 @@ class HighsModel:
 
     def __init__(self, upper, A_eq=None, A_ub=None):
         self._upper = upper = np.asarray(upper, dtype=float)
-        self._n_ub = 0 if A_ub is None else A_ub.shape[0]
-        blocks = [sparse.coo_array(A, dtype=float) for A in (A_ub, A_eq) if A is not None]
-        self._A = A = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, upper.size))
-        self._lp = lp = _core.HighsLp()
-        lp.num_row_, lp.num_col_ = A.shape
-        mat = lp.a_matrix_
-        mat.num_row_, mat.num_col_ = A.shape
-        mat.format_ = _core.MatrixFormat.kColwise
-        mat.start_, mat.index_, mat.value_ = A.indptr, A.indices, A.data
-        lp.col_lower_, lp.col_upper_ = np.zeros(A.shape[1]), self._upper
+        blocks = [CscMatrix.of(A) for A in (A_ub, A_eq) if A is not None]
+        self._n_ub = 0 if A_ub is None else blocks[0].shape[0]
+        blocks = blocks or [CscMatrix.of(np.zeros((0, upper.size)))]
+        self._A = A = _stack(blocks, upper.size)
+        # HiGHS's integer arrays are 32-bit
+        self._matrix = (A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data)
+        self._lower = np.zeros(upper.size)
+        self._integrality = np.zeros(upper.size, dtype=np.int32)  # all continuous
         self._highs = h = _core._Highs()
         for key, value in (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1)):
             h.setOptionValue(key, value)  # strategy 1: dual simplex
@@ -85,20 +150,24 @@ class HighsModel:
         HiGHS's optimal value. Any outcome other than an optimum,
         infeasibility or unboundedness (a limit, "unbounded or infeasible",
         numerical trouble) raises RuntimeError."""
-        lp, h = self._lp, self._highs
-        lp.col_cost_ = np.asarray(c, dtype=float)
-        lp.row_lower_, lp.row_upper_ = self._row_bounds(b_eq, b_ub)
-        h.passModel(lp)
+        h, (n_row, n_col) = self._highs, self._A.shape
+        start, index, value = self._matrix
+        if h.passModel(
+            n_col, n_row, value.size, _COLWISE, _MINIMIZE, 0.0,
+            np.asarray(c, dtype=float), self._lower, self._upper, *self._row_bounds(b_eq, b_ub),
+            start, index, value, self._integrality,
+        ) == _core.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the model")
         h.run()
         status = h.getModelStatus()
-        info = h.getInfo()
-        iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+        # dual simplex only: no interior-point iterations to add
+        iterations = int(h.getInfoValue("simplex_iteration_count")[1])
         if status not in _STATUS:
             raise RuntimeError(f"HiGHS stopped with model status {status.name}")
         if status != _core.HighsModelStatus.kOptimal:
             return LPResult(_STATUS[status], None, None, iterations)
         x = np.clip(np.asarray(h.getSolution().col_value), 0.0, self._upper)
-        return LPResult("optimal", x, float(info.objective_function_value), iterations)
+        return LPResult("optimal", x, float(h.getObjectiveValue()), iterations)
 
 
 CERT_TOL = 1e-9  # absolute bound tolerance of a certified basic solution

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from drayage import capopt, cli, lp, mslp
 from drayage.capopt import (
     CapacityObjective,
     OptConfig,
+    extensive_form,
     monte_carlo_search,
     objective,
     optimize_capacity,
@@ -734,6 +736,71 @@ def test_exact_reads_its_cost_from_one_solve(capacity_instance, monkeypatch):
     res = optimize_capacity_exact(obj)
     assert calls == {"lp": 1, "model": 1}
     assert res.total_cost == 470.0799999999999
+
+
+def _scipy_extensive_form(obj):
+    """The extensive form's A_ub and A_eq assembled with scipy.sparse, as
+    csc with sorted rows and no stored zeros."""
+    lay, n, nx = obj.layout, len(obj.weights), len(obj.cap_index)
+    couple = sparse.csr_matrix(
+        (-np.ones(nx), (obj.cap_index, np.arange(nx))), shape=(lay.A_ub.shape[0], nx)
+    )
+    blocks = (
+        sparse.hstack([sparse.vstack([couple] * n), sparse.block_diag([lay.A_ub] * n)],
+                      format="csc"),
+        sparse.hstack([sparse.csc_matrix((n * lay.A_eq.shape[0], nx)),
+                       sparse.block_diag([lay.A_eq] * n)], format="csc"),
+    )
+    for A in blocks:
+        A.eliminate_zeros()
+        A.sort_indices()
+    return blocks
+
+
+def _same_columns(mine, ref):
+    return mine.shape == ref.shape and all(
+        np.array_equal(getattr(mine, name), getattr(ref, name))
+        for name in ("indptr", "indices", "data")
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+@pytest.mark.parametrize("which", ["capacity", "network-2x1"])
+def test_extensive_form_arrays_match_scipy_assembly(capacity_instance, which, n):
+    # the numpy-written compressed columns equal scipy's block assembly with
+    # its explicit zeros dropped, block by block and stacked as HiGHS gets them
+    inst = capacity_instance if which == "capacity" else generate_instance(3, dict(
+        n_entries=2, n_exits=1, n_bids=2, n_spot=1, horizon=3,
+        cost_mean=20.0, cost_sd=5.0, cost_min=1.0, capacity_levels=4,
+    ))
+    obj = sample_objective(inst, sample_scenarios(inst, n, 0))
+    c, A_eq, b_eq, A_ub, b_ub, upper = extensive_form(obj)
+    ref_ub, ref_eq = _scipy_extensive_form(obj)
+    assert _same_columns(A_ub, ref_ub)
+    assert _same_columns(A_eq, ref_eq)
+    stacked = sparse.vstack([ref_ub, ref_eq], format="csc")
+    stacked.sort_indices()
+    assert _same_columns(HighsModel(upper, A_eq, A_ub)._A, stacked)
+    assert c.size == upper.size == stacked.shape[1]
+    assert (b_ub.size, b_eq.size) == (ref_ub.shape[0], ref_eq.shape[0])
+
+
+@pytest.mark.parametrize("seed,total,lp_objective,iterations,caps", [
+    (0, "470.0799999999999", "470.0799999999999", 261,
+     {1: (0.0, 6.0, 4.0, 0.0), 2: (6.0, 2.0, 4.0, 8.0)}),
+    (1, "441.44599999999997", "441.44599999999986", 259,
+     {1: (0.0, 8.0, 6.0, 0.0), 2: (4.0, 2.0, 2.0, 8.0)}),
+    (2, "413.726", "413.726", 252,
+     {1: (0.0, 6.0, 6.0, 0.0), 2: (8.0, 2.0, 2.0, 8.0)}),
+])
+def test_exact_saa_results_are_pinned(capacity_instance, seed, total, lp_objective,
+                                      iterations, caps):
+    # the exact N=20 SAA plans, costs and HiGHS iteration counts, bit for
+    # bit as the scipy.sparse assembly of the extensive form gave them
+    res = optimize_capacity_saa(capacity_instance, 20, seed)
+    assert (repr(res.total_cost), repr(res.lp_objective)) == (total, lp_objective)
+    assert res.iterations == iterations
+    assert res.best_plan.capacity == caps
 
 
 @pytest.mark.parametrize("n", [3, 4, 20])

@@ -516,6 +516,30 @@ def test_optimize_capacity_saa_mode_rejects_scenario_file(example_dir, monkeypat
     assert not (example_dir / "capacity_out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["solve-policy", "--sample-mode", "enumerate", "--samples", "3"], "--samples"),
+        (["solve-policy", "--sample-mode", "enumerate", "--scenario-index", "0"],
+         "--scenario-index"),
+        (["solve-policy", "--sample-mode", "iid", "--scenario-index", "0"], "--scenario-index"),
+        (["solve-policy", "--scenario", "scenario.json", "--samples", "3"], "--samples"),
+        (["optimize-capacity", "--mode", "scenario", "--scenario", "scenario.json",
+          "--samples", "3"], "--samples"),
+        (["optimize-capacity", "--mode", "saa", "--samples", "2", "--scenario-index", "0"],
+         "--scenario-index"),
+    ],
+    ids=["enumerate-samples", "enumerate-scenario-index", "iid-scenario-index",
+         "scenario-samples", "capacity-scenario-samples", "capacity-saa-scenario-index"],
+)
+def test_flag_the_mode_does_not_read_exits_two(example_dir, monkeypatch, capsys, argv, flag):
+    # a flag the chosen mode never reads is a usage error, not silently dropped
+    monkeypatch.chdir(example_dir)
+    assert run_cli(argv[0], "--instance", "inst.json", *argv[1:]) == 2
+    assert f"{flag} is not read in" in capsys.readouterr().err
+    assert not list(example_dir.glob("*_out"))
+
+
 # ---------------------------------------------------------------------------
 # monte-carlo
 

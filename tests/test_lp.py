@@ -1,7 +1,7 @@
 """The HiGHS wrapper: results against a direct linprog call, the status
-mapping, clipping into the box, sparse rows, the iteration count, re-solves
-of one model, the right-hand-side certifier and the private binding's
-methods.
+mapping, clipping into the box, sparse rows, the matrix input forms and
+their stored columns, the iteration count, re-solves of one model, the
+right-hand-side certifier and the private binding's methods.
 
 Random problems are drawn fully bounded so the optimal status is never
 ambiguous; unboundedness and infeasibility get dedicated hand-built cases.
@@ -165,17 +165,15 @@ def test_zero_upper_bound_variable_stays_fixed():
 
 class _Stopped:
     """Stands in for the model's HiGHS object: delegates every call to the
-    real one but reports the given model status, solution and info."""
+    real one but reports the given model status, solution, objective value
+    and iteration count."""
 
     def __init__(self, highs, status, col_value=None, objective=0.0, iterations=0):
         self._highs = highs
         self._status = status
         self._solution = SimpleNamespace(col_value=col_value)
-        self._info = SimpleNamespace(
-            objective_function_value=objective,
-            simplex_iteration_count=iterations,
-            ipm_iteration_count=0,
-        )
+        self._objective = objective
+        self._iterations = iterations
 
     def __getattr__(self, name):
         return getattr(self._highs, name)
@@ -186,8 +184,12 @@ class _Stopped:
     def getSolution(self):
         return self._solution
 
-    def getInfo(self):
-        return self._info
+    def getObjectiveValue(self):
+        return self._objective
+
+    def getInfoValue(self, name):
+        assert name == "simplex_iteration_count"
+        return _core.HighsStatus.kOk, self._iterations
 
 
 # linprog's status codes of the HiGHS model statuses other than an optimum,
@@ -225,8 +227,8 @@ def test_highs_binding_has_every_method_lp_calls():
     # drops one of these methods fails here by name
     called = set(re.findall(r"\bh\.(\w+)\(", inspect.getsource(lp)))
     assert called == {
-        "setOptionValue", "passModel", "run", "getModelStatus", "getInfo", "getSolution",
-        "getBasis", "getDualRay",
+        "setOptionValue", "passModel", "run", "getModelStatus", "getInfoValue",
+        "getObjectiveValue", "getSolution", "getBasis", "getDualRay",
     }
     missing = sorted(name for name in called if not hasattr(_core._Highs, name))
     assert missing == []
@@ -305,6 +307,105 @@ def test_sparse_rows_match_dense():
         assert sp.status == dense.status == "optimal"
         assert sp.objective == pytest.approx(dense.objective, abs=1e-9)
         assert np.all((sp.x >= 0.0) & (sp.x <= upper))
+
+
+def _loop_columns(A):
+    """indptr, indices, data of A's nonzeros, column by column, rows ascending."""
+    indptr, indices, data = [0], [], []
+    for j in range(A.shape[1]):
+        for i in range(A.shape[0]):
+            if A[i, j] != 0.0:
+                indices.append(i)
+                data.append(A[i, j])
+        indptr.append(len(indices))
+    return indptr, indices, data
+
+
+def _full_pattern(A):
+    """A as a csr matrix storing every entry, zeros included."""
+    m, n = A.shape
+    M = sparse.csr_matrix(
+        (A.ravel(), np.tile(np.arange(n), m), n * np.arange(m + 1)), shape=A.shape
+    )
+    assert M.nnz == A.size
+    return M
+
+
+def _halved_coo(A):
+    """A as coo with every entry stored twice, as two halves, plus a +1/-1
+    pair, which sums to an explicit zero, at each zero of A."""
+    rows, cols = np.nonzero(np.ones_like(A))
+    zr, zc = np.nonzero(A == 0.0)
+    half = A[rows, cols] / 2.0
+    ones = np.ones(zr.size)
+    return sparse.coo_matrix(
+        (np.concatenate([half, half, ones, -ones]),
+         (np.concatenate([rows, rows, zr, zr]), np.concatenate([cols, cols, zc, zc]))),
+        shape=A.shape,
+    )
+
+
+_FORMS = {
+    "dense": lambda A: A,
+    # full patterns: every zero of A is an explicitly stored zero
+    "csr": _full_pattern,
+    "csc": lambda A: _full_pattern(A.T).T,  # a csr transposed is csc
+    "coo-duplicates": _halved_coo,
+    "CscMatrix": lp.CscMatrix.of,
+}
+
+
+def test_model_input_forms_store_the_same_columns():
+    # dense, csr, csc, coo with duplicates and CscMatrix blocks, with
+    # explicit zeros and empty blocks, give the same stored columns (rows
+    # ascending, no zeros) and the same solves as linprog without presolve
+    rng = np.random.default_rng(17)
+    shapes = set()
+    for _ in range(120):
+        c, A_eq, _, A_ub, _, upper = _random_problem(rng)
+        n = c.size
+        if A_ub is None:  # an empty block: no rows, or one row of zeros
+            A_ub = np.zeros((int(rng.integers(0, 2)), n))
+        # explicit zeros, then right-hand sides anchored at a box point
+        A_ub = np.where(rng.uniform(size=A_ub.shape) < 0.3, 0.0, A_ub)
+        x0 = rng.uniform(0, 1, n) * upper
+        b_ub = A_ub @ x0 + rng.uniform(0, 2, A_ub.shape[0])
+        b_eq = None
+        if A_eq is not None:
+            A_eq = np.where(rng.uniform(size=A_eq.shape) < 0.3, 0.0, A_eq)
+            b_eq = A_eq @ x0
+        shapes.add((A_ub.shape[0] == 0, A_eq is None))
+        dense = A_ub if A_eq is None else np.vstack([A_ub, A_eq])
+        expected = _loop_columns(dense)
+        ref = linprog(
+            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+            bounds=[(0, u) for u in upper], method="highs", options={"presolve": False},
+        )
+        for name, form in _FORMS.items():
+            model = HighsModel(upper, None if A_eq is None else form(A_eq), form(A_ub))
+            stored = model._A
+            assert stored.shape == dense.shape, name
+            assert [stored.indptr.tolist(), stored.indices.tolist(), stored.data.tolist()] == (
+                [list(v) for v in expected]
+            ), name
+            assert np.array_equal(stored.toarray(), dense), name
+            res = model.solve(c, b_eq, b_ub)
+            assert res.status == "optimal" and ref.status == 0, name
+            assert (res.objective, res.iterations) == (ref.fun, ref.nit), name
+            assert np.array_equal(res.x, np.clip(ref.x, 0.0, upper)), name
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_model_rejects_a_block_of_the_wrong_width():
+    with pytest.raises(ValueError, match="3 columns, upper has 2"):
+        HighsModel(np.ones(2), A_ub=np.ones((1, 3)))
+
+
+def test_model_raises_when_highs_rejects_it():
+    # HiGHS refuses an infinite matrix entry when the model is passed
+    model = HighsModel(np.ones(1), A_ub=np.array([[np.inf]]))
+    with pytest.raises(RuntimeError, match="HiGHS rejected the model"):
+        model.solve(np.ones(1), b_ub=np.ones(1))
 
 
 def test_iterations_are_highs_iterations():
