@@ -13,11 +13,14 @@ realization z of period t a stage table over (action a, state s):
 cost[z, a, s], the transport cost of moving a units at s (inf when no
 allocation exists), and next[z, a, s], the index of the state reached. The
 finite entries of a state's column are its feasible actions under z,
-{0..A*}; nothing else in the package decides that set. The sweep calls it
-once per period: a weighted sum over z, realization by realization, and a
+{0..A*}; nothing else in the package decides that set. The sweep reads it
+period by period: a weighted sum over z, realization by realization, and a
 maximum over the actions allocatable under every z, with one tie rule for
 every network shape. evaluate_policy passes the policy's actions and gets
 only those entries, cost[z, s] and next[z, s], summed in order after hold.
+Both read a period's tables through stage_rows, which builds them for
+chunks of realizations of at most TABLE_BYTES, so peak memory does not grow
+with the sample.
 
 Every table reads its allocations from one memo, keyed per period on (a,
 min(avail, a), min(space, a), spot rates): no lane carries more than a, so
@@ -25,12 +28,16 @@ larger bounds never bind and all states sharing a clipped row share one
 solve. A value holds the allocation's (cost, moves out of each entry, moves
 into each exit) and its moves per lane. Each lookup sends its misses, as
 limits rows, to one solve_allocations call against the period's cost and
-cap vectors. A network table looks up one action at a time. A single-lane
-table looks up every action at once at unclipped bounds (a, a), since its
-cost depends only on the action and the spot rates, and broadcasts it over
-the states, whose feasibility and successors are clip arithmetic over a
-broadcast action grid. rollout reads each step's cost and lane totals
-through the same memo, so an on-sample step solves nothing.
+cap vectors. A network table for the sweep looks up one action at a time,
+over the states where the action below it was feasible. At a policy's
+actions, a network lookup takes every (realization, state) of a stage (the
+period's realizations with the same spot rates) at once, each row at its
+state's action, and computes the successors over (realizations, states). A
+single-lane table looks up every action at once at unclipped bounds (a, a),
+since its cost depends only on the action and the spot rates, and
+broadcasts it over the states, whose feasibility and successors are clip
+arithmetic over a broadcast action grid. rollout reads each step's cost and
+lane totals through the same memo, so an on-sample step solves nothing.
 
 solve_expected's policy keeps the kernel that built it (PolicyTable.kernel).
 evaluate_policy and rollout reuse that kernel, memo included, when they are
@@ -227,18 +234,25 @@ def terminal_value(state: SystemState, costs: CostSpec) -> float:
 # Stage tables
 
 PeriodData = Sequence[Tuple[ExogenousRealization, float]]  # (realization, weight)
+TABLE_BYTES = 1 << 22  # bytes of stage tables built at once (_StageTables.stage_rows)
 
 
 def _unique_rows(rows: np.ndarray, a: int) -> Tuple[np.ndarray, np.ndarray]:
     """np.unique(rows, axis=0, return_inverse=True) for integer rows in 0..a.
 
-    Each row is read as one number in base a + 1, first column most
-    significant, so the codes sort as the rows do lexicographically; that
-    holds only while every value lies in 0..a.
+    Each row is read as one number in base (the rows' largest value) + 1,
+    first column most significant, so the codes sort as the rows do
+    lexicographically. Where those numbers would not fit in int64,
+    np.unique(axis=0) sorts the rows themselves, to the same rows and inverse.
     """
-    if rows.size and not 0 <= rows.min() <= rows.max() <= a:
+    low, high = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+    if not 0 <= low <= high <= a:
         raise ValueError(f"clipped bounds outside 0..{a}")
-    codes = rows @ (a + 1) ** np.arange(rows.shape[1] - 1, -1, -1)
+    base = high + 1
+    if base ** rows.shape[1] > 2**63:
+        found, inv = np.unique(rows, axis=0, return_inverse=True)
+        return found, inv.reshape(-1)
+    codes = rows @ base ** np.arange(rows.shape[1] - 1, -1, -1)
     _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
     return rows[first], inv
 
@@ -249,7 +263,8 @@ class _StageTables:
     ``tables(t, zs)`` returns ``cost[k, a, s]`` (inf = no allocation, so the
     finite part of column s is the state's feasible action set under zs[k])
     and ``next[k, a, s]``; ``tables(t, zs, actions)`` returns only each
-    state's entry at its own action, ``cost[k, s]`` and ``next[k, s]``.
+    state's entry at its own action, ``cost[k, s]`` and ``next[k, s]``;
+    ``stage_rows`` reads either realization by realization, in bounded chunks.
     ``allocation(t, a, state, z)`` returns one state's allocation cost and
     lane totals. The memo keeps each allocation's moves per lane, in the
     order each lane first appears in the layout's keys (``_lanes``), the
@@ -278,6 +293,8 @@ class _StageTables:
         self._e_max = np.array([b.entry_max[i] for i in idx.entry_ids])
         self._x_max = np.array([b.exit_max[j] for j in idx.exit_ids])
         self._back = np.array(idx.exit_offsets)
+        # each digit's place value in a state index
+        self._radix = np.array([math.prod(idx.shape[k + 1 :]) for k in range(len(idx.shape))])
         self.entry = digits[:, :ne]
         self.exit = digits[:, ne:] - self._back
         self._spot_lanes = [(s.id, lane) for s in instance.spot_sources for lane in s.lanes]
@@ -320,8 +337,9 @@ class _StageTables:
         of each state's entry at its action."""
         stages = [self._stage(t, z) for z in zs]
         if self.lane is None:
-            cost, nxt = zip(*(self._network_table(t, z, stage, actions)
-                              for z, stage in zip(zs, stages)))
+            if actions is not None:
+                return self._network_at(t, zs, stages, actions)
+            cost, nxt = zip(*(self._network_table(t, z, stage) for z, stage in zip(zs, stages)))
             return np.array(cost), np.array(nxt)
         costs = {rates: self._lane_costs(t, stage)
                  for rates, stage in {stage[0]: stage for stage in stages}.items()}
@@ -333,6 +351,19 @@ class _StageTables:
         feasible, nxt = self._lane_moves(a, q, d)
         cost = np.array([costs[stage[0]] for stage in stages])[:, a]
         return np.where(feasible, cost, np.inf), nxt
+
+    def stage_rows(self, t: int, data: PeriodData, actions: Optional[np.ndarray] = None):
+        """(weight, cost, next) of each (realization, weight) of data, in
+        order: tables(t, zs, actions) read realization by realization. The
+        tables are built for chunks of realizations of at most TABLE_BYTES
+        (at least one realization; 16 bytes per entry, or per state and
+        limits-row column at actions), so a period's tables never all exist
+        at once."""
+        width = self.n_actions if actions is None else len(self.indexer.shape) + 1
+        step = max(1, TABLE_BYTES // (16 * width * self.indexer.n_states))
+        for lo in range(0, len(data), step):
+            part = data[lo : lo + step]
+            yield from zip([w for _, w in part], *self.tables(t, [z for z, _ in part], actions))
 
     def _stage(self, t: int, z: ExogenousRealization):
         """The memo's inputs for period t under z: (spot rates, cost per
@@ -368,38 +399,77 @@ class _StageTables:
         feasible = (a <= e + q) & (a <= x_max - s)
         return feasible, e_next * self.indexer.shape[1] + s_next
 
-    def _network_table(self, t, z, stage, actions=None):
-        """One network stage table under z, as tables() returns it for one z."""
-        idx = self.indexer
-        ne = len(idx.entry_ids)
-        q = np.array([z.inflow[i] for i in idx.entry_ids])
-        d = np.array([z.outflow[j] for j in idx.exit_ids])
-        e_max, x_max, back = self._e_max, self._x_max, self._back
-        bounds = np.hstack([self.entry + q, x_max - self.exit])  # avail | space
-
-        n = idx.n_states
-        shape = (self.n_actions, n) if actions is None else (n,)
-        cost = np.full(shape, np.inf)
-        nxt = np.zeros(shape, dtype=int)
-        # a sweep tries a only where a - 1 was feasible (feasibility is monotone in a)
+    def _network_table(self, t, z, stage):
+        """One network stage table under z, as tables() returns it for one z.
+        A sweep tries a only where a - 1 was feasible (feasibility is
+        monotone in a)."""
+        n = self.indexer.n_states
+        q = np.array([z.inflow[i] for i in self.indexer.entry_ids])
+        d = np.array([z.outflow[j] for j in self.indexer.exit_ids])
+        # action (set per a below) | avail | space
+        bounds = np.hstack([np.zeros((n, 1), dtype=int), self.entry + q, self._x_max - self.exit])
+        cost = np.full((self.n_actions, n), np.inf)
+        nxt = np.zeros((self.n_actions, n), dtype=int)
         alive = np.arange(n)
         for a in range(self.n_actions):
-            states = alive if actions is None else np.flatnonzero(actions == a)
-            if not states.size:
-                continue
-            clipped, inv = _unique_rows(np.minimum(bounds[states], a), a)
-            solved = self._solve(t, [(a, row) for row in clipped.tolist()], stage)
-            sols = np.array([flows for flows, _ in solved])[inv]
+            if not alive.size:
+                break
+            rows = np.minimum(bounds[alive], a)
+            rows[:, 0] = a
+            sols = self._flows(t, rows, stage)
             ok = np.isfinite(sols[:, 0])
-            alive, sols = states[ok], sols[ok]
-            cost_a, nxt_a = (cost[a], nxt[a]) if actions is None else (cost, nxt)
-            cost_a[alive] = sols[:, 0]
-            # alloc.transition's arithmetic, vectorized
-            e_next = np.rint(np.clip(self.entry[alive] - sols[:, 1 : 1 + ne] + q, 0.0, e_max))
-            x_next = np.rint(np.clip(self.exit[alive] + sols[:, 1 + ne :] - d, -back, x_max))
-            digits = np.hstack([e_next, x_next + back]).astype(int)
-            nxt_a[alive] = np.ravel_multi_index(tuple(digits.T), idx.shape)
+            alive, sols = alive[ok], sols[ok]
+            cost[a, alive] = sols[:, 0]
+            nxt[a, alive] = self._next_index(self.entry[alive], self.exit[alive], sols, q, d)
         return cost, nxt
+
+    def _network_at(self, t, zs, stages, actions):
+        """The network tables at each state's own action, as tables(t, zs,
+        actions) returns them. Per stage (spot rates), the limits rows of
+        every (realization, state) of its realizations, each at the state's
+        action, go through one memo lookup, and the transitions are computed
+        over (realizations, states) at once."""
+        idx = self.indexer
+        n, ne, nx = idx.n_states, len(idx.entry_ids), len(idx.exit_ids)
+        q = np.array([[z.inflow[i] for i in idx.entry_ids] for z in zs]).reshape(-1, 1, ne)
+        d = np.array([[z.outflow[j] for j in idx.exit_ids] for z in zs]).reshape(-1, 1, nx)
+        acts = actions[:, None]
+        space = np.minimum(self._x_max - self.exit, acts)  # the same under every z
+        cost = np.full((len(zs), n), np.inf)
+        nxt = np.zeros((len(zs), n), dtype=int)
+        by_stage: Dict[Tuple, List[int]] = {}
+        for k, stage in enumerate(stages):
+            by_stage.setdefault(stage[0], []).append(k)
+        for ks in by_stage.values():
+            m = len(ks)
+            rows = np.concatenate([
+                np.broadcast_to(acts, (m, n, 1)),
+                np.minimum(self.entry + q[ks], acts),
+                np.broadcast_to(space, (m, n, nx)),
+            ], axis=2)
+            sols = self._flows(t, rows.reshape(m * n, -1), stages[ks[0]]).reshape(m, n, -1)
+            cost[ks] = sols[..., 0]  # inf where no allocation exists
+            at = self._next_index(self.entry, self.exit, sols, q[ks], d[ks])
+            nxt[ks] = np.where(np.isfinite(sols[..., 0]), at, 0)
+        return cost, nxt
+
+    def _flows(self, t, rows, stage) -> np.ndarray:
+        """(cost, moves out of each entry, moves into each exit) of each
+        limits row (action, clipped availability and space) in period t,
+        through the memo: the distinct rows go to one _solve call."""
+        found, inv = _unique_rows(rows, self.n_actions - 1)
+        solved = self._solve(t, [(row[0], row[1:]) for row in found.tolist()], stage)
+        return np.array([flows for flows, _ in solved])[inv]
+
+    def _next_index(self, entry, exit, sols, q, d) -> np.ndarray:
+        """alloc.transition's arithmetic, vectorized: the index of the state
+        reached from (entry, exit) stocks after the moves of sols (as
+        _flows returns them) and inflow q and outflow d, broadcast together."""
+        ne = len(self.indexer.entry_ids)
+        back = self._back
+        e_next = np.rint(np.clip(entry - sols[..., 1 : 1 + ne] + q, 0.0, self._e_max))
+        x_next = np.rint(np.clip(exit + sols[..., 1 + ne :] - d, -back, self._x_max))
+        return np.concatenate([e_next, x_next + back], axis=-1).astype(int) @ self._radix
 
     def allocation(self, t: int, a: int, state: SystemState, z: ExogenousRealization):
         """(cost, lane totals) of moving a units at ``state`` under z in
@@ -474,12 +544,11 @@ def _sweep(instance, per_period, plan):
     for t in range(tau, 0, -1):
         acc = np.zeros((n_act, n))
         ok = np.ones((n_act, n), dtype=bool)
-        data = per_period[t - 1]
-        for (_, w), cost, nxt in zip(data, *kernel.tables(t, [z for z, _ in data])):
+        for w, cost, nxt in kernel.stage_rows(t, per_period[t - 1]):
             finite = np.isfinite(cost)
             ok &= finite
             acc += w * (-np.where(finite, cost, 0.0) + values[t][nxt])
-        del cost, nxt  # views of the period's tables: free them before the next period's
+        del cost, nxt  # views of the last chunk's tables: free them before the next period's
         ok = np.logical_and.accumulate(ok, axis=0)
         best_v = np.full(n, -np.inf)
         best_a = np.zeros(n, dtype=int)
@@ -557,22 +626,20 @@ def evaluate_policy(
     values[tau] = kernel.terminal
     for t in range(tau, 0, -1):
         acts = policy.actions[t - 1]
-        data = per_period[t - 1]
-        cost, nxt = kernel.tables(
-            t, [z for z, _ in data], np.clip(acts, np.int64(0), np.int64(kernel.n_actions - 1))
-        )
-        undefined = (acts < 0) | (acts >= kernel.n_actions) | ~np.isfinite(cost).all(axis=0)
+        at = np.clip(acts, np.int64(0), np.int64(kernel.n_actions - 1))
+        defined = np.ones(n, dtype=bool)
+        # in realization order after the holding cost; np.sum would move the last bits
+        total = -kernel.hold
+        for w, cost, nxt in kernel.stage_rows(t, per_period[t - 1], at):
+            defined &= np.isfinite(cost)
+            total = total + w * (-cost + values[t][nxt])
+        undefined = (acts < 0) | (acts >= kernel.n_actions) | ~defined
         if undefined.any():
             si = int(np.argmax(undefined))
             raise UndefinedPolicyState(
                 f"policy action {int(acts[si])} infeasible at period {t} "
                 f"state {indexer.state_of(si)}"
             )
-        terms = np.array([w for _, w in data])[:, None] * (-cost + values[t][nxt])
-        # in realization order after the holding cost; np.sum would move the last bits
-        total = -kernel.hold
-        for term in terms:
-            total = total + term
         values[t - 1] = total
     return ValueTable(tau, indexer, values)
 

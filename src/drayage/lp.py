@@ -33,10 +33,14 @@ same value. A Farkas ray of an infeasible solve is a feasibility cut in the
 same entries: a right-hand side that violates it by more than RAY_TOL per
 unit of the ray is infeasible, which HiGHS's tolerances cannot blur. Every
 other right-hand side is solved cold by HiGHS and its basis or ray stored.
+The certifiers of one model read its one dense matrix (HighsModel.dense)
+and their parameters' right-hand-side terms (HighsModel.rhs_terms), built
+on first use.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -138,6 +142,28 @@ class HighsModel:
         self._highs = h = _core._Highs()
         for key, value in (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1)):
             h.setOptionValue(key, value)  # strategy 1: dual simplex
+        self._rhs_terms: Dict[Tuple[int, ...], np.ndarray] = {}
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The constraint matrix as a read-only dense array, built on first
+        use: every RhsCertifier of the model reads this one copy."""
+        A = self._A.toarray()
+        A.flags.writeable = False
+        return A
+
+    def rhs_terms(self, rows) -> np.ndarray:
+        """The read-only 0/1 matrix D, one row per constraint row and one
+        column per entry of rows, with D[rows[k], k] = 1: how an
+        RhsCertifier's parameters enter the row upper bounds. Built once per
+        distinct rows and shared by the model's certifiers."""
+        key = tuple(np.asarray(rows).tolist())
+        D = self._rhs_terms.get(key)
+        if D is None:
+            D = self._rhs_terms[key] = np.zeros((self._A.shape[0], len(key)))
+            D[np.array(key, dtype=int), np.arange(len(key))] = 1.0
+            D.flags.writeable = False
+        return D
 
     def _row_bounds(self, b_eq, b_ub):
         """HiGHS's row bounds: [-inf, b_ub] for A_ub's rows, then [b_eq, b_eq]."""
@@ -200,9 +226,8 @@ class RhsCertifier:
     def __init__(self, model: HighsModel, c, b_eq, b_ub, rows):
         self._model, self._c = model, np.asarray(c, dtype=float)
         self._b_eq, self._b_ub, self._rows = b_eq, b_ub, rows
-        self._A = model._A.toarray()
-        self._D = np.zeros((self._A.shape[0], len(rows)))  # row upper bounds' p terms
-        self._D[rows, np.arange(len(rows))] = 1.0
+        self._A = model.dense
+        self._D = model.rhs_terms(rows)  # row upper bounds' p terms
         self._row_lower, self._row_upper = model._row_bounds(b_eq, b_ub)
         self._row_upper[rows] = 0.0
         self._cuts: List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []

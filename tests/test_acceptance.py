@@ -29,6 +29,7 @@ from drayage.capopt import (
 from drayage.model import SystemState, exogenous_support_size, state_space_size
 from drayage.mslp import build_mslp, solve_mslp
 from drayage.scenario import build_sample_set, sample_scenarios
+import test_properties
 from helpers import (
     all_states,
     brute_force_allocation,
@@ -373,8 +374,19 @@ def test_criterion_8_regret_generalization(capacity_instance):
     assert time.monotonic() - t0 < 1800.0
 
 
-def test_criterion_9_invariant_suites():
-    """Randomized invariant properties (>=1000 cases each) pass wholesale."""
+def test_criterion_9_invariant_suites(property_outcomes):
+    """Randomized invariant properties (>=1000 cases each) pass wholesale.
+
+    Every property test of test_properties.py must have passed in this
+    session: conftest records their outcomes and runs this test after them.
+    When some of them did not run here (say under -k criterion_9), a child
+    pytest runs the whole file instead.
+    """
+    names = {name for name in vars(test_properties) if name.startswith("test_")}
+    if names <= set(property_outcomes):
+        failed = sorted(name for name in names if property_outcomes[name] != "passed")
+        assert not failed, f"property tests that did not pass: {failed}"
+        return
     proc = subprocess.run(
         [
             sys.executable,

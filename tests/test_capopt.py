@@ -460,6 +460,21 @@ def test_plan_values_cache_lives_for_one_call(capacity_instance, demo_scenario):
     assert np.array_equal(solved_first, solved_second)
 
 
+def test_certifiers_share_one_dense_matrix(capacity_instance):
+    # every draw's certifier reads the model's one dense matrix and one
+    # right-hand-side term matrix, built once and read-only
+    obj = sample_objective(capacity_instance, sample_scenarios(capacity_instance, 6, 2))
+    certs = obj.certifiers()
+    assert len(certs) == len(obj.weights) > 1
+    dense, terms = certs[0]._A, certs[0]._D
+    assert all(c._A is dense and c._D is terms for c in certs + obj.certifiers())
+    assert dense is obj.model.dense and not dense.flags.writeable and not terms.flags.writeable
+    assert np.array_equal(dense, obj.model._A.toarray())
+    want = np.zeros((dense.shape[0], len(obj.cap_index)))
+    want[obj.cap_index, np.arange(len(obj.cap_index))] = 1.0
+    assert np.array_equal(terms, want)
+
+
 def test_monte_carlo_grid_makes_few_solves(tmp_path, capacity_instance, demo_scenario):
     """Criterion 3's 10^4-plan grid (seed 0) through the certified bases and
     rays: each plan's verdict is a fresh solve's."""

@@ -465,6 +465,124 @@ def test_unique_row_codes_match_axis_0_unique():
         _unique_rows(np.array([[-1, 0]]), 2)
 
 
+def test_unique_rows_fall_back_to_axis_0_unique_where_codes_overflow():
+    # base-501 codes of 8 columns pass 2**63 (501**7 still fits): both paths
+    # give np.unique(axis=0)'s rows and inverse
+    rng = np.random.default_rng(3)
+    for width in (7, 8):
+        rows = rng.integers(0, 501, (300, width))
+        rows[0, 0] = 500
+        rows[1:100, 1:] = 0  # rows tied up to the first column
+        rows = np.vstack([rows, rows[::7]])  # and duplicates
+        got, inv = _unique_rows(rows, 500)
+        want, want_inv = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(inv, want_inv.reshape(-1))
+    assert 501**7 < 2**63 < 501**8
+
+
+def _at_action_networks():
+    """Generated 1 x 2, 2 x 1, 3 x 1 and 2 x 2 (2 spot sources) networks,
+    levels 2, 3 iid draws per period, each also with its locations listed in
+    reverse."""
+    cases = []
+    for seed, (ne, nx, n_bids, n_spot) in enumerate([(1, 2, 2, 1), (2, 1, 2, 1),
+                                                     (3, 1, 2, 1), (2, 2, 1, 2)]):
+        shape = dict(n_entries=ne, n_exits=nx, n_bids=n_bids, n_spot=n_spot, horizon=2,
+                     cost_mean=12.0, cost_sd=4.0, cost_min=2.0, capacity_levels=2)
+        inst = generate_instance(seed, shape)
+        net = inst.network
+        rev = replace(inst, network=replace(net, entries=net.entries[::-1], exits=net.exits[::-1]))
+        for inst in (inst, rev):
+            plan = generate_default_plan(seed, inst)
+            cases.append((inst, build_sample_set(inst, 3, seed, mode="iid"), plan))
+    return cases
+
+
+def test_network_tables_at_actions_equal_a_loop_over_realizations_and_states(monkeypatch):
+    # each (realization, state) entry at the state's action equals that one
+    # allocation looked up alone and alloc.transition's next state, infeasible
+    # entries (cost inf, next 0) included. On the policy's own kernel and
+    # sample nothing is solved; a fresh kernel on another sample solves its
+    # misses in at most one solve_allocations call per stage
+    calls = []
+    real = alloc.solve_allocations
+
+    def spy(costs, caps, cols, limits):
+        calls.append(len(limits))
+        return real(costs, caps, cols, limits)
+
+    monkeypatch.setattr("drayage.dp.solve_allocations", spy)
+    rng = np.random.default_rng(8)
+    for inst, sample, plan in _at_action_networks():
+        _, pt = solve_expected(inst, sample, plan)
+        oracle = _StageTables(inst, plan)
+        states = oracle.indexer.all_states()
+        fresh = _StageTables(inst, plan)
+        other = build_sample_set(inst, 4, 99, mode="iid")
+        infeasible = 0
+        for kernel, smp in ((pt.kernel, sample), (fresh, other)):
+            for t, period in enumerate(smp.distinct(inst), start=1):
+                zs = [z for z, _ in period]
+                drawn = rng.integers(0, kernel.n_actions, len(states))
+                for acts in (pt.actions[t - 1], drawn):
+                    calls.clear()
+                    cost, nxt = kernel.tables(t, zs, acts)
+                    if kernel is pt.kernel and acts is pt.actions[t - 1]:
+                        assert calls == []
+                    assert len(calls) <= len({kernel._stage(t, z)[0] for z in zs})
+                    want_cost = np.zeros_like(cost)
+                    want_next = np.zeros_like(nxt)
+                    for k, z in enumerate(zs):
+                        for s, (a, state) in enumerate(zip(acts.tolist(), states)):
+                            c, totals = oracle.allocation(t, a, state, z)
+                            want_cost[k, s] = c
+                            if c < np.inf:
+                                want_next[k, s] = oracle.indexer.index_of(
+                                    alloc.transition(state, totals, z, inst.bounds))
+                    assert np.array_equal(cost, want_cost)
+                    assert np.array_equal(nxt, want_next)
+                    infeasible += int(np.isinf(cost).sum())
+        assert infeasible > 0
+        assert len(fresh._memo) > 0
+
+
+def _sweep_and_evaluations(inst, sample, plan):
+    """Bytes of the values and policy of solve_expected and of evaluate_policy
+    on the sample and, without the kernel, on another one (or the
+    UndefinedPolicyState message)."""
+    vt, pt = solve_expected(inst, sample, plan)
+    out = [vt.values.tobytes(), pt.actions.tobytes()]
+    bare = PolicyTable(pt.horizon, pt.indexer, pt.actions)
+    for policy, smp in ((pt, sample), (bare, build_sample_set(inst, 3, 5))):
+        try:
+            out.append(evaluate_policy(inst, policy, smp, plan).values.tobytes())
+        except UndefinedPolicyState as err:
+            out.append(str(err))
+    return out
+
+
+def test_table_budget_changes_no_bit(monkeypatch, capacity_instance, tuned_plan):
+    # with TABLE_BYTES 1 every chunk is one realization: sweeps and
+    # evaluations are bit-identical to the one-chunk runs
+    cases = _at_action_networks() + [(capacity_instance, build_sample_set(
+        capacity_instance, 0, 0, mode="enumerate"), tuned_plan)]
+    whole = [_sweep_and_evaluations(*case) for case in cases]
+    assert any(isinstance(w[-1], str) for w in whole)
+    assert any(isinstance(w[-1], bytes) for w in whole)
+    sizes = []
+    real = _StageTables.tables
+
+    def recording(self, t, zs, actions=None):
+        sizes.append(len(zs))
+        return real(self, t, zs, actions)
+
+    monkeypatch.setattr(_StageTables, "tables", recording)
+    monkeypatch.setattr("drayage.dp.TABLE_BYTES", 1)
+    assert [_sweep_and_evaluations(*case) for case in cases] == whole
+    assert set(sizes) == {1}
+
+
 def test_network_sweep_sends_no_infeasible_problem_to_the_tableau(monkeypatch):
     # over-volume actions are answered from the constraint families' sums,
     # and in these networks every other problem is feasible
